@@ -1,7 +1,7 @@
-// E11 — batch sketching and sharded-index query throughput vs thread count.
+// E11 — batch sketching and index query throughput vs thread count.
 //
 // Not a paper experiment: this measures the parallel execution subsystem
-// (ThreadPool + BatchSketcher + sharded SketchIndex) that amortizes the
+// (ThreadPool + BatchSketcher + chunk-parallel SketchIndex scans) that amortizes the
 // paper's O(s nnz + k) per-vector cost across cores. Google Benchmark's
 // items_per_second counter reports vectors/sec (batch cases) or stored
 // sketches scanned per second (query case); sweep the Arg to read the
@@ -80,13 +80,13 @@ void BM_BatchSketchSparse(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSketchSparse)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-void BM_ShardedIndexNearestNeighbors(benchmark::State& state) {
+void BM_IndexNearestNeighbors(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int64_t d = 512;
   const int64_t corpus = 2048;
   const PrivateSketcher sketcher = MakeSketcher(d);
   Rng rng(kSeed);
-  SketchIndex index(64);
+  SketchIndex index;
   {
     // Build the corpus through the batch path so setup scales too.
     ThreadPool build_pool(ThreadPool::DefaultThreadCount());
@@ -115,7 +115,7 @@ void BM_ShardedIndexNearestNeighbors(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * corpus);
 }
-BENCHMARK(BM_ShardedIndexNearestNeighbors)
+BENCHMARK(BM_IndexNearestNeighbors)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -35,8 +35,7 @@ std::unique_ptr<Engine> MakeServingEngine(int serving_threads,
   options.sketcher.beta = 0.05;
   options.sketcher.epsilon = 1.0;
   options.sketcher.projection_seed = kSeed;
-  options.threads = 1;  // isolate serving-lane scaling from shard scaling
-  options.num_shards = 64;
+  options.threads = 1;  // isolate serving-lane scaling from scan scaling
   options.serving_threads = serving_threads;
   options.queue_capacity = 4096;
   auto engine = Engine::Create(d, options);

@@ -39,8 +39,7 @@ EngineOptions ServingOptions() {
   options.sketcher.beta = 0.05;
   options.sketcher.epsilon = 1.0;
   options.sketcher.projection_seed = kSeed;
-  options.threads = 1;  // isolate merge overhead from shard-scan scaling
-  options.num_shards = 64;
+  options.threads = 1;  // isolate merge overhead from chunk-scan scaling
   return options;
 }
 
@@ -55,7 +54,7 @@ const SketchIndex& Corpus() {
     }
     auto sketches = (*engine)->SketchBatch(xs, kSeed + 1);
     DPJL_CHECK(sketches.ok(), "corpus batch failed");
-    auto* index = new SketchIndex(64);
+    auto* index = new SketchIndex();
     for (int64_t i = 0; i < kCorpus; ++i) {
       DPJL_CHECK_OK(index->Add(
           "doc" + std::to_string(i),

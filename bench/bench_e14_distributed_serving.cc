@@ -63,7 +63,6 @@ EngineOptions ServingOptions() {
   options.sketcher.epsilon = 1.0;
   options.sketcher.projection_seed = kSeed;
   options.threads = 1;
-  options.num_shards = 64;
   options.serving_threads = 2;
   return options;
 }
@@ -79,7 +78,7 @@ const SketchIndex& Corpus() {
     }
     auto sketches = (*engine)->SketchBatch(xs, kSeed + 1);
     DPJL_CHECK(sketches.ok(), "corpus batch failed");
-    auto* index = new SketchIndex(64);
+    auto* index = new SketchIndex();
     for (int64_t i = 0; i < kCorpus; ++i) {
       DPJL_CHECK_OK(index->Add(
           "doc" + std::to_string(i),

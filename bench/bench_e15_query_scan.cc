@@ -71,8 +71,8 @@ SketcherConfig Config() {
 }
 
 struct Workload {
-  SketchIndex index{SketchIndex::kDefaultShards};
-  SketchIndex pairs_index{SketchIndex::kDefaultShards};
+  SketchIndex index;
+  SketchIndex pairs_index;
   std::vector<PrivateSketch> probes;
   double range_radius = 0.0;
 };

@@ -1,7 +1,7 @@
 // Async serving with priority lanes, tenant quotas, deadlines, cancellation
 // and admission control — the dpjl::Engine facade end to end.
 //
-// One engine owns the sketcher, thread pool, sharded index and a bounded
+// One engine owns the sketcher, thread pool, sketch index and a bounded
 // multi-lane request queue. Clients submit queries instead of blocking on
 // them; each submission carries RequestOptions (priority lane, tenant,
 // deadline budget). The example stages every outcome deterministically:
@@ -44,7 +44,7 @@ int main() {
   EngineOptions options;
   options.sketcher.epsilon = 2.0;
   options.sketcher.projection_seed = 0xE7617E;
-  options.threads = 2;          // shard-parallel scans
+  options.threads = 2;          // chunk-parallel scans
   options.serving_threads = 1;  // one lane, so the stalls below are total
   options.queue_capacity = 4;   // tiny on purpose, to show admission control
   options.tenant_quota = 2;     // per-tenant queued+in-flight bound

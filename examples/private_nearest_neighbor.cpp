@@ -63,8 +63,7 @@ int main() {
   options.sketcher.beta = 0.05;
   options.sketcher.epsilon = 4.0;  // per released sketch, pure DP
   options.sketcher.projection_seed = 0x5EED;
-  options.threads = 4;   // shard-parallel query scans
-  options.num_shards = 8;
+  options.threads = 4;   // chunk-parallel query scans
 
   auto engine = Engine::Create(d, options);
   if (!engine.ok()) {

@@ -9,8 +9,6 @@
 #include <sstream>
 
 #include "src/common/check.h"
-#include "src/common/top_k.h"
-#include "src/core/estimators.h"
 #include "src/jl/make_transform.h"
 
 namespace dpjl {
@@ -133,10 +131,9 @@ Result<EngineOptions> EngineOptions::Parse(
       "epsilon",        "delta",         "alpha",
       "beta",           "seed",          "transform",
       "k-override",     "s-override",    "noise",
-      "placement",      "threads",       "shards",
-      "serving-threads", "queue-capacity", "tenant-quota",
-      "tenant-rate",    "deadline-ms",     "starvation-age-ms",
-      "batch-grain"};
+      "placement",      "threads",       "serving-threads",
+      "queue-capacity", "tenant-quota",  "tenant-rate",
+      "deadline-ms",    "starvation-age-ms", "batch-grain"};
   for (const auto& entry : flags) {
     if (kRecognized.count(entry.first) == 0 &&
         std::find(passthrough.begin(), passthrough.end(), entry.first) ==
@@ -192,11 +189,6 @@ Result<EngineOptions> EngineOptions::Parse(
                           ParseIntFlag("threads", *raw, 0, 4096));
     options.threads = static_cast<int>(threads);
   }
-  if (const std::string* raw = find("shards")) {
-    DPJL_ASSIGN_OR_RETURN(const int64_t shards,
-                          ParseIntFlag("shards", *raw, 1, 65536));
-    options.num_shards = static_cast<int>(shards);
-  }
   if (const std::string* raw = find("serving-threads")) {
     DPJL_ASSIGN_OR_RETURN(const int64_t serving,
                           ParseIntFlag("serving-threads", *raw, 1, 256));
@@ -246,7 +238,7 @@ std::string EngineOptions::ToString() const {
       << " --noise=" << NoiseFlagName(sketcher.noise_selection)
       << " --placement=" << PlacementFlagName(sketcher.placement)
       << " --seed=" << sketcher.projection_seed << " --threads=" << threads
-      << " --shards=" << num_shards << " --serving-threads=" << serving_threads
+      << " --serving-threads=" << serving_threads
       << " --queue-capacity=" << queue_capacity
       << " --tenant-quota=" << tenant_quota
       << " --tenant-rate=" << tenant_rate
@@ -260,9 +252,6 @@ Status EngineOptions::Validate() const {
   if (threads < 0 || threads > 4096) {
     return Status::InvalidArgument(
         "threads must lie in [0, 4096] (0 = all hardware cores)");
-  }
-  if (num_shards < 1 || num_shards > 65536) {
-    return Status::InvalidArgument("shards must lie in [1, 65536]");
   }
   if (serving_threads < 1 || serving_threads > 256) {
     return Status::InvalidArgument("serving-threads must lie in [1, 256]");
@@ -299,15 +288,13 @@ Result<std::unique_ptr<Engine>> Engine::Create(int64_t d,
   DPJL_RETURN_IF_ERROR(options.Validate());
   DPJL_ASSIGN_OR_RETURN(PrivateSketcher sketcher,
                         PrivateSketcher::Create(d, options.sketcher));
-  return std::unique_ptr<Engine>(new Engine(options, std::move(sketcher),
-                                            SketchIndex(options.num_shards)));
+  return std::unique_ptr<Engine>(
+      new Engine(options, std::move(sketcher), SketchIndex()));
 }
 
 Result<std::unique_ptr<Engine>> Engine::FromIndex(SketchIndex index,
                                                   const EngineOptions& options) {
   DPJL_RETURN_IF_ERROR(options.Validate());
-  // The adopted index keeps its own shard layout; options.num_shards only
-  // governs indexes the engine creates itself.
   return std::unique_ptr<Engine>(
       new Engine(options, std::nullopt, std::move(index)));
 }
@@ -371,46 +358,13 @@ Result<std::vector<PrivateSketch>> Engine::SketchBatch(
 
 Status Engine::Insert(std::string id, PrivateSketch sketch) {
   WriterLock lock(index_mutex_);
-  if (!partitions_.empty()) {
-    DPJL_RETURN_IF_ERROR(CheckInsertLocked(id, sketch.metadata(),
-                                           CorpusFingerprintLocked()));
-  }
   return index_.Add(std::move(id), std::move(sketch));
 }
 
 Status Engine::InsertBatch(
     std::vector<std::pair<std::string, PrivateSketch>> items) {
   WriterLock lock(index_mutex_);
-  if (!partitions_.empty()) {
-    // The corpus fingerprint is loop-invariant under the write lock;
-    // compute it once for the whole batch.
-    const uint64_t corpus = CorpusFingerprintLocked();
-    for (const auto& item : items) {
-      DPJL_RETURN_IF_ERROR(
-          CheckInsertLocked(item.first, item.second.metadata(), corpus));
-    }
-  }
   return index_.AddBatch(std::move(items));
-}
-
-Status Engine::CheckInsertLocked(const std::string& id,
-                                 const SketchMetadata& metadata,
-                                 uint64_t corpus_fingerprint) const {
-  // The owned index validates against itself; with partitions attached the
-  // corpus is wider, so uniqueness and compatibility must hold across them
-  // too (one hash lookup per partition, one fingerprint comparison).
-  for (const auto& partition : partitions_) {
-    if (partition.second.Find(id) != nullptr) {
-      return Status::InvalidArgument(
-          "duplicate sketch id (served by an attached partition): " + id);
-    }
-  }
-  if (corpus_fingerprint != 0 &&
-      CompatibilityFingerprint(metadata) != corpus_fingerprint) {
-    return Status::FailedPrecondition(
-        "sketch is incompatible with the served corpus's projection");
-  }
-  return Status::OK();
 }
 
 Status Engine::InsertVector(std::string id, const std::vector<double>& x,
@@ -420,19 +374,12 @@ Status Engine::InsertVector(std::string id, const std::vector<double>& x,
 
 int64_t Engine::index_size() const {
   ReaderLock lock(index_mutex_);
-  int64_t total = index_.size();
-  for (const auto& partition : partitions_) total += partition.second.size();
-  return total;
+  return index_.size();
 }
 
 std::vector<std::string> Engine::ids() const {
   ReaderLock lock(index_mutex_);
-  std::vector<std::string> all = index_.ids();
-  for (const auto& partition : partitions_) {
-    const std::vector<std::string>& part_ids = partition.second.ids();
-    all.insert(all.end(), part_ids.begin(), part_ids.end());
-  }
-  return all;
+  return index_.ids();
 }
 
 std::string Engine::SerializeIndex() const {
@@ -440,179 +387,47 @@ std::string Engine::SerializeIndex() const {
   return index_.Serialize();
 }
 
-Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighborsLocked(
-    const PrivateSketch& query, int64_t top_n, ThreadPool* pool,
-    const CancelToken& cancel) const {
-  if (cancel.Cancelled()) {
-    return Status::Cancelled("query cancelled before its partition fan-out");
-  }
-  if (partitions_.empty()) return index_.NearestNeighbors(query, top_n, pool);
-  // The per-partition scans repeat this check; it runs here first so the
-  // gather heap below is never constructed with an invalid bound.
-  if (top_n < 1) {
-    return Status::InvalidArgument("top_n must be >= 1");
-  }
-  // Scatter: the owned index and each partition produce their own top_n
-  // (each a blocked arena scan, pool-parallel across its shards in turn).
-  // The global top_n is contained in the union of the per-partition top_n
-  // lists, so gathering them through the same deterministic (distance, id)
-  // bounded top-k the shard scans use is byte-identical to scanning one
-  // merged index. The cancel token is polled between partition scans: a
-  // cancelled caller stops paying for the rest of the fan-out instead of
-  // completing a result nobody reads.
-  BoundedTopK<SketchIndex::Neighbor,
-              bool (*)(const SketchIndex::Neighbor&,
-                       const SketchIndex::Neighbor&)>
-      gather(top_n, SketchIndex::NeighborLess);
-  const auto scatter = [&](const SketchIndex& part) -> Status {
-    if (cancel.Cancelled()) {
-      return Status::Cancelled("query cancelled mid partition fan-out");
-    }
-    auto partial = part.NearestNeighbors(query, top_n, pool);
-    if (!partial.ok()) return partial.status();
-    for (SketchIndex::Neighbor& neighbor : *partial) {
-      gather.Push(std::move(neighbor));
-    }
-    return Status::OK();
-  };
-  DPJL_RETURN_IF_ERROR(scatter(index_));
-  for (const auto& partition : partitions_) {
-    DPJL_RETURN_IF_ERROR(scatter(partition.second));
-  }
-  return gather.TakeSorted();
-}
-
-Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQueryLocked(
-    const PrivateSketch& query, double radius_sq, ThreadPool* pool,
-    const CancelToken& cancel) const {
-  if (cancel.Cancelled()) {
-    return Status::Cancelled("query cancelled before its partition fan-out");
-  }
-  if (partitions_.empty()) return index_.RangeQuery(query, radius_sq, pool);
-  std::vector<SketchIndex::Neighbor> all;
-  const auto scatter = [&](const SketchIndex& part) -> Status {
-    if (cancel.Cancelled()) {
-      return Status::Cancelled("query cancelled mid partition fan-out");
-    }
-    auto partial = part.RangeQuery(query, radius_sq, pool);
-    if (!partial.ok()) return partial.status();
-    all.insert(all.end(), partial->begin(), partial->end());
-    return Status::OK();
-  };
-  DPJL_RETURN_IF_ERROR(scatter(index_));
-  for (const auto& partition : partitions_) {
-    DPJL_RETURN_IF_ERROR(scatter(partition.second));
-  }
-  std::sort(all.begin(), all.end(), SketchIndex::NeighborLess);
-  return all;
-}
-
-const PrivateSketch* Engine::FindLocked(const std::string& id) const {
-  if (const PrivateSketch* found = index_.Find(id)) return found;
-  for (const auto& partition : partitions_) {
-    if (const PrivateSketch* found = partition.second.Find(id)) return found;
-  }
-  return nullptr;
-}
-
-uint64_t Engine::CorpusFingerprintLocked() const {
-  if (index_.size() > 0) {
-    return CompatibilityFingerprint(index_.Find(index_.ids().front())->metadata());
-  }
-  for (const auto& partition : partitions_) {
-    const SketchIndex& part = partition.second;
-    if (part.size() > 0) {
-      return CompatibilityFingerprint(part.Find(part.ids().front())->metadata());
-    }
-  }
-  return 0;
-}
-
 Result<int64_t> Engine::AttachPartition(SketchIndex partition) {
   WriterLock lock(index_mutex_);
-  if (partition.size() > 0) {
-    const uint64_t corpus = CorpusFingerprintLocked();
-    const uint64_t incoming = CompatibilityFingerprint(
-        partition.Find(partition.ids().front())->metadata());
-    if (corpus != 0 && incoming != corpus) {
-      return Status::FailedPrecondition(
-          "partition is incompatible with the served corpus's projection");
-    }
-    for (const std::string& id : partition.ids()) {
-      if (FindLocked(id) != nullptr) {
-        return Status::InvalidArgument(
-            "partition id is already served: " + id);
-      }
-    }
-  }
-  const int64_t handle = next_partition_handle_++;
-  partitions_.emplace_back(handle, std::move(partition));
-  return handle;
+  return index_.AttachSegment(std::move(partition));
 }
 
 Status Engine::DetachPartition(int64_t handle) {
   WriterLock lock(index_mutex_);
-  for (auto it = partitions_.begin(); it != partitions_.end(); ++it) {
-    if (it->first == handle) {
-      partitions_.erase(it);
-      return Status::OK();
-    }
-  }
-  return Status::NotFound("no attached partition with handle " +
-                          std::to_string(handle));
+  return index_.DetachSegment(handle);
 }
 
 int64_t Engine::num_partitions() const {
   ReaderLock lock(index_mutex_);
-  return static_cast<int64_t>(partitions_.size());
+  return index_.num_attached();
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Engine::NearestNeighbors(
     const PrivateSketch& query, int64_t top_n) const {
   ReaderLock lock(index_mutex_);
-  return NearestNeighborsLocked(query, top_n, pool_.get());
+  return index_.NearestNeighbors(query, top_n, pool_.get());
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Engine::RangeQuery(
     const PrivateSketch& query, double radius_sq) const {
   ReaderLock lock(index_mutex_);
-  return RangeQueryLocked(query, radius_sq, pool_.get());
+  return index_.RangeQuery(query, radius_sq, pool_.get());
 }
 
 Result<SketchIndex::DistanceMatrix> Engine::AllPairsDistances() const {
   ReaderLock lock(index_mutex_);
-  if (partitions_.empty()) return index_.AllPairsDistances(pool_.get());
-  // Flatten the corpus (owned index, then partitions in attach order) and
-  // run the exact computation core the monolithic index uses; the result
-  // equals the merged index's matrix entry for entry.
-  std::vector<std::string> ids;
-  std::vector<const PrivateSketch*> sketches;
-  const auto flatten = [&](const SketchIndex& part) {
-    for (const std::string& id : part.ids()) {
-      ids.push_back(id);
-      sketches.push_back(part.Find(id));
-    }
-  };
-  flatten(index_);
-  for (const auto& partition : partitions_) flatten(partition.second);
-  return SketchIndex::ComputeAllPairs(std::move(ids), sketches, pool_.get());
+  return index_.AllPairsDistances(pool_.get());
 }
 
 Result<double> Engine::SquaredDistance(const std::string& id_a,
                                        const std::string& id_b) const {
   ReaderLock lock(index_mutex_);
-  if (partitions_.empty()) return index_.SquaredDistance(id_a, id_b);
-  const PrivateSketch* a = FindLocked(id_a);
-  const PrivateSketch* b = FindLocked(id_b);
-  if (a == nullptr || b == nullptr) {
-    return Status::NotFound("unknown sketch id");
-  }
-  return EstimateSquaredDistance(*a, *b);
+  return index_.SquaredDistance(id_a, id_b);
 }
 
 Result<PrivateSketch> Engine::GetSketch(const std::string& id) const {
   ReaderLock lock(index_mutex_);
-  if (const PrivateSketch* found = FindLocked(id)) return *found;
+  if (const PrivateSketch* found = index_.Find(id)) return *found;
   return Status::NotFound("unknown sketch id: " + id);
 }
 
@@ -635,6 +450,8 @@ RequestQueue::Clock::time_point Engine::DeadlineFor(int64_t deadline_ms) const {
 }
 
 namespace {
+
+constexpr char kCancelledBeforeScan[] = "query cancelled before its scan";
 
 RequestOptions WithDeadline(int64_t deadline_ms) {
   RequestOptions options;
@@ -668,9 +485,11 @@ EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
 EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
     PrivateSketch query, int64_t top_n, const RequestOptions& request) {
   return Submit<std::vector<SketchIndex::Neighbor>>(
-      [this, query = std::move(query), top_n](const CancelToken& cancel) {
+      [this, query = std::move(query), top_n](const CancelToken& cancel)
+          -> Result<std::vector<SketchIndex::Neighbor>> {
+        if (cancel.Cancelled()) return Status::Cancelled(kCancelledBeforeScan);
         ReaderLock lock(index_mutex_);
-        return NearestNeighborsLocked(query, top_n, pool_.get(), cancel);
+        return index_.NearestNeighbors(query, top_n, pool_.get());
       },
       request);
 }
@@ -683,9 +502,11 @@ EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
 EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitRangeQuery(
     PrivateSketch query, double radius_sq, const RequestOptions& request) {
   return Submit<std::vector<SketchIndex::Neighbor>>(
-      [this, query = std::move(query), radius_sq](const CancelToken& cancel) {
+      [this, query = std::move(query), radius_sq](const CancelToken& cancel)
+          -> Result<std::vector<SketchIndex::Neighbor>> {
+        if (cancel.Cancelled()) return Status::Cancelled(kCancelledBeforeScan);
         ReaderLock lock(index_mutex_);
-        return RangeQueryLocked(query, radius_sq, pool_.get(), cancel);
+        return index_.RangeQuery(query, radius_sq, pool_.get());
       },
       request);
 }
@@ -697,12 +518,12 @@ Engine::SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
       [this, queries = std::move(queries), top_n](const CancelToken& cancel)
           -> Result<std::vector<std::vector<SketchIndex::Neighbor>>> {
         // One read-lock acquisition for the whole batch; probes fan across
-        // the pool with the deterministic chunking. Each probe's shard
-        // scan runs serially (no nested ParallelFor) — by the index's
-        // determinism contract the result is byte-identical to the
-        // pool-parallel scan a lone SubmitQuery performs. The cancel token
-        // is polled per probe, so cancelling a large batch stops its
-        // remaining probes, not just its queue admission.
+        // the pool with the deterministic chunking. Each probe's scan runs
+        // serially (no nested ParallelFor) — by the index's determinism
+        // contract the result is byte-identical to the pool-parallel scan
+        // a lone SubmitQuery performs. The cancel token is polled per
+        // probe, so cancelling a large batch stops its remaining probes,
+        // not just its queue admission.
         ReaderLock lock(index_mutex_);
         const int64_t n = static_cast<int64_t>(queries.size());
         std::vector<std::vector<SketchIndex::Neighbor>> results(queries.size());
@@ -710,8 +531,12 @@ Engine::SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
         ThreadPool::Run(pool_.get(), 0, n, 1, [&](int64_t begin, int64_t end) {
           for (int64_t i = begin; i < end; ++i) {
             const size_t slot = static_cast<size_t>(i);
-            auto probe = NearestNeighborsLocked(queries[slot], top_n,
-                                                /*pool=*/nullptr, cancel);
+            if (cancel.Cancelled()) {
+              probe_status[slot] = Status::Cancelled(kCancelledBeforeScan);
+              continue;
+            }
+            auto probe = index_.NearestNeighbors(queries[slot], top_n,
+                                                 /*pool=*/nullptr);
             if (!probe.ok()) {
               probe_status[slot] = probe.status();
               continue;

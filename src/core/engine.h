@@ -26,7 +26,7 @@
 namespace dpjl {
 
 /// Everything an Engine needs, in one struct: the sketcher construction,
-/// the threading/sharding layout, and the serving policy. This is the one
+/// the threading layout, and the serving policy. This is the one
 /// config path shared by dpjl_tool, the examples and the tests — `Parse`
 /// consumes the CLI's `--key value` flag map and `ToString` emits the
 /// canonical flag form, so there is exactly one place flag names and
@@ -36,15 +36,12 @@ struct EngineOptions {
   /// public projection seed).
   SketcherConfig sketcher;
 
-  /// ThreadPool size for batch sketching and shard-parallel queries:
+  /// ThreadPool size for batch sketching and chunk-parallel query scans:
   /// 0 = hardware concurrency, 1 = fully serial (no pool at all).
   int threads = 1;
 
-  /// Shard count of the owned SketchIndex.
-  int num_shards = SketchIndex::kDefaultShards;
-
   /// Threads draining the async request queue. Each can independently run
-  /// shard-parallel queries on the shared pool.
+  /// chunk-parallel queries on the shared pool.
   int serving_threads = 2;
 
   /// Bound on queued (admitted but not yet served) async requests; beyond
@@ -83,7 +80,7 @@ struct EngineOptions {
 
   /// Parses the recognized keys out of a `--key value` flag map (the form
   /// dpjl_tool already builds): epsilon, delta, alpha, beta, seed,
-  /// transform, k-override, s-override, noise, placement, threads, shards,
+  /// transform, k-override, s-override, noise, placement, threads,
   /// serving-threads, queue-capacity, tenant-quota, tenant-rate,
   /// deadline-ms, starvation-age-ms, batch-grain. A key
   /// that is neither recognized nor listed in `passthrough` is an error
@@ -106,9 +103,9 @@ struct EngineOptions {
 
 /// Cooperative cancellation handle threaded through long-running engine
 /// computations. `Cancelled()` turning true is a request, not a guarantee:
-/// the computation polls it at its natural scatter-gather boundaries
-/// (between partition scans, between batched probes) and unwinds with
-/// `kCancelled` at the next one. A default-constructed token never
+/// the computation polls it at its natural boundaries (before a query's
+/// scan, between batched probes) and unwinds with `kCancelled` at the next
+/// one. A default-constructed token never
 /// cancels. Trivially copyable; the referenced flag must outlive the
 /// computation (the engine stores it in the future's shared state, which
 /// the in-flight request handler keeps alive).
@@ -187,9 +184,8 @@ class [[nodiscard]] EngineFuture {
   /// a cancel/serve race resolves to exactly one outcome. Even on false,
   /// the cooperative cancellation flag is raised first, so a request that
   /// is already mid-computation unwinds with `kCancelled` at its next
-  /// scatter-gather boundary instead of running to completion (see
-  /// CancelToken). Safe from any thread, and safe after the engine's
-  /// destruction.
+  /// polling boundary instead of running to completion (see CancelToken).
+  /// Safe from any thread, and safe after the engine's destruction.
   bool Cancel() {
     DPJL_CHECK(valid(), "EngineFuture is default-constructed");
     state_->cancel_requested.store(true, std::memory_order_relaxed);
@@ -246,8 +242,8 @@ struct EngineStats {
 ///
 /// Determinism contract (inherited from the layers below): every engine
 /// query, sync or async, returns byte-identical results to the direct
-/// SketchIndex/estimator call, for any `threads`, `num_shards` and
-/// `serving_threads` — the engine adds scheduling, never different math.
+/// SketchIndex/estimator call, for any `threads` and `serving_threads` —
+/// the engine adds scheduling, never different math.
 ///
 /// Thread safety: the whole public API is safe to call concurrently.
 /// `Insert`/`InsertBatch` take the write side of an index lock; queries
@@ -256,11 +252,10 @@ struct EngineStats {
 ///
 /// Partitioned serving: AttachPartition adopts an independently built
 /// SketchIndex (typically a deserialized partition snapshot, see
-/// SketchIndex::ExportPartitions) as a read-only member of the served
-/// corpus. Queries scatter across the engine-owned index and every
-/// attached partition and merge the partial results by the deterministic
-/// (distance, id) order, so results are byte-identical to querying one
-/// merged index — at any partition count, shard count or thread count.
+/// SketchIndex::ExportPartitions) as a read-only segment of the one served
+/// index (SketchIndex::AttachSegment). Queries scan the owned rows and
+/// every attached segment as one store, so results are byte-identical to
+/// querying one merged index — at any partition count or thread count.
 /// Attach/Detach take the same write lock Insert does; in-flight queries
 /// always see a consistent partition set.
 class Engine {
@@ -312,7 +307,9 @@ class Engine {
       const std::vector<std::vector<double>>& xs,
       uint64_t base_noise_seed) const;
 
-  /// Inserts into the owned index (exclusive; concurrent queries wait).
+  /// Inserts into the owned rows (exclusive; concurrent queries wait). Ids
+  /// and compatibility are checked against the whole served corpus,
+  /// attached partitions included.
   Status Insert(std::string id, PrivateSketch sketch);
 
   /// Bulk insertion via SketchIndex::AddBatch: one compatibility check and
@@ -323,14 +320,14 @@ class Engine {
   Status InsertVector(std::string id, const std::vector<double>& x,
                       uint64_t noise_seed);
 
-  /// Total served corpus size: the engine-owned index plus every attached
+  /// Total served corpus size: the engine-owned rows plus every attached
   /// partition.
   int64_t index_size() const;
-  /// Ids of the served corpus: the engine-owned index's insertion order,
-  /// then each attached partition's insertion order in attach order
-  /// (copied under the read lock).
+  /// Ids of the served corpus: the engine-owned rows in insertion order,
+  /// then each attached partition's in attach order (copied under the
+  /// read lock).
   std::vector<std::string> ids() const;
-  /// Snapshot of the engine-OWNED index only; attached partitions are
+  /// Snapshot of the engine-OWNED rows only; attached partitions are
   /// serialized by whoever built them (they are read-only here).
   [[nodiscard]] std::string SerializeIndex() const;
 
@@ -358,7 +355,7 @@ class Engine {
   Result<double> SquaredDistance(const std::string& id_a,
                                  const std::string& id_b) const;
 
-  /// Copy of the stored sketch for `id`, wherever it lives (owned index or
+  /// Copy of the stored sketch for `id`, wherever it lives (owned rows or
   /// any attached partition); kNotFound if absent. The distributed tier's
   /// point-lookup hook: a sketch fetched from one serving process can be
   /// compared against a sketch fetched from another via
@@ -457,37 +454,6 @@ class Engine {
 
   RequestQueue::Clock::time_point DeadlineFor(int64_t deadline_ms) const;
 
-  /// Scatter-gather query cores. Callers hold the read side of
-  /// `index_mutex_`; `pool` is the engine pool for direct calls and null
-  /// for probes that already run on the pool (no nested parallelism).
-  /// `cancel` is polled between partition scans: a raised token unwinds
-  /// the remaining fan-out with kCancelled.
-  Result<std::vector<SketchIndex::Neighbor>> NearestNeighborsLocked(
-      const PrivateSketch& query, int64_t top_n, ThreadPool* pool,
-      const CancelToken& cancel = CancelToken()) const
-      REQUIRES_SHARED(index_mutex_);
-  Result<std::vector<SketchIndex::Neighbor>> RangeQueryLocked(
-      const PrivateSketch& query, double radius_sq, ThreadPool* pool,
-      const CancelToken& cancel = CancelToken()) const
-      REQUIRES_SHARED(index_mutex_);
-
-  /// Lookup across the owned index and every attached partition.
-  const PrivateSketch* FindLocked(const std::string& id) const
-      REQUIRES_SHARED(index_mutex_);
-
-  /// CompatibilityFingerprint of the served corpus (0 when empty).
-  uint64_t CorpusFingerprintLocked() const REQUIRES_SHARED(index_mutex_);
-
-  /// Uniqueness + compatibility admission check for a new insert when
-  /// partitions are attached (the owned index can only vouch for itself).
-  /// `corpus_fingerprint` is CorpusFingerprintLocked(), hoisted by the
-  /// caller so batch inserts validate against it once per item, not
-  /// recompute it.
-  Status CheckInsertLocked(const std::string& id,
-                           const SketchMetadata& metadata,
-                           uint64_t corpus_fingerprint) const
-      REQUIRES_SHARED(index_mutex_);
-
   /// Shared Submit plumbing: wraps `compute` in a queue request that
   /// fulfills `state` with either the computed result or the queue's
   /// failure status.
@@ -525,11 +491,8 @@ class Engine {
   std::optional<BatchSketcher> batcher_;
 
   mutable SharedMutex index_mutex_;
+  /// Owned rows plus every attached partition, as segments of one store.
   SketchIndex index_ GUARDED_BY(index_mutex_);
-  /// Attached read-only partitions, in attach order, with their handles.
-  std::vector<std::pair<int64_t, SketchIndex>> partitions_
-      GUARDED_BY(index_mutex_);
-  int64_t next_partition_handle_ GUARDED_BY(index_mutex_) = 1;
 
   /// shared_ptr so futures can hold a weak reference for Cancel() that
   /// outlives the engine safely.

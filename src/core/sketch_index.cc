@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
+#include <iterator>
 
 #include "src/common/top_k.h"
 #include "src/core/estimators.h"
@@ -11,10 +11,6 @@
 namespace dpjl {
 
 namespace {
-
-/// Pre-envelope ("v0") snapshot magic; still accepted by Deserialize's
-/// legacy path, never written anymore.
-constexpr char kLegacyIndexMagic[8] = {'D', 'P', 'J', 'L', 'I', 'X', '0', '1'};
 
 void AppendU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -33,6 +29,22 @@ bool Fits(const std::string& in, size_t offset, uint64_t len) {
   return len <= in.size() - offset;
 }
 
+/// Scans smaller than this many blocks are not worth splitting: per-chunk
+/// selection, id materialization and merging would outweigh the kernel
+/// work they parallelize.
+constexpr int64_t kMinScanGrainBlocks = 16;
+
+/// Consecutive blocks per scan chunk: a single chunk without a pool,
+/// otherwise a few chunks per pool thread, so a worker that is descheduled
+/// mid-scan holds up only a small share of it.
+int64_t ScanGrain(int64_t blocks, const ThreadPool* pool) {
+  if (pool == nullptr || pool->num_threads() == 1) {
+    return std::max<int64_t>(1, blocks);
+  }
+  const int64_t chunks = 4 * static_cast<int64_t>(pool->num_threads());
+  return std::max(kMinScanGrainBlocks, (blocks + chunks - 1) / chunks);
+}
+
 }  // namespace
 
 bool SketchIndex::NeighborLess(const Neighbor& a, const Neighbor& b) {
@@ -42,45 +54,75 @@ bool SketchIndex::NeighborLess(const Neighbor& a, const Neighbor& b) {
   return a.id < b.id;
 }
 
-SketchIndex::SketchIndex(int num_shards)
-    : shards_(static_cast<size_t>(std::max(1, num_shards))) {}
-
-size_t SketchIndex::ShardOf(const std::string& id) const {
-  return std::hash<std::string>{}(id) % shards_.size();
+std::vector<SketchIndex::Neighbor> SketchIndex::MergeNeighbors(
+    std::vector<std::vector<Neighbor>> parts, int64_t limit) {
+  std::vector<Neighbor> all;
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  all.reserve(total);
+  for (auto& part : parts) {
+    all.insert(all.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
+  }
+  std::sort(all.begin(), all.end(), NeighborLess);
+  all.erase(std::unique(all.begin(), all.end(),
+                        [](const Neighbor& a, const Neighbor& b) {
+                          return a.id == b.id;
+                        }),
+            all.end());
+  if (limit >= 0 && static_cast<int64_t>(all.size()) > limit) {
+    all.resize(static_cast<size_t>(limit));
+  }
+  return all;
 }
 
-void SketchIndex::ForEachShard(
-    ThreadPool* pool, const std::function<void(size_t)>& scan) const {
-  ThreadPool::Run(pool, 0, static_cast<int64_t>(shards_.size()), 1,
-                  [&scan](int64_t begin, int64_t end) {
-                    for (int64_t i = begin; i < end; ++i) {
-                      scan(static_cast<size_t>(i));
-                    }
-                  });
+SketchIndex::SketchIndex() : segments_(1) {}
+
+int64_t SketchIndex::size() const {
+  int64_t total = 0;
+  for (const Segment& segment : segments_) total += segment.size();
+  return total;
 }
 
-Status SketchIndex::Add(std::string id, PrivateSketch sketch) {
-  Shard& shard = shards_[ShardOf(id)];
-  if (shard.by_id.count(id) > 0) {
-    return Status::InvalidArgument("duplicate sketch id: " + id);
+const PrivateSketch* SketchIndex::Reference() const {
+  for (const Segment& segment : segments_) {
+    if (segment.size() > 0) return &segment.sketches.front();
   }
-  if (!order_.empty()) {
-    const PrivateSketch& first = *Find(order_.front());
-    if (!first.metadata().CompatibleWith(sketch.metadata())) {
-      return Status::FailedPrecondition(
-          "sketch is incompatible with the index's projection");
-    }
+  return nullptr;
+}
+
+Status SketchIndex::CheckIdAbsent(const std::string& id) const {
+  for (const Segment& segment : segments_) {
+    if (segment.rows.count(id) == 0) continue;
+    return Status::InvalidArgument(
+        segment.handle == 0
+            ? "duplicate sketch id: " + id
+            : "duplicate sketch id (served by an attached partition): " + id);
   }
-  AppendEntry(std::move(id), std::move(sketch));
   return Status::OK();
 }
 
-void SketchIndex::SketchArena::Append(const PrivateSketch& sketch) {
+Status SketchIndex::Add(std::string id, PrivateSketch sketch) {
+  DPJL_RETURN_IF_ERROR(CheckIdAbsent(id));
+  const PrivateSketch* reference = Reference();
+  if (reference != nullptr &&
+      !reference->metadata().CompatibleWith(sketch.metadata())) {
+    return Status::FailedPrecondition(
+        num_attached() == 0
+            ? "sketch is incompatible with the index's projection"
+            : "sketch is incompatible with the served corpus's projection");
+  }
+  owned().Append(std::move(id), std::move(sketch));
+  return Status::OK();
+}
+
+void SketchIndex::Segment::Append(std::string id, PrivateSketch sketch) {
   const std::vector<double>& v = sketch.values();
-  if (count == 0) dim = static_cast<int64_t>(v.size());
+  const int64_t row = size();
+  if (row == 0) dim = static_cast<int64_t>(v.size());
   DPJL_CHECK(static_cast<int64_t>(v.size()) == dim,
-             "arena append requires a compatibility-checked sketch");
-  const int64_t lane = count % kSketchBlockWidth;
+             "segment append requires a compatibility-checked sketch");
+  const int64_t lane = row % kSketchBlockWidth;
   if (lane == 0) {
     // New tail block, zero-padded: unfilled lanes scan as the zero vector
     // and their garbage distances are discarded by the width bound.
@@ -88,27 +130,16 @@ void SketchIndex::SketchArena::Append(const PrivateSketch& sketch) {
                       static_cast<size_t>(dim) * kSketchBlockWidth,
                   0.0);
   }
-  double* block =
-      values.data() +
-      (count / kSketchBlockWidth) * dim * kSketchBlockWidth;
+  double* block = values.data() + (row / kSketchBlockWidth) * dim *
+                                       kSketchBlockWidth;
   for (int64_t j = 0; j < dim; ++j) {
     block[j * kSketchBlockWidth + lane] = v[static_cast<size_t>(j)];
   }
   raw_norms.push_back(sketch.RawSquaredNorm());
   noise_centers.push_back(sketch.metadata().noise_center);
-  ++count;
-}
-
-const double* SketchIndex::SketchArena::BlockAt(int64_t block) const {
-  return values.data() + block * dim * kSketchBlockWidth;
-}
-
-void SketchIndex::AppendEntry(std::string id, PrivateSketch sketch) {
-  Shard& shard = shards_[ShardOf(id)];
-  order_.push_back(id);
-  shard.by_id.emplace(id, shard.entries.size());
-  shard.arena.Append(sketch);
-  shard.entries.push_back(Entry{std::move(id), std::move(sketch)});
+  rows.emplace(id, row);
+  ids.push_back(std::move(id));
+  sketches.push_back(std::move(sketch));
 }
 
 Status SketchIndex::AddBatch(
@@ -117,9 +148,10 @@ Status SketchIndex::AddBatch(
   // One reference metadata for the whole batch: the projection already
   // stored, or the batch's own first sketch on an empty index. Every item
   // checks against it once — no per-insert rescan of the stored state.
-  const SketchMetadata& reference = order_.empty()
+  const PrivateSketch* stored = Reference();
+  const SketchMetadata& reference = stored == nullptr
                                         ? items.front().second.metadata()
-                                        : Find(order_.front())->metadata();
+                                        : stored->metadata();
   std::unordered_map<std::string, size_t> batch_ids;
   batch_ids.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
@@ -127,9 +159,7 @@ Status SketchIndex::AddBatch(
     if (!batch_ids.emplace(id, i).second) {
       return Status::InvalidArgument("duplicate sketch id in batch: " + id);
     }
-    if (shards_[ShardOf(id)].by_id.count(id) > 0) {
-      return Status::InvalidArgument("duplicate sketch id: " + id);
-    }
+    DPJL_RETURN_IF_ERROR(CheckIdAbsent(id));
     if (!reference.CompatibleWith(items[i].second.metadata())) {
       return Status::FailedPrecondition(
           "batch item '" + id +
@@ -137,17 +167,22 @@ Status SketchIndex::AddBatch(
     }
   }
   // Validated: commit the whole batch (no fallible step below).
-  order_.reserve(order_.size() + items.size());
+  Segment& segment = owned();
+  segment.ids.reserve(segment.ids.size() + items.size());
   for (auto& item : items) {
-    AppendEntry(std::move(item.first), std::move(item.second));
+    segment.Append(std::move(item.first), std::move(item.second));
   }
   return Status::OK();
 }
 
 const PrivateSketch* SketchIndex::Find(const std::string& id) const {
-  const Shard& shard = shards_[ShardOf(id)];
-  auto it = shard.by_id.find(id);
-  return it == shard.by_id.end() ? nullptr : &shard.entries[it->second].sketch;
+  for (const Segment& segment : segments_) {
+    const auto it = segment.rows.find(id);
+    if (it != segment.rows.end()) {
+      return &segment.sketches[static_cast<size_t>(it->second)];
+    }
+  }
+  return nullptr;
 }
 
 Result<double> SketchIndex::SquaredDistance(const std::string& id_a,
@@ -161,8 +196,9 @@ Result<double> SketchIndex::SquaredDistance(const std::string& id_a,
 }
 
 Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
-  if (order_.empty()) return Status::OK();
-  if (!Find(order_.front())->metadata().CompatibleWith(query.metadata())) {
+  const PrivateSketch* reference = Reference();
+  if (reference != nullptr &&
+      !reference->metadata().CompatibleWith(query.metadata())) {
     // The exact message the per-pair estimator returns: one up-front check
     // replaces its per-entry checks without changing the error surface
     // (stored sketches are mutually compatible by the Add invariant).
@@ -172,37 +208,44 @@ Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
   return Status::OK();
 }
 
-std::vector<SketchIndex::Neighbor> SketchIndex::ScanShardTopK(
-    const Shard& shard, const PrivateSketch& query, int64_t top_n) const {
-  const SketchArena& arena = shard.arena;
-  BoundedTopK<Neighbor, bool (*)(const Neighbor&, const Neighbor&)> topk(
-      top_n, NeighborLess);
-  topk.Reserve(arena.count);
+template <typename Sink, typename MakeSink, typename Visit>
+std::vector<Sink> SketchIndex::ScanChunks(const PrivateSketch& query,
+                                          ThreadPool* pool,
+                                          const MakeSink& make_sink,
+                                          const Visit& visit) const {
+  // Global block numbering runs through the segments in order; chunk c
+  // covers blocks [c * grain, (c + 1) * grain) and may span segments.
+  int64_t blocks = 0;
+  for (const Segment& segment : segments_) blocks += segment.num_blocks();
+  const int64_t grain = ScanGrain(blocks, pool);
+  std::vector<Sink> sinks;
+  for (int64_t c = 0; c < (blocks + grain - 1) / grain; ++c) {
+    sinks.push_back(make_sink());
+  }
   const double* q = query.values().data();
   const double query_center = query.metadata().noise_center;
-  double dist[kSketchBlockWidth];
-  for (int64_t base = 0; base < arena.count; base += kSketchBlockWidth) {
-    const int64_t width =
-        std::min<int64_t>(kSketchBlockWidth, arena.count - base);
-    EstimateSquaredDistanceBlock(q, arena.dim, query_center,
-                                 arena.BlockAt(base / kSketchBlockWidth),
-                                 arena.noise_centers.data() + base, width,
-                                 dist);
-    for (int64_t t = 0; t < width; ++t) {
-      const Entry& e = shard.entries[static_cast<size_t>(base + t)];
-      if (topk.Full()) {
-        // Reject without copying the id unless the candidate NeighborLess-
-        // beats the current worst survivor.
-        const Neighbor& worst = topk.Worst();
-        if (dist[t] > worst.squared_distance ||
-            (dist[t] == worst.squared_distance && e.id >= worst.id)) {
-          continue;
+  ThreadPool::Run(pool, 0, blocks, grain, [&](int64_t begin, int64_t end) {
+    Sink& sink = sinks[static_cast<size_t>(begin / grain)];
+    double dist[kSketchBlockWidth];
+    int64_t first = 0;  // global number of the segment's first block
+    for (const Segment& segment : segments_) {
+      const int64_t last = std::min(end, first + segment.num_blocks());
+      for (int64_t b = std::max(begin, first); b < last; ++b) {
+        const int64_t base = (b - first) * kSketchBlockWidth;
+        const int64_t width =
+            std::min<int64_t>(kSketchBlockWidth, segment.size() - base);
+        EstimateSquaredDistanceBlock(q, segment.dim, query_center,
+                                     segment.BlockAt(b - first),
+                                     segment.noise_centers.data() + base,
+                                     width, dist);
+        for (int64_t t = 0; t < width; ++t) {
+          visit(sink, segment, base + t, dist[t]);
         }
       }
-      topk.Push(Neighbor{e.id, dist[t]});
+      first += segment.num_blocks();
     }
-  }
-  return topk.TakeSorted();
+  });
+  return sinks;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
@@ -211,24 +254,39 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
     return Status::InvalidArgument("top_n must be >= 1");
   }
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
-  // Blocked arena scan per shard, each keeping its own bounded top_n; the
-  // merge below imposes the deterministic (distance, id) total order, so
-  // neither shard layout nor scheduling can show through in the result.
-  // The global top_n is contained in the union of per-shard top_n sets, so
-  // this equals sorting every distance and truncating.
-  std::vector<std::vector<Neighbor>> partial(shards_.size());
-  ForEachShard(pool, [&](size_t s) {
-    partial[s] = ScanShardTopK(shards_[s], query, top_n);
-  });
-  std::vector<Neighbor> all;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    all.insert(all.end(), std::make_move_iterator(partial[s].begin()),
-               std::make_move_iterator(partial[s].end()));
+  // Each chunk keeps its own bounded top_n of (distance, row) candidates,
+  // ordered by (distance, id) — never by row, so the kept set cannot
+  // depend on where chunk or segment boundaries fall. The global top_n is
+  // contained in the union of the per-chunk sets, so merging them equals
+  // sorting every distance and truncating.
+  struct Candidate {
+    double distance;
+    const Segment* segment;
+    int64_t row;
+    const std::string& id() const {
+      return segment->ids[static_cast<size_t>(row)];
+    }
+  };
+  const auto less = [](const Candidate& a, const Candidate& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.id() < b.id();
+  };
+  using TopK = BoundedTopK<Candidate, decltype(less)>;
+  std::vector<TopK> chunks = ScanChunks<TopK>(
+      query, pool, [&] { return TopK(top_n, less); },
+      [](TopK& topk, const Segment& segment, int64_t row, double distance) {
+        topk.Push(Candidate{distance, &segment, row});
+      });
+  std::vector<std::vector<Neighbor>> parts;
+  parts.reserve(chunks.size());
+  for (TopK& topk : chunks) {
+    std::vector<Neighbor> part;
+    for (const Candidate& c : topk.TakeSorted()) {
+      part.push_back(Neighbor{c.id(), c.distance});
+    }
+    parts.push_back(std::move(part));
   }
-  std::sort(all.begin(), all.end(), NeighborLess);
-  const auto keep = std::min<int64_t>(top_n, static_cast<int64_t>(all.size()));
-  all.resize(static_cast<size_t>(keep));
-  return all;
+  return MergeNeighbors(std::move(parts), top_n);
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
@@ -237,141 +295,106 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
     return Status::InvalidArgument("radius must be non-negative");
   }
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
-  const double* q = query.values().data();
-  const double query_center = query.metadata().noise_center;
-  std::vector<std::vector<Neighbor>> partial(shards_.size());
-  ForEachShard(pool, [&](size_t s) {
-    const Shard& shard = shards_[s];
-    const SketchArena& arena = shard.arena;
-    double dist[kSketchBlockWidth];
-    for (int64_t base = 0; base < arena.count; base += kSketchBlockWidth) {
-      const int64_t width =
-          std::min<int64_t>(kSketchBlockWidth, arena.count - base);
-      EstimateSquaredDistanceBlock(q, arena.dim, query_center,
-                                   arena.BlockAt(base / kSketchBlockWidth),
-                                   arena.noise_centers.data() + base, width,
-                                   dist);
-      for (int64_t t = 0; t < width; ++t) {
-        if (dist[t] <= radius_sq) {
-          partial[s].push_back(
-              Neighbor{shard.entries[static_cast<size_t>(base + t)].id,
-                       dist[t]});
-        }
-      }
-    }
-  });
-  std::vector<Neighbor> hits;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    hits.insert(hits.end(), std::make_move_iterator(partial[s].begin()),
-                std::make_move_iterator(partial[s].end()));
+  using Hits = std::vector<Neighbor>;
+  return MergeNeighbors(
+      ScanChunks<Hits>(
+          query, pool, [] { return Hits(); },
+          [radius_sq](Hits& hits, const Segment& segment, int64_t row,
+                      double distance) {
+            if (distance <= radius_sq) {
+              hits.push_back(
+                  Neighbor{segment.ids[static_cast<size_t>(row)], distance});
+            }
+          }),
+      -1);
+}
+
+std::vector<std::string> SketchIndex::ids() const {
+  std::vector<std::string> all;
+  all.reserve(static_cast<size_t>(size()));
+  for (const Segment& segment : segments_) {
+    all.insert(all.end(), segment.ids.begin(), segment.ids.end());
   }
-  std::sort(hits.begin(), hits.end(), NeighborLess);
-  return hits;
+  return all;
 }
 
 std::vector<double> SketchIndex::SquaredNormEstimates() const {
   std::vector<double> estimates;
-  estimates.reserve(order_.size());
-  for (const std::string& id : order_) {
-    const Shard& shard = shards_[ShardOf(id)];
-    const size_t pos = shard.by_id.at(id);
-    estimates.push_back(shard.arena.raw_norms[pos] -
-                        shard.arena.noise_centers[pos]);
+  estimates.reserve(static_cast<size_t>(size()));
+  for (const Segment& segment : segments_) {
+    for (int64_t r = 0; r < segment.size(); ++r) {
+      estimates.push_back(segment.raw_norms[static_cast<size_t>(r)] -
+                          segment.noise_centers[static_cast<size_t>(r)]);
+    }
   }
   return estimates;
 }
 
 Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
     ThreadPool* pool) const {
-  std::vector<const PrivateSketch*> sketches;
-  sketches.reserve(order_.size());
-  for (const std::string& id : order_) sketches.push_back(Find(id));
-  return ComputeAllPairs(order_, sketches, pool);
-}
-
-Result<SketchIndex::DistanceMatrix> SketchIndex::ComputeAllPairs(
-    std::vector<std::string> ids,
-    const std::vector<const PrivateSketch*>& sketches, ThreadPool* pool) {
-  DPJL_CHECK(ids.size() == sketches.size(),
-             "ComputeAllPairs requires one id per sketch");
-  for (const PrivateSketch* sketch : sketches) {
-    DPJL_CHECK(sketch != nullptr, "ComputeAllPairs requires non-null sketches");
-  }
-  const int64_t n = static_cast<int64_t>(sketches.size());
-  // Compatibility is five-field equality (an equivalence relation), so
-  // everyone-vs-first decides exactly when the former per-pair estimator
-  // checks did, with the same status and message.
-  for (int64_t i = 1; i < n; ++i) {
-    if (!sketches[0]->metadata().CompatibleWith(
-            sketches[static_cast<size_t>(i)]->metadata())) {
-      return Status::FailedPrecondition(
-          "sketches come from different projections and cannot be compared");
-    }
-  }
   DistanceMatrix matrix;
-  matrix.ids = std::move(ids);
+  matrix.ids = ids();
+  const int64_t n = static_cast<int64_t>(matrix.ids.size());
   matrix.values.assign(static_cast<size_t>(n * n), 0.0);
   if (n == 0) return matrix;
 
-  // One flat lane-interleaved arena over the whole corpus (the callers'
-  // shard arenas don't cover the engine's cross-partition span): O(nk)
-  // packing against the O(n^2 k) pair work it accelerates.
-  const int64_t k = sketches[0]->metadata().output_dim;
-  const int64_t blocks =
-      (n + kSketchBlockWidth - 1) / kSketchBlockWidth;
-  std::vector<double> packed(
-      static_cast<size_t>(blocks * k * kSketchBlockWidth), 0.0);
-  std::vector<double> centers(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const std::vector<double>& v = sketches[static_cast<size_t>(i)]->values();
-    double* block = packed.data() +
-                    (i / kSketchBlockWidth) * k * kSketchBlockWidth;
-    const int64_t lane = i % kSketchBlockWidth;
-    for (int64_t j = 0; j < k; ++j) {
-      block[j * kSketchBlockWidth + lane] = v[static_cast<size_t>(j)];
-    }
-    centers[static_cast<size_t>(i)] =
-        sketches[static_cast<size_t>(i)]->metadata().noise_center;
-  }
-
   // Row i owns every pair (i, j), j > i, and mirrors it into (j, i); each
   // cell is written by exactly one row task, so rows parallelize freely.
-  // Tiles of kSketchBlockWidth rows walk the column blocks outer-loop
-  // first, so one packed block (k*8 doubles) stays cache-hot across the
-  // whole row tile. Every (row, block) kernel call sees the same inputs
-  // regardless of tiling, so the matrix is chunking-independent.
+  // Tiles of kSketchBlockWidth rows walk the arenas' column blocks outer-
+  // loop first, so one block (dim*8 doubles) stays cache-hot across the
+  // whole row tile. Every (row, block) kernel call sees the same lane
+  // inputs regardless of tiling or segment boundaries, and lanes never mix,
+  // so the matrix is chunking-independent.
   ThreadPool::Run(pool, 0, n, kSketchBlockWidth, [&](int64_t begin,
                                                      int64_t end) {
+    // The tile's rows (global, in ids() order) as queries.
+    const double* row_values[kSketchBlockWidth];
+    double row_centers[kSketchBlockWidth];
+    int64_t first = 0;  // global index of the segment's first row
+    for (const Segment& segment : segments_) {
+      const int64_t last = std::min(end, first + segment.size());
+      for (int64_t i = std::max(begin, first); i < last; ++i) {
+        const size_t row = static_cast<size_t>(i - first);
+        row_values[i - begin] = segment.sketches[row].values().data();
+        row_centers[i - begin] = segment.noise_centers[row];
+      }
+      first += segment.size();
+    }
     double dist[kSketchBlockWidth];
-    for (int64_t b = (begin + 1) / kSketchBlockWidth; b < blocks; ++b) {
-      const int64_t col_base = b * kSketchBlockWidth;
-      const int64_t col_width =
-          std::min<int64_t>(kSketchBlockWidth, n - col_base);
-      const double* block =
-          packed.data() + b * k * kSketchBlockWidth;
-      for (int64_t i = begin; i < end; ++i) {
-        if (i + 1 >= col_base + col_width) continue;  // no j > i here
-        EstimateSquaredDistanceBlock(
-            sketches[static_cast<size_t>(i)]->values().data(), k,
-            centers[static_cast<size_t>(i)], block, centers.data() + col_base,
-            col_width, dist);
-        for (int64_t j = std::max(col_base, i + 1); j < col_base + col_width;
-             ++j) {
-          matrix.values[static_cast<size_t>(i * n + j)] = dist[j - col_base];
-          matrix.values[static_cast<size_t>(j * n + i)] = dist[j - col_base];
+    first = 0;
+    for (const Segment& segment : segments_) {
+      for (int64_t b = 0; b < segment.num_blocks(); ++b) {
+        const int64_t col_base = first + b * kSketchBlockWidth;
+        const int64_t col_width = std::min<int64_t>(
+            kSketchBlockWidth, segment.size() - b * kSketchBlockWidth);
+        for (int64_t i = begin; i < end; ++i) {
+          if (i + 1 >= col_base + col_width) continue;  // no j > i here
+          EstimateSquaredDistanceBlock(
+              row_values[i - begin], segment.dim, row_centers[i - begin],
+              segment.BlockAt(b),
+              segment.noise_centers.data() + b * kSketchBlockWidth,
+              col_width, dist);
+          for (int64_t j = std::max(col_base, i + 1);
+               j < col_base + col_width; ++j) {
+            matrix.values[static_cast<size_t>(i * n + j)] = dist[j - col_base];
+            matrix.values[static_cast<size_t>(j * n + i)] = dist[j - col_base];
+          }
         }
       }
+      first += segment.size();
     }
   });
   return matrix;
 }
 
-std::string SketchIndex::SerializeRange(size_t begin, size_t end) const {
+std::string SketchIndex::SerializeRange(int64_t begin, int64_t end) const {
+  const Segment& segment = owned();
   std::string out;
   AppendU64(&out, static_cast<uint64_t>(end - begin));
-  for (size_t i = begin; i < end; ++i) {
-    const std::string& id = order_[i];
-    const std::string blob = Find(id)->Serialize();
+  for (int64_t r = begin; r < end; ++r) {
+    const std::string& id = segment.ids[static_cast<size_t>(r)];
+    const std::string blob =
+        segment.sketches[static_cast<size_t>(r)].Serialize();
     AppendU64(&out, id.size());
     out.append(id);
     AppendU64(&out, blob.size());
@@ -382,30 +405,20 @@ std::string SketchIndex::SerializeRange(size_t begin, size_t end) const {
 
 std::string SketchIndex::Serialize() const {
   return EncodeSnapshot(SnapshotKind::kIndex,
-                        SerializeRange(0, order_.size()));
+                        SerializeRange(0, owned().size()));
 }
 
 Result<SketchIndex> SketchIndex::Deserialize(const std::string& bytes) {
-  if (HasSnapshotMagic(bytes)) {
-    DPJL_ASSIGN_OR_RETURN(const SnapshotEnvelope envelope,
-                          DecodeSnapshot(bytes));
-    if (envelope.kind != SnapshotKind::kIndex) {
-      return Status::DataLoss(
-          "snapshot is not a sketch index (payload kind mismatch)");
-    }
-    return DecodeRecords(envelope.payload, 0);
+  DPJL_ASSIGN_OR_RETURN(const SnapshotEnvelope envelope, DecodeSnapshot(bytes));
+  if (envelope.kind != SnapshotKind::kIndex) {
+    return Status::DataLoss(
+        "snapshot is not a sketch index (payload kind mismatch)");
   }
-  // Legacy pre-envelope blobs: bare magic + record stream, no checksum.
-  if (bytes.size() < sizeof(kLegacyIndexMagic) ||
-      std::memcmp(bytes.data(), kLegacyIndexMagic,
-                  sizeof(kLegacyIndexMagic)) != 0) {
-    return Status::DataLoss("bad index magic/version");
-  }
-  return DecodeRecords(bytes, sizeof(kLegacyIndexMagic));
+  return DecodeRecords(envelope.payload);
 }
 
-Result<SketchIndex> SketchIndex::DecodeRecords(const std::string& bytes,
-                                               size_t offset) {
+Result<SketchIndex> SketchIndex::DecodeRecords(const std::string& bytes) {
+  size_t offset = 0;
   uint64_t count = 0;
   if (!ReadU64(bytes, &offset, &count)) {
     return Status::DataLoss("truncated index header");
@@ -444,26 +457,28 @@ Result<SketchIndex::PartitionedSnapshot> SketchIndex::ExportPartitions(
   if (num_partitions < 1) {
     return Status::InvalidArgument("num_partitions must be >= 1");
   }
-  const size_t n = order_.size();
-  const size_t k = static_cast<size_t>(num_partitions);
+  const Segment& segment = owned();
+  const int64_t n = segment.size();
+  const int64_t k = num_partitions;
   PartitionedSnapshot snapshot;
-  snapshot.manifest.total_count = static_cast<int64_t>(n);
+  snapshot.manifest.total_count = n;
   snapshot.manifest.fingerprint =
-      n == 0 ? 0 : CompatibilityFingerprint(Find(order_.front())->metadata());
-  snapshot.manifest.partitions.reserve(k);
-  snapshot.partitions.reserve(k);
-  for (size_t p = 0; p < k; ++p) {
+      n == 0 ? 0
+             : CompatibilityFingerprint(segment.sketches.front().metadata());
+  snapshot.manifest.partitions.reserve(static_cast<size_t>(k));
+  snapshot.partitions.reserve(static_cast<size_t>(k));
+  for (int64_t p = 0; p < k; ++p) {
     // Balanced contiguous insertion-order ranges: partition p owns
     // [n*p/k, n*(p+1)/k). Trailing partitions are empty when k > n.
-    const size_t begin = n * p / k;
-    const size_t end = n * (p + 1) / k;
+    const int64_t begin = n * p / k;
+    const int64_t end = n * (p + 1) / k;
     std::string blob =
         EncodeSnapshot(SnapshotKind::kIndex, SerializeRange(begin, end));
     ShardManifest::Partition entry;
-    entry.count = static_cast<int64_t>(end - begin);
+    entry.count = end - begin;
     if (begin < end) {
-      entry.first_id = order_[begin];
-      entry.last_id = order_[end - 1];
+      entry.first_id = segment.ids[static_cast<size_t>(begin)];
+      entry.last_id = segment.ids[static_cast<size_t>(end - 1)];
     }
     entry.checksum = SnapshotChecksum(blob);
     snapshot.manifest.partitions.push_back(std::move(entry));
@@ -473,8 +488,8 @@ Result<SketchIndex::PartitionedSnapshot> SketchIndex::ExportPartitions(
 }
 
 Result<SketchIndex> SketchIndex::FromPartitions(
-    const ShardManifest& manifest, const std::vector<std::string>& partitions,
-    int num_shards) {
+    const ShardManifest& manifest,
+    const std::vector<std::string>& partitions) {
   if (partitions.size() != manifest.partitions.size()) {
     return Status::DataLoss(
         "manifest/partition count disagreement: manifest describes " +
@@ -483,7 +498,7 @@ Result<SketchIndex> SketchIndex::FromPartitions(
   }
   // No allocation is sized from the manifest: its counts are untrusted
   // until each partition blob has decoded and matched them.
-  SketchIndex merged(num_shards);
+  SketchIndex merged;
   for (size_t p = 0; p < partitions.size(); ++p) {
     const ShardManifest::Partition& expected = manifest.partitions[p];
     // Checksum first: a blob that doesn't match its manifest entry is
@@ -493,15 +508,16 @@ Result<SketchIndex> SketchIndex::FromPartitions(
                               " checksum disagrees with the manifest");
     }
     DPJL_ASSIGN_OR_RETURN(SketchIndex part, Deserialize(partitions[p]));
-    if (part.size() != expected.count) {
+    Segment& source = part.owned();
+    if (source.size() != expected.count) {
       return Status::DataLoss(
           "partition " + std::to_string(p) + " holds " +
-          std::to_string(part.size()) + " sketches, manifest declares " +
+          std::to_string(source.size()) + " sketches, manifest declares " +
           std::to_string(expected.count));
     }
-    if (part.size() > 0) {
-      if (part.order_.front() != expected.first_id ||
-          part.order_.back() != expected.last_id) {
+    if (source.size() > 0) {
+      if (source.ids.front() != expected.first_id ||
+          source.ids.back() != expected.last_id) {
         return Status::DataLoss("partition " + std::to_string(p) +
                                 " id range disagrees with the manifest");
       }
@@ -509,7 +525,7 @@ Result<SketchIndex> SketchIndex::FromPartitions(
       // own Deserialize already proved internal compatibility, so no
       // sketch metadata is re-scanned here.
       const uint64_t fingerprint =
-          CompatibilityFingerprint(part.Find(part.order_.front())->metadata());
+          CompatibilityFingerprint(source.sketches.front().metadata());
       if (fingerprint != manifest.fingerprint) {
         return Status::FailedPrecondition(
             "partition " + std::to_string(p) +
@@ -517,14 +533,14 @@ Result<SketchIndex> SketchIndex::FromPartitions(
             "compatibility fingerprint");
       }
     }
-    for (const std::string& id : part.order_) {
-      if (merged.Find(id) != nullptr) {
+    for (int64_t r = 0; r < source.size(); ++r) {
+      std::string& id = source.ids[static_cast<size_t>(r)];
+      if (merged.owned().rows.count(id) > 0) {
         return Status::InvalidArgument(
             "duplicate sketch id across partitions: " + id);
       }
-      Shard& source = part.shards_[part.ShardOf(id)];
-      PrivateSketch& sketch = source.entries[source.by_id.at(id)].sketch;
-      merged.AppendEntry(id, std::move(sketch));
+      merged.owned().Append(std::move(id),
+                            std::move(source.sketches[static_cast<size_t>(r)]));
     }
   }
   if (merged.size() != manifest.total_count) {
@@ -534,6 +550,40 @@ Result<SketchIndex> SketchIndex::FromPartitions(
         std::to_string(manifest.total_count));
   }
   return merged;
+}
+
+Result<int64_t> SketchIndex::AttachSegment(SketchIndex segment) {
+  DPJL_CHECK(segment.num_attached() == 0,
+             "AttachSegment takes an index without attached segments");
+  Segment& incoming = segment.owned();
+  if (incoming.size() > 0) {
+    const PrivateSketch* reference = Reference();
+    if (reference != nullptr && !reference->metadata().CompatibleWith(
+                                    incoming.sketches.front().metadata())) {
+      return Status::FailedPrecondition(
+          "partition is incompatible with the served corpus's projection");
+    }
+    for (const std::string& id : incoming.ids) {
+      if (Find(id) != nullptr) {
+        return Status::InvalidArgument("partition id is already served: " +
+                                       id);
+      }
+    }
+  }
+  incoming.handle = next_handle_++;
+  segments_.push_back(std::move(incoming));
+  return segments_.back().handle;
+}
+
+Status SketchIndex::DetachSegment(int64_t handle) {
+  for (auto it = std::next(segments_.begin()); it != segments_.end(); ++it) {
+    if (it->handle == handle) {
+      segments_.erase(it);
+      return Status::OK();
+    }
+  }
+  return Status::NotFound("no attached partition with handle " +
+                          std::to_string(handle));
 }
 
 }  // namespace dpjl

@@ -6,8 +6,8 @@ namespace dpjl {
 
 namespace {
 
-/// Byte 4 differs from the legacy index magic "DPJLIX01", so a v0 blob can
-/// never be mistaken for an envelope (or vice versa) after reading 8 bytes.
+/// Byte 4 differs from the pre-envelope index magic "DPJLIX01", so a v0
+/// blob is rejected on its first 8 bytes.
 constexpr char kSnapshotMagic[8] = {'D', 'P', 'J', 'L', 'S', 'N', 'A', 'P'};
 
 template <typename T>

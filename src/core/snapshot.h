@@ -28,10 +28,9 @@ namespace dpjl {
 /// The envelope carries integrity (checksum, exact size) and evolution
 /// (version, kind) concerns once, so payload formats stay simple record
 /// streams. Anything that fails to decode returns a kDataLoss status —
-/// corrupted files are reported, never crashed on. Pre-envelope ("v0")
-/// index blobs carry the legacy "DPJLIX01" magic and are still readable
-/// via SketchIndex::Deserialize's legacy path; the envelope magic was
-/// chosen to differ in byte 4 so the two generations cannot be confused.
+/// corrupted files are reported, never crashed on — including
+/// pre-envelope ("v0") index blobs, whose bare "DPJLIX01" magic is not an
+/// envelope magic.
 
 /// What a snapshot payload decodes as. Serialized as u32; values are
 /// stable on-disk identifiers, never reordered.

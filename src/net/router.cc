@@ -1,6 +1,5 @@
 #include "src/net/router.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -8,41 +7,6 @@
 
 namespace dpjl {
 namespace net {
-
-namespace {
-
-/// The distributed tier's merge: concatenate the per-endpoint partial
-/// answers, restore the deterministic (distance, id) total order, and
-/// drop duplicate ids — an endpoint serving several partitions answers
-/// for all of them at once, so overlapping coverage is legal and the
-/// duplicates it produces are byte-identical (same sketch, same
-/// deterministic estimate), hence adjacent after the sort. `limit` < 0
-/// keeps everything (range queries); otherwise truncate to the global
-/// top-n.
-std::vector<SketchIndex::Neighbor> MergeNeighbors(
-    std::vector<std::vector<SketchIndex::Neighbor>> parts, int64_t limit) {
-  std::vector<SketchIndex::Neighbor> all;
-  size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  all.reserve(total);
-  for (auto& part : parts) {
-    all.insert(all.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  std::sort(all.begin(), all.end(), SketchIndex::NeighborLess);
-  all.erase(std::unique(all.begin(), all.end(),
-                        [](const SketchIndex::Neighbor& a,
-                           const SketchIndex::Neighbor& b) {
-                          return a.id == b.id;
-                        }),
-            all.end());
-  if (limit >= 0 && static_cast<int64_t>(all.size()) > limit) {
-    all.resize(static_cast<size_t>(limit));
-  }
-  return all;
-}
-
-}  // namespace
 
 Result<Endpoint> ParseEndpoint(const std::string& text) {
   const size_t colon = text.rfind(':');
@@ -220,7 +184,7 @@ Result<std::vector<SketchIndex::Neighbor>> Router::NearestNeighbors(
           [&](Client* client) {
             return client->NearestNeighbors(query, top_n, request);
           }));
-  return MergeNeighbors(std::move(parts), top_n);
+  return SketchIndex::MergeNeighbors(std::move(parts), top_n);
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Router::RangeQuery(
@@ -232,7 +196,7 @@ Result<std::vector<SketchIndex::Neighbor>> Router::RangeQuery(
           [&](Client* client) {
             return client->RangeQuery(query, radius_sq, request);
           }));
-  return MergeNeighbors(std::move(parts), -1);
+  return SketchIndex::MergeNeighbors(std::move(parts), -1);
 }
 
 Result<std::vector<std::vector<SketchIndex::Neighbor>>> Router::BatchQuery(
@@ -255,25 +219,33 @@ Result<std::vector<std::vector<SketchIndex::Neighbor>>> Router::BatchQuery(
       }
       per_probe.push_back(std::move(part[probe]));
     }
-    merged[probe] = MergeNeighbors(std::move(per_probe), top_n);
+    merged[probe] =
+        SketchIndex::MergeNeighbors(std::move(per_probe), top_n);
   }
   return merged;
 }
 
 Result<PrivateSketch> Router::GetSketch(const std::string& id,
                                         const RequestOptions& request) {
+  // The manifest's first/last ids are insertion-order bounds, so the group
+  // whose range contains `id` lexicographically is only a guess ("doc201"
+  // sorts between "doc1024" and "doc2047" yet lives in the first of four
+  // 1024-row partitions). Ask it first; when it does not hold the id, or
+  // no range contains it, scatter.
   if (range_routed_) {
     const int64_t group = GroupForId(id);
-    if (group < 0) {
-      return Status::NotFound("no shard's id range contains '" + id + "'");
+    if (group >= 0) {
+      Result<PrivateSketch> routed = CallGroup<PrivateSketch>(
+          static_cast<size_t>(group),
+          [&](Client* client) { return client->GetSketch(id, request); });
+      if (routed.ok() || routed.status().code() != StatusCode::kNotFound) {
+        return routed;
+      }
     }
-    return CallGroup<PrivateSketch>(
-        static_cast<size_t>(group),
-        [&](Client* client) { return client->GetSketch(id, request); });
   }
-  // Interleaved id ranges: conservative scatter. A shard that does not
-  // hold the id answers kNotFound, which the fan-out must treat as "keep
-  // looking", not as failure — hence the shared_ptr envelope.
+  // Conservative scatter. A shard that does not hold the id answers
+  // kNotFound, which the fan-out must treat as "keep looking", not as
+  // failure — hence the shared_ptr envelope.
   DPJL_ASSIGN_OR_RETURN(
       const std::vector<std::shared_ptr<PrivateSketch>> found,
       FanOut<std::shared_ptr<PrivateSketch>>(
@@ -300,11 +272,16 @@ Result<double> Router::SquaredDistance(const std::string& id_a,
     const int64_t group_a = GroupForId(id_a);
     const int64_t group_b = GroupForId(id_b);
     if (group_a >= 0 && group_a == group_b) {
-      // Colocated ids: one RPC, estimated where the sketches live.
-      return CallGroup<double>(
+      // Apparently colocated ids: one RPC, estimated where the sketches
+      // live. kNotFound means the range guess was wrong (see GetSketch).
+      Result<double> colocated = CallGroup<double>(
           static_cast<size_t>(group_a), [&](Client* client) {
             return client->SquaredDistance(id_a, id_b, request);
           });
+      if (colocated.ok() ||
+          colocated.status().code() != StatusCode::kNotFound) {
+        return colocated;
+      }
     }
   }
   // Cross-shard (or unrouted): fetch both sketches from wherever they

@@ -43,12 +43,15 @@ Result<Endpoint> ParseEndpoint(const std::string& text);
 /// which is the distributed tier's core guarantee.
 ///
 /// Point lookups (GetSketch, and the id resolution inside
-/// SquaredDistance) avoid scatter when the manifest's id ranges are
+/// SquaredDistance) first ask one group when the manifest's id ranges are
 /// totally ordered (first_i <= last_i and last_i < first_{i+1} across the
-/// non-empty partitions): then each id maps to at most one group.
-/// Manifests whose insertion-order ranges interleave lexicographically —
-/// the "rowN" naming does — fall back to conservative scatter, which is
-/// always correct.
+/// non-empty partitions): the group whose range contains the id
+/// lexicographically. The ranges are insertion-order bounds, so that group
+/// is a guess — with "docN" ids, "doc201" sorts into the second of four
+/// 1024-row partitions yet lives in the first — and a kNotFound answer (or
+/// no containing range) falls back to conservative scatter, which is
+/// always correct. Manifests whose ranges interleave lexicographically
+/// always scatter.
 ///
 /// Replica failover: each group rotates round-robin across its replicas
 /// per call; a replica answering `kUnavailable` (dead, unreachable, hung
@@ -71,7 +74,8 @@ class Router {
       ClientOptions client_options = {});
 
   const ShardManifest& manifest() const { return manifest_; }
-  /// True when the manifest's id ranges admit point routing (see above).
+  /// True when the manifest's id ranges admit a point-routing guess (see
+  /// above).
   bool range_routed() const { return range_routed_; }
 
   /// Merged top-n across all shards, byte-identical to the single-index
@@ -99,6 +103,7 @@ class Router {
                                  const RequestOptions& request = {});
 
   /// Point lookup of a stored sketch; kNotFound when no shard holds it.
+  /// Resolves every stored id, however the manifest's ranges sort.
   Result<PrivateSketch> GetSketch(const std::string& id,
                                   const RequestOptions& request = {});
 
@@ -132,7 +137,8 @@ class Router {
   /// disjoint across non-empty partitions.
   static bool RangesOrdered(const ShardManifest& manifest);
 
-  /// Group that can hold `id` under ordered ranges; -1 when none can.
+  /// Group whose range contains `id` lexicographically (the routing
+  /// guess); -1 when none does.
   int64_t GroupForId(const std::string& id) const;
 
   const ShardManifest manifest_;

@@ -1,8 +1,8 @@
 // Determinism / equivalence suite for the parallel execution subsystem:
-// ThreadPool, BatchSketcher and the sharded SketchIndex. The contract under
-// test is bit-exactness — for every thread count and shard layout, batch
-// and parallel-query output must be identical to the serial reference, not
-// merely statistically close.
+// ThreadPool, BatchSketcher and the chunk-parallel SketchIndex scan. The
+// contract under test is bit-exactness — for every thread count and scan
+// chunking, batch and parallel-query output must be identical to the
+// serial reference, not merely statistically close.
 
 #include <gtest/gtest.h>
 
@@ -251,23 +251,26 @@ TEST(BatchSketcherTest, SeedDerivationDecorrelatesItems) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded SketchIndex equivalence: query results (ids, distances, order)
-// must be identical to a reference linear scan for every shard count and
-// thread count.
+// Chunk-parallel SketchIndex equivalence: query results (ids, distances,
+// order) must be identical to a reference linear scan for every thread
+// count. Corpus sizes cover a single scan chunk (41 sketches, 6 blocks) and
+// one that threads {2, 7} split into several chunks (1000 sketches).
+
+const int64_t kCorpusSizes[] = {41, 1000};
 
 struct Corpus {
   SketchIndex index;
   PrivateSketch query;
 };
 
-Corpus MakeCorpus(int num_shards, int64_t n) {
+Corpus MakeCorpus(int64_t n) {
   const int64_t d = 64;
-  Corpus c{SketchIndex(num_shards), PrivateSketch()};
+  Corpus c{SketchIndex(), PrivateSketch()};
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
   Rng rng(kTestSeed);
   for (int64_t i = 0; i < n; ++i) {
     // Ids deliberately unsorted relative to insertion and distance order.
-    const std::string id = "doc-" + std::to_string((i * 37) % 101);
+    const std::string id = "doc-" + std::to_string((i * 37) % 1009);
     EXPECT_TRUE(c.index
                     .Add(id, sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
                                              500 + static_cast<uint64_t>(i)))
@@ -277,7 +280,7 @@ Corpus MakeCorpus(int num_shards, int64_t n) {
   return c;
 }
 
-/// Reference implementation: the pre-sharding linear scan.
+/// Reference implementation: the per-entry linear scan.
 std::vector<SketchIndex::Neighbor> LinearScan(const SketchIndex& index,
                                               const PrivateSketch& query) {
   std::vector<SketchIndex::Neighbor> all;
@@ -305,10 +308,10 @@ void ExpectSameNeighbors(const std::vector<SketchIndex::Neighbor>& actual,
   }
 }
 
-TEST(ShardedIndexTest, NearestNeighborsMatchLinearScanAcrossShardsAndThreads) {
-  for (int num_shards : {1, 4, 16}) {
-    const Corpus c = MakeCorpus(num_shards, 41);
-    ASSERT_EQ(c.index.size(), 41);
+TEST(ParallelIndexTest, NearestNeighborsMatchLinearScanAcrossChunksAndThreads) {
+  for (const int64_t n : kCorpusSizes) {
+    const Corpus c = MakeCorpus(n);
+    ASSERT_EQ(c.index.size(), n);
     std::vector<SketchIndex::Neighbor> reference = LinearScan(c.index, c.query);
     reference.resize(7);
     for (int threads : kThreadCounts) {
@@ -317,24 +320,24 @@ TEST(ShardedIndexTest, NearestNeighborsMatchLinearScanAcrossShardsAndThreads) {
       ASSERT_TRUE(got.ok()) << got.status();
       ExpectSameNeighbors(*got, reference);
     }
-    // No-pool parallel overload and the historical serial path agree too.
+    // The no-pool overload (one chunk) agrees too.
     const auto serial = c.index.NearestNeighbors(c.query, 7);
     ASSERT_TRUE(serial.ok());
     ExpectSameNeighbors(*serial, reference);
   }
 }
 
-TEST(ShardedIndexTest, NearestNeighborsTopNClampsToCorpus) {
-  const Corpus c = MakeCorpus(4, 5);
+TEST(ParallelIndexTest, NearestNeighborsTopNClampsToCorpus) {
+  const Corpus c = MakeCorpus(5);
   ThreadPool pool(2);
   const auto got = c.index.NearestNeighbors(c.query, 50, &pool);
   ASSERT_TRUE(got.ok());
   ExpectSameNeighbors(*got, LinearScan(c.index, c.query));
 }
 
-TEST(ShardedIndexTest, RangeQueryMatchesLinearScanAcrossShardsAndThreads) {
-  for (int num_shards : {1, 4, 16}) {
-    const Corpus c = MakeCorpus(num_shards, 41);
+TEST(ParallelIndexTest, RangeQueryMatchesLinearScanAcrossChunksAndThreads) {
+  for (const int64_t n : kCorpusSizes) {
+    const Corpus c = MakeCorpus(n);
     // A radius near the corpus median keeps both sides of the cut populated.
     const std::vector<SketchIndex::Neighbor> scan = LinearScan(c.index, c.query);
     const double radius = scan[scan.size() / 2].squared_distance;
@@ -353,9 +356,9 @@ TEST(ShardedIndexTest, RangeQueryMatchesLinearScanAcrossShardsAndThreads) {
   }
 }
 
-TEST(ShardedIndexTest, AllPairsDistancesMatchPairwiseLoop) {
-  for (int num_shards : {1, 16}) {
-    const Corpus c = MakeCorpus(num_shards, 17);
+TEST(ParallelIndexTest, AllPairsDistancesMatchPairwiseLoop) {
+  for (const int64_t corpus : {17, 100}) {
+    const Corpus c = MakeCorpus(corpus);
     const int64_t n = c.index.size();
     for (int threads : kThreadCounts) {
       ThreadPool pool(threads);
@@ -378,23 +381,22 @@ TEST(ShardedIndexTest, AllPairsDistancesMatchPairwiseLoop) {
   }
 }
 
-TEST(ShardedIndexTest, ShardCountDoesNotAffectSerializationOrIdOrder) {
-  const Corpus one = MakeCorpus(1, 19);
-  const Corpus many = MakeCorpus(16, 19);
-  EXPECT_EQ(one.index.ids(), many.index.ids());
-  EXPECT_EQ(one.index.Serialize(), many.index.Serialize());
-  // Round trip through serialization preserves query results.
+TEST(ParallelIndexTest, SerializationRoundTripKeepsIdOrderAndQueries) {
+  const Corpus c = MakeCorpus(19);
   const SketchIndex decoded =
-      SketchIndex::Deserialize(many.index.Serialize()).value();
+      SketchIndex::Deserialize(c.index.Serialize()).value();
+  EXPECT_EQ(decoded.ids(), c.index.ids());
+  EXPECT_EQ(decoded.Serialize(), c.index.Serialize());
+  // Round trip through serialization preserves query results.
   ThreadPool pool(2);
-  ExpectSameNeighbors(decoded.NearestNeighbors(many.query, 5, &pool).value(),
-                      many.index.NearestNeighbors(many.query, 5).value());
+  ExpectSameNeighbors(decoded.NearestNeighbors(c.query, 5, &pool).value(),
+                      c.index.NearestNeighbors(c.query, 5).value());
 }
 
-TEST(ShardedIndexTest, FindPointersSurviveLaterAdds) {
+TEST(ParallelIndexTest, FindPointersSurviveLaterAdds) {
   const int64_t d = 64;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
-  SketchIndex index(4);
+  SketchIndex index;
   Rng rng(kTestSeed);
   ASSERT_TRUE(
       index.Add("first", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1))

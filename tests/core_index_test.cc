@@ -66,7 +66,7 @@ TEST(SketchIndexTest, AddBatchEquivalentToSequentialAdds) {
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
   Rng rng(kTestSeed);
   std::vector<std::pair<std::string, PrivateSketch>> items;
-  SketchIndex sequential(4);
+  SketchIndex sequential;
   for (int i = 0; i < 13; ++i) {
     const PrivateSketch sketch = sketcher.Sketch(
         DenseGaussianVector(d, 1.0, &rng), 100 + static_cast<uint64_t>(i));
@@ -74,7 +74,7 @@ TEST(SketchIndexTest, AddBatchEquivalentToSequentialAdds) {
     ASSERT_TRUE(sequential.Add(id, sketch).ok());
     items.emplace_back(id, sketch);
   }
-  SketchIndex bulk(4);
+  SketchIndex bulk;
   ASSERT_TRUE(bulk.AddBatch(std::move(items)).ok());
   EXPECT_EQ(bulk.size(), sequential.size());
   EXPECT_EQ(bulk.ids(), sequential.ids());
@@ -86,7 +86,7 @@ TEST(SketchIndexTest, AddBatchIntoPopulatedIndexChecksAgainstStored) {
   const int64_t d = 64;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
   Rng rng(kTestSeed);
-  SketchIndex index(2);
+  SketchIndex index;
   ASSERT_TRUE(
       index.Add("seed", sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 1))
           .ok());
@@ -111,7 +111,7 @@ TEST(SketchIndexTest, AddBatchIsAllOrNothing) {
   Rng rng(kTestSeed);
   const std::vector<double> x = DenseGaussianVector(d, 1.0, &rng);
 
-  SketchIndex index(4);
+  SketchIndex index;
   ASSERT_TRUE(index.Add("stored", sketcher.Sketch(x, 1)).ok());
   const std::string before = index.Serialize();
 
@@ -273,7 +273,7 @@ TEST(SketchIndexTest, SerializeRoundTripPropertyOverRandomIndexes) {
   Rng rng(kTestSeed);
   for (int64_t trial = 0; trial < 20; ++trial) {
     const int64_t n = trial % 7;  // sizes 0..6, covering empty and singleton
-    SketchIndex index(1 + static_cast<int>(trial % 5));
+    SketchIndex index;
     for (int64_t i = 0; i < n; ++i) {
       std::string id = id_pool[static_cast<size_t>((trial + i) %
                                                    id_pool.size())];
@@ -321,26 +321,23 @@ TEST(SketchIndexTest, DeserializeRejectsEveryTruncation) {
 }
 
 TEST(SketchIndexTest, DeserializeRejectsOverflowingLengthFields) {
-  // Length fields near UINT64_MAX must not wrap the offset arithmetic into
-  // an accepted (garbage) read.
-  const std::string magic = "DPJLIX01";
+  // Length fields near UINT64_MAX inside a well-formed envelope must not
+  // wrap the offset arithmetic into an accepted (garbage) read.
   const auto u64 = [](uint64_t v) {
     return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
   };
+  const auto decode = [](const std::string& payload) {
+    return SketchIndex::Deserialize(
+        EncodeSnapshot(SnapshotKind::kIndex, payload));
+  };
   // count = 1, id_len = UINT64_MAX.
-  EXPECT_EQ(SketchIndex::Deserialize(magic + u64(1) + u64(UINT64_MAX))
-                .status()
-                .code(),
+  EXPECT_EQ(decode(u64(1) + u64(UINT64_MAX)).status().code(),
             StatusCode::kDataLoss);
   // count = 1, tiny id, blob_len = UINT64_MAX - 7 (wraps offset + len).
-  EXPECT_EQ(SketchIndex::Deserialize(magic + u64(1) + u64(1) + "x" +
-                                     u64(UINT64_MAX - 7))
-                .status()
-                .code(),
+  EXPECT_EQ(decode(u64(1) + u64(1) + "x" + u64(UINT64_MAX - 7)).status().code(),
             StatusCode::kDataLoss);
   // Absurd record count with no payload behind it.
-  EXPECT_EQ(SketchIndex::Deserialize(magic + u64(UINT64_MAX)).status().code(),
-            StatusCode::kDataLoss);
+  EXPECT_EQ(decode(u64(UINT64_MAX)).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(SketchIndexTest, DeserializeSurvivesSingleByteCorruption) {

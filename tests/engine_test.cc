@@ -44,7 +44,6 @@ SketcherConfig BaseSketcher() {
 EngineOptions BaseOptions() {
   EngineOptions options;
   options.sketcher = BaseSketcher();
-  options.num_shards = 4;
   return options;
 }
 
@@ -489,8 +488,8 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
       {"epsilon", "4.5"},        {"delta", "1e-6"},
       {"alpha", "0.15"},         {"beta", "0.01"},
       {"seed", "12345"},         {"transform", "fjlt"},
-      {"threads", "0"},          {"shards", "32"},
-      {"serving-threads", "3"},  {"queue-capacity", "17"},
+      {"threads", "0"},          {"serving-threads", "3"},
+      {"queue-capacity", "17"},
       {"tenant-quota", "9"},     {"tenant-rate", "50"},
       {"deadline-ms", "250"},    {"batch-grain", "24"},
       {"input", "tool-flag.csv"}};
@@ -503,7 +502,6 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
   EXPECT_EQ(options->sketcher.projection_seed, 12345u);
   EXPECT_EQ(options->sketcher.transform, TransformKind::kFjlt);
   EXPECT_EQ(options->threads, 0);
-  EXPECT_EQ(options->num_shards, 32);
   EXPECT_EQ(options->serving_threads, 3);
   EXPECT_EQ(options->queue_capacity, 17);
   EXPECT_EQ(options->tenant_quota, 9);
@@ -522,6 +520,8 @@ TEST(EngineOptionsTest, ParseRejectsUnknownKeysUnlessPassedThrough) {
 
   // Undeclared caller-specific keys are unknown too …
   EXPECT_FALSE(EngineOptions::Parse({{"input", "a.csv"}}).ok());
+  // The retired shard-count flag is no longer an engine flag.
+  EXPECT_FALSE(EngineOptions::Parse({{"shards", "4"}}).ok());
   // … and declaring one key does not whitelist the others.
   EXPECT_FALSE(
       EngineOptions::Parse({{"input", "a.csv"}, {"outptu", "b"}}, {"input"})
@@ -533,7 +533,6 @@ TEST(EngineOptionsTest, ParseRejectsMalformedOrOutOfDomainValues) {
       {{"epsilon", "abc"}},        {{"epsilon", ""}},
       {{"threads", "-1"}},         {{"threads", "10000"}},
       {{"threads", "2x"}},         {{"threads", ""}},
-      {{"shards", "0"}},           {{"shards", "1.5"}},
       {{"serving-threads", "0"}},  {{"queue-capacity", "0"}},
       {{"queue-capacity", "lots"}}, {{"tenant-quota", "-1"}},
       {{"tenant-quota", "many"}},  {{"tenant-rate", "-1"}},
@@ -568,7 +567,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   options.sketcher.placement = NoisePlacement::kPostHadamard;
   options.sketcher.projection_seed = 99;
   options.threads = 7;
-  options.num_shards = 5;
   options.serving_threads = 4;
   options.queue_capacity = 33;
   options.tenant_quota = 3;
@@ -600,7 +598,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   EXPECT_EQ(parsed->sketcher.placement, options.sketcher.placement);
   EXPECT_EQ(parsed->sketcher.projection_seed, options.sketcher.projection_seed);
   EXPECT_EQ(parsed->threads, options.threads);
-  EXPECT_EQ(parsed->num_shards, options.num_shards);
   EXPECT_EQ(parsed->serving_threads, options.serving_threads);
   EXPECT_EQ(parsed->queue_capacity, options.queue_capacity);
   EXPECT_EQ(parsed->tenant_quota, options.tenant_quota);
@@ -622,7 +619,7 @@ struct DirectReference {
 
 DirectReference MakeReference(int64_t n) {
   const int64_t d = 64;
-  DirectReference ref{MakeSketcherOrDie(d, BaseSketcher()), SketchIndex(4), {},
+  DirectReference ref{MakeSketcherOrDie(d, BaseSketcher()), SketchIndex(), {},
                       PrivateSketch()};
   Rng rng(kTestSeed);
   for (int64_t i = 0; i < n; ++i) {

@@ -57,9 +57,10 @@ if [ $? -ne 0 ]; then
   fail "raw-time-in-noise-path fired outside a noise path: $out"
 fi
 
-# entries-scan-in-query is also path-sensitive: a range-for over shard
-# entries must fire inside src/core/ (the fixture's suppressed loop stays
-# silent — exactly one finding) and not elsewhere.
+# entries-scan-in-query is also path-sensitive: a range-for over a
+# segment's sketches must fire inside src/core/ (the fixture's suppressed
+# loop and accessor call stay silent — exactly one finding) and not
+# elsewhere.
 mkdir -p "$scratch/src/core"
 cp "$fixtures/bad_entries_scan.cc" "$scratch/src/core/scan.cc"
 expect_rule entries-scan-in-query --root "$scratch" src/core

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -44,7 +45,7 @@ SketcherConfig BaseSketcher() {
 /// the in-process stand-in for the multi-process topology the
 /// serve_roundtrip.sh script exercises for real.
 struct Cluster {
-  SketchIndex reference{4};
+  SketchIndex reference;
   ShardManifest manifest;
   std::vector<std::unique_ptr<Engine>> engines;
   std::vector<std::unique_ptr<Server>> servers;
@@ -53,12 +54,26 @@ struct Cluster {
   PrivateSketch probe;
 };
 
-/// `sequential_ids` picks lexicographically ordered insertion ids (id-00,
-/// id-01, ...) whose partition ranges admit point routing; the default
-/// "doc-N" naming interleaves and forces the scatter path.
+/// Default ids: "doc-N" in a permuted order whose partition ranges
+/// interleave lexicographically, forcing the scatter path.
+std::string InterleavedId(int64_t i) {
+  return "doc-" + std::to_string((i * 37) % 101);
+}
+
+/// Lexicographically ordered insertion ids (id-00, id-01, ...): partition
+/// ranges admit point routing and every id sorts into its own range.
+std::string SequentialId(int64_t i) {
+  return "id-" + std::string(i < 10 ? "0" : "") + std::to_string(i);
+}
+
+/// Unpadded "docN" ids: ranges admit point routing, yet an id like "doc3"
+/// sorts into a later partition's range than the one that holds it.
+std::string UnpaddedId(int64_t i) { return "doc" + std::to_string(i); }
+
 Cluster StartCluster(int64_t corpus_size, int num_partitions,
-                     int replicas_per_group = 1, bool sequential_ids = false) {
-  Cluster cluster{SketchIndex(4),
+                     int replicas_per_group = 1,
+                     std::string (*make_id)(int64_t) = InterleavedId) {
+  Cluster cluster{SketchIndex(),
                   ShardManifest(),
                   {},
                   {},
@@ -67,10 +82,7 @@ Cluster StartCluster(int64_t corpus_size, int num_partitions,
                   PrivateSketch()};
   Rng rng(kTestSeed);
   for (int64_t i = 0; i < corpus_size; ++i) {
-    const std::string id =
-        sequential_ids
-            ? "id-" + std::string(i < 10 ? "0" : "") + std::to_string(i)
-            : "doc-" + std::to_string((i * 37) % 101);
+    const std::string id = make_id(i);
     const Status added = cluster.reference.Add(
         id, cluster.sketcher.Sketch(DenseGaussianVector(kDim, 1.0, &rng),
                                     500 + static_cast<uint64_t>(i)));
@@ -278,7 +290,7 @@ TEST(RouterTest, ScatterGetSketchOnInterleavedManifest) {
 }
 
 TEST(RouterTest, OrderedManifestRoutesPointLookupsAndDistances) {
-  Cluster cluster = StartCluster(24, 3, 1, /*sequential_ids=*/true);
+  Cluster cluster = StartCluster(24, 3, 1, SequentialId);
   std::unique_ptr<Router> router = MakeRouterOrDie(cluster);
   EXPECT_TRUE(router->range_routed());
 
@@ -286,7 +298,7 @@ TEST(RouterTest, OrderedManifestRoutesPointLookupsAndDistances) {
   ASSERT_TRUE(fetched.ok()) << fetched.status();
   EXPECT_EQ(fetched->Serialize(), cluster.reference.Find("id-13")->Serialize());
 
-  // An id outside every range is refused without any RPC.
+  // An id outside every range is not stored anywhere.
   const auto missing = router->GetSketch("zz-99");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
@@ -307,6 +319,41 @@ TEST(RouterTest, OrderedManifestRoutesPointLookupsAndDistances) {
   const auto missing_distance = router->SquaredDistance("id-00", "absent");
   ASSERT_FALSE(missing_distance.ok());
   EXPECT_EQ(missing_distance.status().code(), StatusCode::kNotFound);
+}
+
+TEST(RouterTest, RangeMisroutedIdsStillResolve) {
+  // doc0..doc99 over 4 partitions: the manifest ranges [doc0, doc24],
+  // [doc25, doc49], [doc50, doc74], [doc75, doc99] are lexicographically
+  // ordered, so the router guesses groups by range — but "doc3" sorts into
+  // [doc25, doc49] and "doc5" into no range at all, while both live in the
+  // first partition. Every id must still resolve, and every estimate must
+  // match the monolithic index bit for bit.
+  Cluster cluster = StartCluster(100, 4, 1, UnpaddedId);
+  std::unique_ptr<Router> router = MakeRouterOrDie(cluster);
+  ASSERT_TRUE(router->range_routed());
+
+  for (int64_t i = 0; i < 100; ++i) {
+    const std::string id = UnpaddedId(i);
+    const auto fetched = router->GetSketch(id);
+    ASSERT_TRUE(fetched.ok()) << id << ": " << fetched.status();
+    EXPECT_EQ(fetched->Serialize(), cluster.reference.Find(id)->Serialize())
+        << id;
+  }
+  for (int64_t i = 0; i < 100; ++i) {
+    // Pairs spanning partitions, within one, and apparently colocated by
+    // range although stored apart (doc3 and doc30).
+    for (const int64_t j : {(i * 37 + 11) % 100, (i + 1) % 100, i * 10 % 100}) {
+      const std::string a = UnpaddedId(i);
+      const std::string b = UnpaddedId(j);
+      const auto routed = router->SquaredDistance(a, b);
+      ASSERT_TRUE(routed.ok()) << a << " vs " << b << ": " << routed.status();
+      const double reference = cluster.reference.SquaredDistance(a, b).value();
+      EXPECT_EQ(std::memcmp(&*routed, &reference, sizeof(double)), 0)
+          << a << " vs " << b;
+    }
+  }
+  EXPECT_EQ(router->GetSketch("doc100").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(RouterTest, StatsCoversEveryDistinctEndpoint) {

@@ -44,7 +44,6 @@ SketcherConfig BaseSketcher() {
 EngineOptions BaseOptions() {
   EngineOptions options;
   options.sketcher = BaseSketcher();
-  options.num_shards = 4;
   options.serving_threads = 2;
   return options;
 }

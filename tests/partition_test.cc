@@ -48,7 +48,7 @@ struct Corpus {
 
 Corpus MakeCorpus(int64_t n) {
   const int64_t d = 48;
-  Corpus corpus{MakeSketcherOrDie(d, BaseSketcher()), SketchIndex(4),
+  Corpus corpus{MakeSketcherOrDie(d, BaseSketcher()), SketchIndex(),
                 PrivateSketch(), {}};
   Rng rng(kTestSeed);
   for (int64_t i = 0; i < n; ++i) {
@@ -73,7 +73,6 @@ std::unique_ptr<Engine> MakePartitionedEngine(const SketchIndex& index,
   EngineOptions options;
   options.sketcher = BaseSketcher();
   options.threads = threads;
-  options.num_shards = 4;
   auto engine = Engine::FromIndex(SketchIndex(), options);
   DPJL_CHECK(engine.ok(), engine.status().ToString());
   const auto exported = index.ExportPartitions(partitions);

@@ -1,12 +1,13 @@
-// Equivalence suite for the query-path scan engine (the per-shard sketch
+// Equivalence suite for the query-path scan engine (the per-segment sketch
 // arenas + multi-candidate distance kernels behind SketchIndex queries).
 //
 // The contract under test is byte-identity: the blocked arena scan must
 // reproduce the pre-arena per-entry scalar path — one EstimateSquaredDistance
 // call per stored sketch, full deterministic (distance, id) sort — exactly,
-// for every kernel dispatch table, across dims x corpus sizes x shard
-// counts x thread counts, including arenas rebuilt by Deserialize /
-// FromPartitions and arenas grown after a partition attach. All comparisons
+// for every kernel dispatch table, across dims x corpus sizes x thread
+// counts (which together decide how a scan splits into chunks), including
+// arenas rebuilt by Deserialize / FromPartitions and segments attached,
+// detached and grown around each other. All comparisons
 // are memcmp over serialized results; EXPECT_DOUBLE_EQ would hide exactly
 // the reassociation/FMA bugs this layer can have.
 
@@ -138,8 +139,9 @@ SketchIndex::DistanceMatrix ReferenceAllPairs(const SketchIndex& index) {
 TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
   const int64_t d = 24;
   const int64_t kDims[] = {3, 13, 96};
-  const int64_t kCorpus[] = {1, 7, 8, 100};
-  const int kShards[] = {1, 4, 16};
+  // 1000 sketches (125 blocks) is the size threads {2, 7} split into
+  // several scan chunks; the smaller corpora scan as one chunk.
+  const int64_t kCorpus[] = {1, 7, 8, 100, 1000};
   ThreadPool pool1(1), pool2(2), pool7(7);
   ThreadPool* const pools[] = {&pool1, &pool2, &pool7};
 
@@ -149,7 +151,7 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
     const PrivateSketch query =
         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 9999);
     std::vector<std::pair<std::string, PrivateSketch>> corpus;
-    for (int64_t i = 0; i < 100; ++i) {
+    for (int64_t i = 0; i < 1000; ++i) {
       corpus.emplace_back("item-" + std::to_string(i),
                           sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
                                           static_cast<uint64_t>(1 + i)));
@@ -158,12 +160,10 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
     for (const int64_t n : kCorpus) {
       // Reference results from the per-entry scalar path (plain C++, no
       // kernel dispatch involved), computed once per (dim, corpus).
-      SketchIndex ref_index(1);
-      ASSERT_TRUE(ref_index
-                      .AddBatch({corpus.begin(), corpus.begin() + n})
-                      .ok());
+      SketchIndex index;
+      ASSERT_TRUE(index.AddBatch({corpus.begin(), corpus.begin() + n}).ok());
       const std::vector<SketchIndex::Neighbor> ref_scan =
-          ReferenceScan(ref_index, query);
+          ReferenceScan(index, query);
       // A radius exactly equal to a present distance: the arena path must
       // agree on the <= boundary bit-for-bit to keep this hit. (Noisy
       // estimates can go negative — RangeQuery rejects those radii — so
@@ -173,34 +173,27 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
           0.0, ref_scan[static_cast<size_t>(n / 2)].squared_distance);
       const int64_t kTopNs[] = {1, 3, n + 7};
       const SketchIndex::DistanceMatrix ref_matrix =
-          ReferenceAllPairs(ref_index);
+          ReferenceAllPairs(index);
 
-      for (const int shards : kShards) {
-        SketchIndex index(shards);
-        ASSERT_TRUE(
-            index.AddBatch({corpus.begin(), corpus.begin() + n}).ok());
-        for (const KernelOps* table : AllTables()) {
-          KernelOverride pin(table);
-          for (ThreadPool* pool : pools) {
-            SCOPED_TRACE(std::string("k=") + std::to_string(k) +
-                         " n=" + std::to_string(n) +
-                         " shards=" + std::to_string(shards) + " table=" +
-                         table->name +
-                         " threads=" + std::to_string(pool->num_threads()));
-            for (const int64_t top_n : kTopNs) {
-              const auto got = index.NearestNeighbors(query, top_n, pool);
-              ASSERT_TRUE(got.ok()) << got.status();
-              EXPECT_EQ(NeighborBytes(*got),
-                        NeighborBytes(ReferenceNearest(ref_scan, top_n)));
-            }
-            const auto hits = index.RangeQuery(query, radius, pool);
-            ASSERT_TRUE(hits.ok()) << hits.status();
-            EXPECT_EQ(NeighborBytes(*hits),
-                      NeighborBytes(ReferenceRange(ref_scan, radius)));
-            const auto matrix = index.AllPairsDistances(pool);
-            ASSERT_TRUE(matrix.ok()) << matrix.status();
-            EXPECT_TRUE(MatrixBytesEqual(*matrix, ref_matrix));
+      for (const KernelOps* table : AllTables()) {
+        KernelOverride pin(table);
+        for (ThreadPool* pool : pools) {
+          SCOPED_TRACE(std::string("k=") + std::to_string(k) +
+                       " n=" + std::to_string(n) + " table=" + table->name +
+                       " threads=" + std::to_string(pool->num_threads()));
+          for (const int64_t top_n : kTopNs) {
+            const auto got = index.NearestNeighbors(query, top_n, pool);
+            ASSERT_TRUE(got.ok()) << got.status();
+            EXPECT_EQ(NeighborBytes(*got),
+                      NeighborBytes(ReferenceNearest(ref_scan, top_n)));
           }
+          const auto hits = index.RangeQuery(query, radius, pool);
+          ASSERT_TRUE(hits.ok()) << hits.status();
+          EXPECT_EQ(NeighborBytes(*hits),
+                    NeighborBytes(ReferenceRange(ref_scan, radius)));
+          const auto matrix = index.AllPairsDistances(pool);
+          ASSERT_TRUE(matrix.ok()) << matrix.status();
+          EXPECT_TRUE(MatrixBytesEqual(*matrix, ref_matrix));
         }
       }
     }
@@ -213,46 +206,65 @@ TEST(ScanEngineTest, AddAfterAttachKeepsArenaConsistent) {
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
   Rng rng(DeriveSeed(kTestSeed, 77));
   std::vector<std::pair<std::string, PrivateSketch>> corpus;
-  for (int64_t i = 0; i < 30; ++i) {
+  for (int64_t i = 0; i < 40; ++i) {
     corpus.emplace_back("doc-" + std::to_string(i),
                         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
                                         static_cast<uint64_t>(1 + i)));
   }
   const PrivateSketch query =
       sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 9999);
+  const auto insert = [&](Engine* engine, int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(engine->Insert(corpus[static_cast<size_t>(i)].first,
+                                 corpus[static_cast<size_t>(i)].second)
+                      .ok());
+    }
+  };
+  const auto attach = [&](Engine* engine, int64_t begin, int64_t end) {
+    SketchIndex partition;
+    EXPECT_TRUE(
+        partition.AddBatch({corpus.begin() + begin, corpus.begin() + end})
+            .ok());
+    return engine->AttachPartition(std::move(partition)).value();
+  };
 
-  SketchIndex owned(4);
+  SketchIndex owned;
   ASSERT_TRUE(owned.AddBatch({corpus.begin(), corpus.begin() + 10}).ok());
   EngineOptions options;
   options.sketcher = Config(k);
   options.threads = 2;
-  options.num_shards = 4;
   options.serving_threads = 1;
   auto engine = Engine::FromIndex(std::move(owned), options).value();
 
-  SketchIndex partition(2);
-  ASSERT_TRUE(
-      partition.AddBatch({corpus.begin() + 10, corpus.begin() + 20}).ok());
-  ASSERT_TRUE(engine->AttachPartition(std::move(partition)).ok());
-  // Inserts after the attach grow the owned index's arenas while the
-  // partition's stay frozen — both must keep scanning correctly.
-  for (int64_t i = 20; i < 30; ++i) {
-    ASSERT_TRUE(engine->Insert(corpus[static_cast<size_t>(i)].first,
-                               corpus[static_cast<size_t>(i)].second)
-                    .ok());
+  // Two attached partitions; inserts after the attach grow the owned
+  // arena while the partitions' stay frozen. Detaching the first leaves
+  // its rows' ids free to be inserted into the owned rows again.
+  const int64_t first = attach(engine.get(), 10, 20);
+  attach(engine.get(), 20, 30);
+  insert(engine.get(), 30, 35);
+  ASSERT_TRUE(engine->DetachPartition(first).ok());
+  insert(engine.get(), 35, 40);
+  insert(engine.get(), 10, 15);
+
+  // Owned rows first (insertion order), then the surviving partition.
+  std::vector<std::string> expected_ids;
+  for (const int64_t i : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 31, 32, 33, 34,
+                          35, 36, 37, 38, 39, 10, 11, 12, 13, 14, 20, 21, 22,
+                          23, 24, 25, 26, 27, 28, 29}) {
+    expected_ids.push_back("doc-" + std::to_string(i));
   }
+  ASSERT_EQ(engine->ids(), expected_ids);
 
   // Reference: the per-entry path over one monolithic index holding the
-  // whole served corpus in the engine's id order.
-  SketchIndex monolith(1);
-  std::vector<std::pair<std::string, PrivateSketch>> in_engine_order;
-  for (const std::string& id : engine->ids()) {
+  // same rows in the engine's id order.
+  SketchIndex monolith;
+  for (const std::string& id : expected_ids) {
     for (const auto& item : corpus) {
-      if (item.first == id) in_engine_order.push_back(item);
+      if (item.first == id) {
+        ASSERT_TRUE(monolith.Add(id, item.second).ok());
+      }
     }
   }
-  ASSERT_EQ(in_engine_order.size(), corpus.size());
-  ASSERT_TRUE(monolith.AddBatch(std::move(in_engine_order)).ok());
   const std::vector<SketchIndex::Neighbor> ref_scan =
       ReferenceScan(monolith, query);
 
@@ -261,12 +273,18 @@ TEST(ScanEngineTest, AddAfterAttachKeepsArenaConsistent) {
     SCOPED_TRACE(table->name);
     const auto got = engine->NearestNeighbors(query, 7).value();
     EXPECT_EQ(NeighborBytes(got), NeighborBytes(ReferenceNearest(ref_scan, 7)));
+    EXPECT_EQ(NeighborBytes(got),
+              NeighborBytes(monolith.NearestNeighbors(query, 7).value()));
     const double radius = ref_scan[15].squared_distance;
     const auto hits = engine->RangeQuery(query, radius).value();
     EXPECT_EQ(NeighborBytes(hits),
               NeighborBytes(ReferenceRange(ref_scan, radius)));
+    EXPECT_EQ(NeighborBytes(hits),
+              NeighborBytes(monolith.RangeQuery(query, radius).value()));
     const auto matrix = engine->AllPairsDistances().value();
     EXPECT_TRUE(MatrixBytesEqual(matrix, ReferenceAllPairs(monolith)));
+    EXPECT_TRUE(
+        MatrixBytesEqual(matrix, monolith.AllPairsDistances().value()));
   }
 }
 
@@ -275,7 +293,7 @@ TEST(ScanEngineTest, DeserializeAndFromPartitionsRebuildArenas) {
   const int64_t k = 13;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
   Rng rng(DeriveSeed(kTestSeed, 88));
-  SketchIndex index(16);
+  SketchIndex index;
   for (int64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(index
                     .Add("s-" + std::to_string(i),
@@ -293,7 +311,7 @@ TEST(ScanEngineTest, DeserializeAndFromPartitionsRebuildArenas) {
       SketchIndex::Deserialize(index.Serialize()).value();
   const auto exported = index.ExportPartitions(3).value();
   const SketchIndex merged =
-      SketchIndex::FromPartitions(exported.manifest, exported.partitions, 5)
+      SketchIndex::FromPartitions(exported.manifest, exported.partitions)
           .value();
   // Arenas rebuilt through two different ingestion paths must scan
   // byte-identically to the original and to the per-entry reference.
@@ -323,7 +341,7 @@ TEST(ScanEngineTest, IncompatibleQueryFailsWithTheEstimatorError) {
   other.projection_seed = kTestSeed + 1;
   const PrivateSketcher alien = MakeSketcherOrDie(d, other);
   Rng rng(kTestSeed);
-  SketchIndex index(4);
+  SketchIndex index;
   ASSERT_TRUE(
       index.Add("a", stored.Sketch(DenseGaussianVector(d, 1.0, &rng), 1)).ok());
   const PrivateSketch query =
@@ -359,7 +377,7 @@ TEST(ScanEngineTest, NormCachingLeavesEstimatorOutputsUnchanged) {
     EXPECT_EQ(EstimateInnerProduct(a, b).value(),
               0.5 * (EstimateSquaredNorm(a) + EstimateSquaredNorm(b) - dist));
     // The index serves norm estimates from the arena's cached copies.
-    SketchIndex index(4);
+    SketchIndex index;
     ASSERT_TRUE(index.Add("a", a).ok());
     ASSERT_TRUE(index.Add("b", b).ok());
     const std::vector<double> norms = index.SquaredNormEstimates();

@@ -34,10 +34,9 @@ SketcherConfig Base() {
   return c;
 }
 
-SketchIndex MakeCorpus(int64_t n, const PrivateSketcher& sketcher,
-                       int num_shards = 4) {
+SketchIndex MakeCorpus(int64_t n, const PrivateSketcher& sketcher) {
   const int64_t d = 32;
-  SketchIndex index(num_shards);
+  SketchIndex index;
   Rng rng(kTestSeed);
   for (int64_t i = 0; i < n; ++i) {
     DPJL_CHECK_OK(index.Add("doc-" + std::to_string(i),
@@ -151,53 +150,27 @@ TEST(SnapshotIndexTest, RejectsManifestEnvelopeAsIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy v0 blobs
+// Pre-envelope v0 blobs
 
-// Serializes `index` in the pre-envelope v0 format (bare "DPJLIX01" magic +
-// record stream, no checksum) — rebuilt by hand here because the library
-// writes only the enveloped form now.
-std::string SerializeLegacyV0(const SketchIndex& index) {
-  std::string out("DPJLIX01");
-  out += U64(static_cast<uint64_t>(index.size()));
+TEST(SnapshotLegacyTest, V0BlobsAreRejectedAsDataLoss) {
+  // The pre-envelope v0 format (bare "DPJLIX01" magic + record stream, no
+  // checksum), built by hand: the reader no longer accepts it, and must
+  // say so with kDataLoss rather than decode it or crash.
+  const PrivateSketcher sketcher = MakeSketcherOrDie(32, Base());
+  const SketchIndex index = MakeCorpus(2, sketcher);
+  std::string v0("DPJLIX01");
+  v0 += U64(static_cast<uint64_t>(index.size()));
   for (const std::string& id : index.ids()) {
     const std::string blob = index.Find(id)->Serialize();
-    out += U64(id.size());
-    out += id;
-    out += U64(blob.size());
-    out += blob;
+    v0 += U64(id.size());
+    v0 += id;
+    v0 += U64(blob.size());
+    v0 += blob;
   }
-  return out;
-}
-
-TEST(SnapshotLegacyTest, V0BlobsStillRoundTrip) {
-  const PrivateSketcher sketcher = MakeSketcherOrDie(32, Base());
-  const SketchIndex index = MakeCorpus(5, sketcher);
-  const std::string v0 = SerializeLegacyV0(index);
   ASSERT_FALSE(HasSnapshotMagic(v0));
   const auto decoded = SketchIndex::Deserialize(v0);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->ids(), index.ids());
-  for (const std::string& id : index.ids()) {
-    ASSERT_NE(decoded->Find(id), nullptr);
-    EXPECT_EQ(decoded->Find(id)->values(), index.Find(id)->values());
-  }
-  // Re-serializing a legacy-loaded index upgrades it to the enveloped
-  // form, byte-identical to a native snapshot of the same corpus.
-  EXPECT_EQ(decoded->Serialize(), index.Serialize());
-}
-
-TEST(SnapshotLegacyTest, V0TruncationsAndBadMagicStillRejected) {
-  const PrivateSketcher sketcher = MakeSketcherOrDie(32, Base());
-  const std::string v0 = SerializeLegacyV0(MakeCorpus(2, sketcher));
-  for (size_t len = 0; len < v0.size(); ++len) {
-    const auto decoded = SketchIndex::Deserialize(v0.substr(0, len));
-    ASSERT_FALSE(decoded.ok()) << "v0 prefix of length " << len << " decoded";
-    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << len;
-  }
-  std::string bad = v0;
-  bad[0] = 'X';
-  EXPECT_EQ(SketchIndex::Deserialize(bad).status().code(),
-            StatusCode::kDataLoss);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
 }
 
 // ---------------------------------------------------------------------------

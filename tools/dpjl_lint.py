@@ -35,12 +35,12 @@ bare-mutex             ``std::mutex`` / ``std::shared_mutex`` /
 discarded-status       a ``(void)`` cast with no adjacent comment. The
                        only sanctioned silent drop is a commented one
                        (prefer ``LogIfError``).
-entries-scan-in-query  a range-for over a shard ``entries`` container in
-                       ``src/core/``. Query code must scan the blocked
-                       sketch arena (eight candidates per kernel pass);
-                       per-entry iteration silently reverts the scan
-                       engine. Member *calls* like ``entries()`` on other
-                       types do not fire.
+entries-scan-in-query  a range-for over a segment's canonical
+                       ``sketches`` store in ``src/core/``. Query code
+                       must scan the blocked sketch arena (eight
+                       candidates per kernel pass); per-sketch iteration
+                       silently reverts the scan engine. Member *calls*
+                       like ``sketches()`` on other types do not fire.
 
 Suppression: append ``// dpjl-lint: allow(<rule>)`` to the offending line
 or the line directly above it.
@@ -104,7 +104,7 @@ PLACEMENT_NEW_RE = re.compile(r"new\s*\(")
 VOID_CAST_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_:(]")
 NOW_RE = re.compile(r"::now\s*\(\s*\)")
 ENTRIES_SCAN_RE = re.compile(
-    r"for\s*\([^;)]*:\s*[^)]*(?:\.|->)\s*entries\b(?!\s*\()"
+    r"for\s*\([^;)]*:\s*[^)]*(?:\.|->)\s*sketches\b(?!\s*\()"
 )
 COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -247,7 +247,7 @@ def lint_file(path: Path, rel: str):
                     rel,
                     lineno,
                     "entries-scan-in-query",
-                    "range-for over shard entries in core query code; scan "
+                    "range-for over stored sketches in core query code; scan "
                     "the sketch arena so the blocked kernels see the "
                     "candidates",
                 )

@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -80,7 +81,7 @@ void Usage(std::ostream& out) {
          "            (alias: index-query; submitted async at default\n"
          "            priority 'interactive'; prints engine stats after.\n"
          "            With --partitions, every listed partition snapshot is\n"
-         "            attached and the query scatter-gathers across them —\n"
+         "            attached and the query scans them as one corpus —\n"
          "            results are byte-identical to the merged index.)\n"
          "  dpjl_tool index export-shards --index FILE --output-prefix P\n"
          "            --partitions N  (writes P<i>.part for each partition\n"
@@ -122,7 +123,7 @@ void Usage(std::ostream& out) {
          "            sparse-uniform --k-override K --s-override S\n"
          "            --noise auto|laplace|gaussian|none\n"
          "            --placement output|input|post-hadamard\n"
-         "  serving:  --threads T (0 = all cores) --shards N\n"
+         "  serving:  --threads T (0 = all cores)\n"
          "            --serving-threads T --queue-capacity N\n"
          "            --tenant-quota N (0 = unlimited) --deadline-ms MS\n"
          "            --tenant-rate N (admitted requests/s per tenant,\n"
@@ -614,7 +615,7 @@ int CmdIndexAdd(const std::map<std::string, std::string>& flags) {
 // shared by `query` and `serve`: either the deserialized monolithic
 // --index snapshot, or an empty index with every --partitions snapshot
 // attached (byte-identical results either way, by the engine's
-// scatter-gather determinism contract).
+// determinism contract).
 Result<std::unique_ptr<Engine>> ServingEngineFromFlags(
     const std::map<std::string, std::string>& flags,
     const EngineOptions& options) {
@@ -826,21 +827,17 @@ int CmdIndexInspect(const std::map<std::string, std::string>& flags) {
     }
     return 0;
   }
-  if (HasSnapshotMagic(*bytes)) {
-    auto envelope = DecodeSnapshot(*bytes);
-    if (!envelope.ok()) {
-      std::cerr << envelope.status() << "\n";
-      return 1;
-    }
-    std::printf("format\tsnapshot-envelope v%u\n", envelope->version);
-    std::printf("payload_kind\t%s\n",
-                envelope->kind == SnapshotKind::kIndex ? "index" : "manifest");
-    std::printf("payload_bytes\t%zu\n", envelope->payload.size());
-    std::printf("payload_checksum\t%016llx\n",
-                static_cast<unsigned long long>(envelope->checksum));
-  } else {
-    std::printf("format\tv0 (legacy, pre-envelope; no checksum)\n");
+  auto envelope = DecodeSnapshot(*bytes);
+  if (!envelope.ok()) {
+    std::cerr << envelope.status() << "\n";
+    return 1;
   }
+  std::printf("format\tsnapshot-envelope v%u\n", envelope->version);
+  std::printf("payload_kind\t%s\n",
+              envelope->kind == SnapshotKind::kIndex ? "index" : "manifest");
+  std::printf("payload_bytes\t%zu\n", envelope->payload.size());
+  std::printf("payload_checksum\t%016llx\n",
+              static_cast<unsigned long long>(envelope->checksum));
   auto index = SketchIndex::Deserialize(*bytes);
   if (!index.ok()) {
     std::cerr << index.status() << "\n";
@@ -1173,12 +1170,41 @@ int CmdRoute(const std::string& subcommand,
   return 2;
 }
 
+/// A fresh mkdtemp directory under the system temp path, removed with
+/// everything in it on scope exit; path() is empty if creation failed.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix) {
+    std::error_code error;
+    std::filesystem::path base = std::filesystem::temp_directory_path(error);
+    if (error) base = "/tmp";
+    std::string pattern = (base / (prefix + ".XXXXXX")).string();
+    if (::mkdtemp(pattern.data()) != nullptr) path_ = std::move(pattern);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;  // best effort: a leftover dir is harmless
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 int CmdSelftest() {
   // End-to-end: write two CSVs, sketch both, estimate, and check the
   // estimate against a bound calibrated from the library's own variance
-  // model. Seeds are fixed, so the run is fully deterministic.
-  const std::string dir = "/tmp/dpjl_tool_selftest";
-  std::system(("mkdir -p " + dir).c_str());
+  // model. Seeds are fixed, so the run is fully deterministic. Each run
+  // works in its own temp dir, so concurrent selftests never collide.
+  const ScopedTempDir temp("dpjl_tool_selftest");
+  if (temp.path().empty()) {
+    std::cerr << "selftest FAILED: cannot create a temp directory\n";
+    return 1;
+  }
+  const std::string& dir = temp.path();
   const int64_t d = 2000;
   std::ofstream a_csv(dir + "/a.csv");
   std::ofstream b_csv(dir + "/b.csv");
