@@ -144,10 +144,14 @@ int main() {
   Gate overload_gate;
   stall(&overload_gate);
 
-  const auto doomed = engine.SubmitQuery(probe, 5, /*deadline_ms=*/1);
+  RequestOptions one_ms;
+  one_ms.deadline_ms = 1;
+  const auto doomed = engine.SubmitQuery(probe, 5, one_ms);
+  RequestOptions no_deadline;
+  no_deadline.deadline_ms = RequestOptions::kNoDeadline;
   std::vector<EngineFuture<std::vector<SketchIndex::Neighbor>>> patient;
   for (int64_t i = 1; i < options.queue_capacity; ++i) {
-    patient.push_back(engine.SubmitQuery(probe, 5, Engine::kNoDeadline));
+    patient.push_back(engine.SubmitQuery(probe, 5, no_deadline));
   }
   const auto refused = engine.SubmitQuery(probe, 5);  // queue is full now
   std::cout << "over-capacity submission: " << refused.Get().status()

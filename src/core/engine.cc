@@ -133,7 +133,7 @@ Result<EngineOptions> EngineOptions::Parse(
       "k-override",     "s-override",    "noise",
       "placement",      "threads",       "serving-threads",
       "queue-capacity", "tenant-quota",  "tenant-rate",
-      "deadline-ms",    "starvation-age-ms", "batch-grain"};
+      "deadline-ms",    "starvation-age-ms"};
   for (const auto& entry : flags) {
     if (kRecognized.count(entry.first) == 0 &&
         std::find(passthrough.begin(), passthrough.end(), entry.first) ==
@@ -218,10 +218,6 @@ Result<EngineOptions> EngineOptions::Parse(
         ParseIntFlag("starvation-age-ms", *raw, 0,
                      std::numeric_limits<int64_t>::max() / 2));
   }
-  if (const std::string* raw = find("batch-grain")) {
-    DPJL_ASSIGN_OR_RETURN(options.batch_grain,
-                          ParseIntFlag("batch-grain", *raw, 0, 1 << 20));
-  }
   DPJL_RETURN_IF_ERROR(options.Validate());
   return options;
 }
@@ -243,8 +239,7 @@ std::string EngineOptions::ToString() const {
       << " --tenant-quota=" << tenant_quota
       << " --tenant-rate=" << tenant_rate
       << " --deadline-ms=" << default_deadline_ms
-      << " --starvation-age-ms=" << starvation_age_ms
-      << " --batch-grain=" << batch_grain;
+      << " --starvation-age-ms=" << starvation_age_ms;
   return out.str();
 }
 
@@ -274,11 +269,6 @@ Status EngineOptions::Validate() const {
   if (starvation_age_ms < 0) {
     return Status::InvalidArgument(
         "starvation-age-ms must be non-negative (0 = strict priority)");
-  }
-  if (batch_grain < 0 || batch_grain > (int64_t{1} << 20)) {
-    return Status::InvalidArgument(
-        "batch-grain must lie in [0, 2^20] (0 = auto from batch size and "
-        "threads)");
   }
   return Status::OK();
 }
@@ -311,7 +301,7 @@ Engine::Engine(EngineOptions options, std::optional<PrivateSketcher> sketcher,
   const int threads =
       options_.threads == 0 ? ThreadPool::DefaultThreadCount() : options_.threads;
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  if (sketcher_) batcher_.emplace(&*sketcher_, pool_.get(), options_.batch_grain);
+  if (sketcher_) batcher_.emplace(&*sketcher_, pool_.get());
 }
 
 void Engine::EnsureServing() {
@@ -433,7 +423,8 @@ Result<PrivateSketch> Engine::GetSketch(const std::string& id) const {
 
 RequestQueue::Clock::time_point Engine::DeadlineFor(int64_t deadline_ms) const {
   const int64_t ms =
-      deadline_ms == kDefaultDeadline ? options_.default_deadline_ms : deadline_ms;
+      deadline_ms == RequestOptions::kDefaultDeadline ? options_.default_deadline_ms
+                                                      : deadline_ms;
   if (ms == 0) return RequestQueue::kNoDeadline;
   // An already-negative budget (caller's total minus elapsed) is expired on
   // arrival, not "no deadline".
@@ -453,12 +444,6 @@ namespace {
 
 constexpr char kCancelledBeforeScan[] = "query cancelled before its scan";
 
-RequestOptions WithDeadline(int64_t deadline_ms) {
-  RequestOptions options;
-  options.deadline_ms = deadline_ms;
-  return options;
-}
-
 }  // namespace
 
 EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
@@ -476,12 +461,6 @@ EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
       request);
 }
 
-EngineFuture<PrivateSketch> Engine::SubmitSketch(std::vector<double> x,
-                                                 uint64_t noise_seed,
-                                                 int64_t deadline_ms) {
-  return SubmitSketch(std::move(x), noise_seed, WithDeadline(deadline_ms));
-}
-
 EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
     PrivateSketch query, int64_t top_n, const RequestOptions& request) {
   return Submit<std::vector<SketchIndex::Neighbor>>(
@@ -492,11 +471,6 @@ EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
         return index_.NearestNeighbors(query, top_n, pool_.get());
       },
       request);
-}
-
-EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitQuery(
-    PrivateSketch query, int64_t top_n, int64_t deadline_ms) {
-  return SubmitQuery(std::move(query), top_n, WithDeadline(deadline_ms));
 }
 
 EngineFuture<std::vector<SketchIndex::Neighbor>> Engine::SubmitRangeQuery(
@@ -559,12 +533,6 @@ EngineFuture<double> Engine::SubmitEstimate(std::string id_a, std::string id_b,
       request);
 }
 
-EngineFuture<double> Engine::SubmitEstimate(std::string id_a, std::string id_b,
-                                            int64_t deadline_ms) {
-  return SubmitEstimate(std::move(id_a), std::move(id_b),
-                        WithDeadline(deadline_ms));
-}
-
 EngineFuture<bool> Engine::SubmitTask(std::function<Status()> task,
                                       const RequestOptions& request) {
   return Submit<bool>(
@@ -574,11 +542,6 @@ EngineFuture<bool> Engine::SubmitTask(std::function<Status()> task,
         return true;
       },
       request);
-}
-
-EngineFuture<bool> Engine::SubmitTask(std::function<Status()> task,
-                                      int64_t deadline_ms) {
-  return SubmitTask(std::move(task), WithDeadline(deadline_ms));
 }
 
 EngineFuture<bool> Engine::SubmitTask(

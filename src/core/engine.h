@@ -66,12 +66,6 @@ struct EngineOptions {
   /// do not pass their own; 0 means no deadline.
   int64_t default_deadline_ms = 0;
 
-  /// Vectors per scheduled chunk in SketchBatch: 0 (the default) derives a
-  /// grain from batch size and thread count (BatchSketcher::ResolveGrain);
-  /// explicit values are taken as-is. Affects scheduling only, never
-  /// output.
-  int64_t batch_grain = 0;
-
   /// Anti-starvation knob: a queued batch or best-effort request older
   /// than this many milliseconds is promoted one lane at pop time (see
   /// RequestQueue). 0 (the default) keeps strict priority, under which a
@@ -82,7 +76,7 @@ struct EngineOptions {
   /// dpjl_tool already builds): epsilon, delta, alpha, beta, seed,
   /// transform, k-override, s-override, noise, placement, threads,
   /// serving-threads, queue-capacity, tenant-quota, tenant-rate,
-  /// deadline-ms, starvation-age-ms, batch-grain. A key
+  /// deadline-ms, starvation-age-ms. A key
   /// that is neither recognized nor listed in `passthrough` is an error
   /// (catching typos like --epsilno); callers that keep their own flags in
   /// the same map (e.g. dpjl_tool's --input) declare them via
@@ -260,13 +254,6 @@ struct EngineStats {
 /// always see a consistent partition set.
 class Engine {
  public:
-  /// Deadline sentinels, re-exported from RequestOptions (see there for
-  /// why the default sentinel is INT64_MIN rather than -1).
-  static constexpr int64_t kDefaultDeadline = RequestOptions::kDefaultDeadline;
-  /// No deadline for this request (also the meaning of
-  /// default_deadline_ms == 0).
-  static constexpr int64_t kNoDeadline = RequestOptions::kNoDeadline;
-
   /// Full engine: validates `options`, builds the sketcher for input
   /// dimension `d`, the pool, the index and the serving threads.
   static Result<std::unique_ptr<Engine>> Create(int64_t d,
@@ -367,12 +354,13 @@ class Engine {
   //
   // Each Submit* enqueues the request and returns immediately. Every
   // overload accepts a `RequestOptions` (priority lane, tenant, deadline
-  // budget); the deadline-only overloads forward with default options and
-  // exist so pre-RequestOptions callers keep compiling unchanged.
+  // budget); omitting it means the interactive lane, no tenant and the
+  // engine-wide default deadline.
   //
   // `RequestOptions::deadline_ms` is this request's budget from
-  // submission: > 0 sets a deadline, kNoDeadline (0) disables it,
-  // kDefaultDeadline (INT64_MIN) uses options().default_deadline_ms, and
+  // submission: > 0 sets a deadline, RequestOptions::kNoDeadline (0)
+  // disables it, RequestOptions::kDefaultDeadline (INT64_MIN) uses
+  // options().default_deadline_ms, and
   // any other negative value means the caller's budget is already
   // exhausted — the request is admitted but fails with kDeadlineExceeded
   // (so budget-propagating callers can pass `total - elapsed` verbatim).
@@ -388,16 +376,10 @@ class Engine {
 
   EngineFuture<PrivateSketch> SubmitSketch(std::vector<double> x,
                                            uint64_t noise_seed,
-                                           const RequestOptions& request);
-  EngineFuture<PrivateSketch> SubmitSketch(std::vector<double> x,
-                                           uint64_t noise_seed,
-                                           int64_t deadline_ms = kDefaultDeadline);
+                                           const RequestOptions& request = {});
 
   EngineFuture<std::vector<SketchIndex::Neighbor>> SubmitQuery(
-      PrivateSketch query, int64_t top_n, const RequestOptions& request);
-  EngineFuture<std::vector<SketchIndex::Neighbor>> SubmitQuery(
-      PrivateSketch query, int64_t top_n,
-      int64_t deadline_ms = kDefaultDeadline);
+      PrivateSketch query, int64_t top_n, const RequestOptions& request = {});
 
   /// Async RangeQuery under the same lane/deadline/cancellation semantics
   /// as SubmitQuery — the overload the wire server drains range RPCs
@@ -417,18 +399,14 @@ class Engine {
 
   /// Squared-distance estimate between two stored ids (kNotFound if absent).
   EngineFuture<double> SubmitEstimate(std::string id_a, std::string id_b,
-                                      const RequestOptions& request);
-  EngineFuture<double> SubmitEstimate(std::string id_a, std::string id_b,
-                                      int64_t deadline_ms = kDefaultDeadline);
+                                      const RequestOptions& request = {});
 
   /// Runs an arbitrary task on a serving thread under the same deadline and
   /// admission semantics; the future resolves to true on OK. Escape hatch
   /// for work that should share the serving lanes (snapshots, warmup) and
   /// the lever the concurrency tests use to hold a lane deterministically.
   EngineFuture<bool> SubmitTask(std::function<Status()> task,
-                                const RequestOptions& request);
-  EngineFuture<bool> SubmitTask(std::function<Status()> task,
-                                int64_t deadline_ms = kDefaultDeadline);
+                                const RequestOptions& request = {});
 
   /// Cancellation-aware SubmitTask: the task receives the future's
   /// CancelToken and is expected to poll it, returning `kCancelled` when it

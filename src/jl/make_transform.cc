@@ -1,11 +1,9 @@
 #include "src/jl/make_transform.h"
 
-#include "src/jl/achlioptas.h"
+#include "src/jl/dense_jl.h"
 #include "src/jl/dims.h"
 #include "src/jl/fjlt.h"
-#include "src/jl/gaussian_jl.h"
 #include "src/jl/sjlt.h"
-#include "src/jl/sparse_uniform.h"
 #include "src/linalg/hadamard.h"
 
 namespace dpjl {
@@ -42,8 +40,8 @@ Result<std::unique_ptr<LinearTransform>> MakeTransformExplicit(
     uint64_t seed) {
   switch (kind) {
     case TransformKind::kGaussianIid: {
-      DPJL_ASSIGN_OR_RETURN(std::unique_ptr<GaussianJl> t,
-                            GaussianJl::Create(d, k, seed));
+      DPJL_ASSIGN_OR_RETURN(std::unique_ptr<DenseJl> t,
+                            DenseJl::Create(d, k, DenseEntries::kGaussian, seed));
       return std::unique_ptr<LinearTransform>(std::move(t));
     }
     case TransformKind::kFjlt: {
@@ -67,13 +65,16 @@ Result<std::unique_ptr<LinearTransform>> MakeTransformExplicit(
       return std::unique_ptr<LinearTransform>(std::move(t));
     }
     case TransformKind::kAchlioptas: {
-      DPJL_ASSIGN_OR_RETURN(std::unique_ptr<AchlioptasJl> t,
-                            AchlioptasJl::Create(d, k, seed));
+      DPJL_ASSIGN_OR_RETURN(
+          std::unique_ptr<DenseJl> t,
+          DenseJl::Create(d, k, DenseEntries::kAchlioptas, seed));
       return std::unique_ptr<LinearTransform>(std::move(t));
     }
     case TransformKind::kSparseUniform: {
-      DPJL_ASSIGN_OR_RETURN(std::unique_ptr<SparseUniformJl> t,
-                            SparseUniformJl::Create(d, k, s, seed));
+      // Independence is unused: each column draws from its own stream.
+      DPJL_ASSIGN_OR_RETURN(
+          std::unique_ptr<Sjlt> t,
+          Sjlt::Create(d, k, s, SjltConstruction::kUniform, /*wise=*/0, seed));
       return std::unique_ptr<LinearTransform>(std::move(t));
     }
   }

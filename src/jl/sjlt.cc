@@ -10,6 +10,12 @@
 #include "src/random/splitmix64.h"
 
 namespace dpjl {
+namespace {
+
+// Stack-buffer bound on s for the per-column sampled constructions.
+constexpr int64_t kMaxSampledSparsity = 512;
+
+}  // namespace
 
 Result<std::unique_ptr<Sjlt>> Sjlt::Create(int64_t d, int64_t k, int64_t s,
                                            SjltConstruction construction,
@@ -17,14 +23,20 @@ Result<std::unique_ptr<Sjlt>> Sjlt::Create(int64_t d, int64_t k, int64_t s,
   if (d < 1 || k < 1) {
     return Status::InvalidArgument("Sjlt requires d >= 1 and k >= 1");
   }
-  if (s < 1 || s > k) {
-    return Status::InvalidArgument("Sjlt requires 1 <= s <= k");
+  const bool uniform = construction == SjltConstruction::kUniform;
+  if (s < 1 || (s > k && !uniform)) {
+    return Status::InvalidArgument(
+        "Sjlt requires 1 <= s <= k (s >= 1 for the uniform construction)");
+  }
+  if (construction != SjltConstruction::kBlock && s > kMaxSampledSparsity) {
+    return Status::InvalidArgument(
+        "graph/uniform SJLT sparsity exceeds the supported bound");
   }
   if (construction == SjltConstruction::kBlock && k % s != 0) {
     return Status::InvalidArgument(
         "block SJLT requires s | k (see RoundUpToMultiple)");
   }
-  if (wise < 2) {
+  if (wise < 2 && !uniform) {
     return Status::InvalidArgument("hash independence must be >= 2");
   }
   std::unique_ptr<Sjlt> t(new Sjlt(d, k, s, construction, seed));
@@ -48,7 +60,17 @@ Sjlt::Sjlt(int64_t d, int64_t k, int64_t s, SjltConstruction construction,
       inv_sqrt_s_(1.0 / std::sqrt(static_cast<double>(s))),
       seed_(seed) {}
 
-void Sjlt::GraphColumn(int64_t j, int64_t* rows, double* signs) const {
+void Sjlt::SampleColumn(int64_t j, int64_t* rows, double* signs) const {
+  if (construction_ == SjltConstruction::kUniform) {
+    // Per-column deterministic stream: s i.i.d. (row, sign) draws, with
+    // replacement (collisions intended — that is the construction).
+    Rng rng(DeriveSeed(seed_, static_cast<uint64_t>(j) + 0xD45ULL));
+    for (int64_t n = 0; n < s_; ++n) {
+      rows[n] = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(k_)));
+      signs[n] = rng.Rademacher();
+    }
+    return;
+  }
   // Per-column deterministic stream; Floyd's algorithm samples s distinct
   // rows of [k] uniformly. s is small (O(alpha^-1 log(1/beta))), so the
   // linear-scan duplicate check is cheaper than a hash set.
@@ -118,7 +140,7 @@ void Sjlt::ApplyBlock(const std::vector<double>* xs, int64_t count,
           signs[r] = sign_hashes_[r].EvalSign(uj);
         }
       } else {
-        GraphColumn(j, rows.data(), signs.data());
+        SampleColumn(j, rows.data(), signs.data());
       }
       ops.sjlt_column_block(xcol, width, inv_sqrt_s_, rows.data(),
                             signs.data(), s_, yb);
@@ -155,13 +177,10 @@ void Sjlt::AccumulateColumn(int64_t j, double weight,
       (*y)[row] += w * sign_hashes_[r].EvalSign(uj);
     }
   } else {
-    // Stack buffers: s is bounded by k but in practice tiny; cap guards the
-    // pathological configuration.
-    constexpr int64_t kMaxStack = 512;
-    DPJL_CHECK(s_ <= kMaxStack, "graph SJLT sparsity exceeds supported bound");
-    int64_t rows[kMaxStack];
-    double signs[kMaxStack];
-    GraphColumn(j, rows, signs);
+    // Stack buffers: Create bounds s for the sampled constructions.
+    int64_t rows[kMaxSampledSparsity];
+    double signs[kMaxSampledSparsity];
+    SampleColumn(j, rows, signs);
     for (int64_t n = 0; n < s_; ++n) {
       (*y)[rows[n]] += w * signs[n];
     }
@@ -169,19 +188,45 @@ void Sjlt::AccumulateColumn(int64_t j, double weight,
 }
 
 Sensitivities Sjlt::ExactSensitivities() const {
-  // Each column holds exactly s entries of magnitude 1/sqrt(s):
-  // l1 = s/sqrt(s) = sqrt(s); l2 = sqrt(s * 1/s) = 1.
-  return Sensitivities{std::sqrt(static_cast<double>(s_)), 1.0};
+  if (construction_ != SjltConstruction::kUniform) {
+    // Each column holds exactly s entries of magnitude 1/sqrt(s):
+    // l1 = s/sqrt(s) = sqrt(s); l2 = sqrt(s * 1/s) = 1.
+    return Sensitivities{std::sqrt(static_cast<double>(s_)), 1.0};
+  }
+  if (cached_sensitivities_) return *cached_sensitivities_;
+  // Collisions randomize the column norms; scan every column exactly.
+  Sensitivities sens;
+  std::vector<double> column(static_cast<size_t>(k_), 0.0);
+  for (int64_t j = 0; j < d_; ++j) {
+    std::fill(column.begin(), column.end(), 0.0);
+    AccumulateColumn(j, 1.0, &column);
+    double l1 = 0.0;
+    double l2_sq = 0.0;
+    for (double v : column) {
+      l1 += std::fabs(v);
+      l2_sq += v * v;
+    }
+    sens.l1 = std::max(sens.l1, l1);
+    sens.l2 = std::max(sens.l2, std::sqrt(l2_sq));
+  }
+  cached_sensitivities_ = sens;
+  return sens;
 }
 
 double Sjlt::SquaredNormVariance(double z_norm2_sq, double z_norm4_pow4) const {
-  return 2.0 / static_cast<double>(k_) * (z_norm2_sq * z_norm2_sq - z_norm4_pow4);
+  // With replacement, collisions cancel only a 1/s share of ||z||_4^4.
+  const double z4_term = construction_ == SjltConstruction::kUniform
+                             ? z_norm4_pow4 / static_cast<double>(s_)
+                             : z_norm4_pow4;
+  return 2.0 / static_cast<double>(k_) * (z_norm2_sq * z_norm2_sq - z4_term);
 }
 
 std::string Sjlt::Name() const {
+  const char* family = construction_ == SjltConstruction::kBlock   ? "sjlt-block"
+                       : construction_ == SjltConstruction::kGraph ? "sjlt-graph"
+                                                                   : "sparse-uniform";
   char buf[80];
-  std::snprintf(buf, sizeof(buf), "sjlt-%s(k=%lld,s=%lld)",
-                construction_ == SjltConstruction::kBlock ? "block" : "graph",
+  std::snprintf(buf, sizeof(buf), "%s(k=%lld,s=%lld)", family,
                 static_cast<long long>(k_), static_cast<long long>(s_));
   return buf;
 }

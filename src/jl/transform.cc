@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/check.h"
-
 namespace dpjl {
 
 std::vector<double> LinearTransform::ApplySparse(const SparseVector& x) const {
@@ -17,36 +15,6 @@ void LinearTransform::ApplyBlock(const std::vector<double>* xs, int64_t count,
   // buffer; specialized overrides (e.g. the SIMD kernels) do.
   (void)scratch;
   for (int64_t i = 0; i < count; ++i) ys[i] = Apply(xs[i]);
-}
-
-void DenseApplyBlock(const DenseMatrix& m, const std::vector<double>* xs,
-                     int64_t count, std::vector<double>* ys,
-                     std::vector<double>* scratch) {
-  const int64_t rows = m.rows();
-  const int64_t cols = m.cols();
-  const int64_t width_max = std::min<int64_t>(count, kSketchBlockWidth);
-  if (width_max <= 0) return;
-  // Scratch: cols x width input block followed by rows x width output block.
-  scratch->resize(static_cast<size_t>((cols + rows) * width_max));
-  double* xb = scratch->data();
-  double* yb = xb + cols * width_max;
-  for (int64_t i0 = 0; i0 < count; i0 += kSketchBlockWidth) {
-    const int64_t width = std::min<int64_t>(kSketchBlockWidth, count - i0);
-    for (int64_t t = 0; t < width; ++t) {
-      DPJL_CHECK(static_cast<int64_t>(xs[i0 + t].size()) == cols,
-                 "DenseApplyBlock: dimension mismatch");
-    }
-    for (int64_t c = 0; c < cols; ++c) {
-      double* row = xb + c * width;
-      for (int64_t t = 0; t < width; ++t) row[t] = xs[i0 + t][c];
-    }
-    m.ApplyBlockInto(xb, width, yb);
-    for (int64_t t = 0; t < width; ++t) {
-      std::vector<double>& y = ys[i0 + t];
-      y.resize(static_cast<size_t>(rows));
-      for (int64_t r = 0; r < rows; ++r) y[r] = yb[r * width + t];
-    }
-  }
 }
 
 DenseMatrix LinearTransform::Materialize() const {

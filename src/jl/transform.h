@@ -67,9 +67,9 @@ class LinearTransform {
   /// SJLT, k for dense transforms).
   virtual int64_t column_cost() const = 0;
 
-  /// Exact sensitivities (Definition 3). Structural O(1) for the SJLT;
-  /// O(dk) scan, computed once and cached, for unstructured transforms —
-  /// this is the initialization cost of Section 2.1.1.
+  /// Exact sensitivities (Definition 3). Structural O(1) for the block and
+  /// graph SJLT; a column scan, computed once and cached, for transforms
+  /// without bounded columns — the initialization cost of Section 2.1.1.
   virtual Sensitivities ExactSensitivities() const = 0;
 
   /// Exact Var[ ||S z||_2^2 ] as a function of ||z||_2^2 and ||z||_4^4,
@@ -83,14 +83,6 @@ class LinearTransform {
   /// Intended for tests and exact sensitivity checks on small instances.
   DenseMatrix Materialize() const;
 };
-
-/// Shared ApplyBlock engine for transforms that are a plain dense matrix
-/// (GaussianJl, AchlioptasJl): packs micro-blocks of kSketchBlockWidth
-/// inputs lane-interleaved and runs the multi-vector GEMV kernel.
-/// Bit-identical to m.Apply per item; zero per-item allocations.
-void DenseApplyBlock(const DenseMatrix& m, const std::vector<double>* xs,
-                     int64_t count, std::vector<double>* ys,
-                     std::vector<double>* scratch);
 
 }  // namespace dpjl
 

@@ -491,7 +491,7 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
       {"threads", "0"},          {"serving-threads", "3"},
       {"queue-capacity", "17"},
       {"tenant-quota", "9"},     {"tenant-rate", "50"},
-      {"deadline-ms", "250"},    {"batch-grain", "24"},
+      {"deadline-ms", "250"},
       {"input", "tool-flag.csv"}};
   const auto options = EngineOptions::Parse(flags, /*passthrough=*/{"input"});
   ASSERT_TRUE(options.ok()) << options.status();
@@ -507,7 +507,6 @@ TEST(EngineOptionsTest, ParseAppliesRecognizedKeysAndDeclaredPassthrough) {
   EXPECT_EQ(options->tenant_quota, 9);
   EXPECT_EQ(options->tenant_rate, 50);
   EXPECT_EQ(options->default_deadline_ms, 250);
-  EXPECT_EQ(options->batch_grain, 24);
 }
 
 TEST(EngineOptionsTest, ParseRejectsUnknownKeysUnlessPassedThrough) {
@@ -522,6 +521,9 @@ TEST(EngineOptionsTest, ParseRejectsUnknownKeysUnlessPassedThrough) {
   EXPECT_FALSE(EngineOptions::Parse({{"input", "a.csv"}}).ok());
   // The retired shard-count flag is no longer an engine flag.
   EXPECT_FALSE(EngineOptions::Parse({{"shards", "4"}}).ok());
+  // Neither is the retired batch-grain knob: SketchBatch always derives
+  // its chunk size (which never affects output).
+  EXPECT_FALSE(EngineOptions::Parse({{"batch-grain", "24"}}).ok());
   // … and declaring one key does not whitelist the others.
   EXPECT_FALSE(
       EngineOptions::Parse({{"input", "a.csv"}, {"outptu", "b"}}, {"input"})
@@ -540,8 +542,7 @@ TEST(EngineOptionsTest, ParseRejectsMalformedOrOutOfDomainValues) {
       {{"deadline-ms", "-5"}},
       {{"transform", "bogus"}},    {{"seed", "-3"}},
       {{"k-override", "-1"}},      {{"noise", "cauchy"}},
-      {{"placement", "sideways"}}, {{"batch-grain", "-1"}},
-      {{"batch-grain", "1048577"}}, {{"batch-grain", "coarse"}}};
+      {{"placement", "sideways"}}};
   for (const auto& flags : bad) {
     const auto options = EngineOptions::Parse(flags);
     EXPECT_FALSE(options.ok())
@@ -573,7 +574,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   options.tenant_rate = 6;
   options.default_deadline_ms = 1500;
   options.starvation_age_ms = 250;
-  options.batch_grain = 40;
 
   // Re-read the canonical "--key=value ..." rendering through a flag map.
   std::map<std::string, std::string> flags;
@@ -604,7 +604,6 @@ TEST(EngineOptionsTest, ToStringParseRoundTrip) {
   EXPECT_EQ(parsed->tenant_rate, options.tenant_rate);
   EXPECT_EQ(parsed->default_deadline_ms, options.default_deadline_ms);
   EXPECT_EQ(parsed->starvation_age_ms, options.starvation_age_ms);
-  EXPECT_EQ(parsed->batch_grain, options.batch_grain);
 }
 
 // ---------------------------------------------------------------------------
@@ -648,6 +647,12 @@ std::unique_ptr<Engine> MakeEngineOrDie(int64_t d, const EngineOptions& options)
   auto engine = Engine::Create(d, options);
   DPJL_CHECK(engine.ok(), engine.status().ToString());
   return std::move(engine).value();
+}
+
+RequestOptions WithDeadline(int64_t deadline_ms) {
+  RequestOptions request;
+  request.deadline_ms = deadline_ms;
+  return request;
 }
 
 TEST(EngineTest, QueriesBitIdenticalToDirectIndexAcrossThreadCounts) {
@@ -792,7 +797,7 @@ TEST(EngineTest, NegativeBudgetIsExpiredOnArrival) {
                     .ok());
   }
   for (const int64_t budget : {int64_t{-1}, int64_t{-7}}) {
-    const auto expired = engine->SubmitQuery(ref.probe, 3, budget).Get();
+    const auto expired = engine->SubmitQuery(ref.probe, 3, WithDeadline(budget)).Get();
     ASSERT_FALSE(expired.ok());
     EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded) << budget;
   }
@@ -847,9 +852,9 @@ TEST(EngineTest, ExpiredQueuedRequestFailsWithoutStallingOthers) {
   LaneGate gate(engine.get());
 
   const auto submit_time = RequestQueue::Clock::now();
-  const auto doomed = engine->SubmitQuery(ref.probe, 3, /*deadline_ms=*/1);
-  const auto patient =
-      engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
+  const auto doomed = engine->SubmitQuery(ref.probe, 3, WithDeadline(1));
+  const auto patient = engine->SubmitQuery(
+      ref.probe, 3, WithDeadline(RequestOptions::kNoDeadline));
   // Let the 1 ms deadline lapse while both requests sit in the queue, then
   // reopen the lane.
   std::this_thread::sleep_until(submit_time + std::chrono::milliseconds(20));
@@ -883,9 +888,10 @@ TEST(EngineTest, SaturatedQueueRejectsAtAdmissionWithoutStallingInFlight) {
   LaneGate gate(engine.get());
 
   // Fill the queue behind the parked lane, then overflow it.
-  const auto queued_a = engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
-  const auto queued_b = engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
-  const auto refused = engine->SubmitQuery(ref.probe, 3, Engine::kNoDeadline);
+  const RequestOptions no_deadline = WithDeadline(RequestOptions::kNoDeadline);
+  const auto queued_a = engine->SubmitQuery(ref.probe, 3, no_deadline);
+  const auto queued_b = engine->SubmitQuery(ref.probe, 3, no_deadline);
+  const auto refused = engine->SubmitQuery(ref.probe, 3, no_deadline);
   // Admission control resolves the overflow future immediately — no waiting
   // on the stalled lane.
   EXPECT_TRUE(refused.Ready());
@@ -1175,7 +1181,7 @@ TEST(EngineTest, StatsCountersConsistentWithStagedOutcomes) {
 
   // Stage one of each outcome behind the held lane (quota 1):
   const auto submit_time = RequestQueue::Clock::now();
-  const auto doomed = engine->SubmitQuery(ref.probe, 3, /*deadline_ms=*/1);
+  const auto doomed = engine->SubmitQuery(ref.probe, 3, WithDeadline(1));
   auto cancelme = engine->SubmitQuery(ref.probe, 3);
   EXPECT_TRUE(cancelme.Cancel());
   const auto alice_served = engine->SubmitQuery(

@@ -1,16 +1,19 @@
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/jl/achlioptas.h"
+#include "src/core/snapshot.h"
+#include "src/jl/dense_jl.h"
 #include "src/jl/dims.h"
 #include "src/jl/fjlt.h"
-#include "src/jl/gaussian_jl.h"
 #include "src/jl/make_transform.h"
 #include "src/jl/sjlt.h"
-#include "src/jl/sparse_uniform.h"
 #include "src/linalg/vector_ops.h"
 #include "src/random/rng.h"
 #include "src/stats/welford.h"
@@ -216,6 +219,79 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, TransformPropertyTest,
                            return name;
                          });
 
+// ---------- golden projection bytes ----------
+
+// Pins every kind's public map bit for bit: an FNV-1a 64 of the
+// materialized matrix bytes, the name, and the bit patterns of the exact
+// sensitivities and of the variance model. d = 13 is deliberately not a
+// power of two (FJLT padding). A refactor of src/jl/ must leave all of it
+// unchanged: distributed parties agree on the projection by (kind, seed).
+struct GoldenCase {
+  TransformKind kind;
+  const char* name;
+  uint64_t matrix_fnv;
+  uint64_t l1_bits;
+  uint64_t l2_bits;
+  uint64_t variance_bits;
+};
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
+  return buf;
+}
+
+constexpr GoldenCase kGoldenCases[] = {
+    {TransformKind::kGaussianIid, "gaussian-iid(k=16)",
+     0x8be0d230d8778e65ULL, 0x4012969f45fa04f5ULL,
+     0x3ff6f4f5ec756754ULL, 0x3ff2000000000000ULL},
+    {TransformKind::kFjlt, "fjlt(k=16,q=0.8505)",
+     0x3d7f526910341ce0ULL, 0x400e0bcf4eb8b556ULL,
+     0x3ff35d0880d58ad5ULL, 0x3ff2c213766f98eaULL},
+    {TransformKind::kSjltBlock, "sjlt-block(k=16,s=4)",
+     0x41a920187ea8a6e5ULL, 0x4000000000000000ULL,
+     0x3ff0000000000000ULL, 0x3fec000000000000ULL},
+    {TransformKind::kSjltGraph, "sjlt-graph(k=16,s=4)",
+     0x6574c67e11f444e5ULL, 0x4000000000000000ULL,
+     0x3ff0000000000000ULL, 0x3fec000000000000ULL},
+    {TransformKind::kAchlioptas, "achlioptas(k=16)",
+     0xd24addc9b13c1465ULL, 0x4011520cd1372feaULL,
+     0x3ff5e8add236a58fULL, 0x3ff2000000000000ULL},
+    {TransformKind::kSparseUniform, "sparse-uniform(k=16,s=4)",
+     0x925c2994601ad4e5ULL, 0x4000000000000000ULL,
+     0x3ff3988e1409212eULL, 0x3ff1000000000000ULL},
+};
+
+TEST(TransformGoldenTest, MaterializedBytesNameSensitivitiesAndVariance) {
+  constexpr int64_t kGoldenD = 13;
+  constexpr int64_t kGoldenK = 16;
+  constexpr int64_t kGoldenS = 4;
+  constexpr uint64_t kGoldenSeed = 0x5EED0000000014ULL;
+  for (const GoldenCase& c : kGoldenCases) {
+    SCOPED_TRACE(TransformKindName(c.kind));
+    auto t = MakeTransformExplicit(c.kind, kGoldenD, kGoldenK, kGoldenS, kBeta,
+                                   kGoldenSeed)
+                 .value();
+    const DenseMatrix m = t->Materialize();
+    const std::vector<double>& entries = m.data();
+    const uint64_t fnv = SnapshotChecksum(std::string_view(
+        reinterpret_cast<const char*>(entries.data()),
+        entries.size() * sizeof(double)));
+    const Sensitivities sens = t->ExactSensitivities();
+    EXPECT_EQ(Hex(fnv), Hex(c.matrix_fnv));
+    EXPECT_EQ(t->Name(), c.name);
+    EXPECT_EQ(Hex(Bits(sens.l1)), Hex(c.l1_bits));
+    EXPECT_EQ(Hex(Bits(sens.l2)), Hex(c.l2_bits));
+    EXPECT_EQ(Hex(Bits(t->SquaredNormVariance(3.0, 2.0))), Hex(c.variance_bits));
+  }
+}
+
 // ---------- sparse-uniform (with replacement) specifics ----------
 
 TEST(SparseUniformTest, CollisionsRandomizeSensitivities) {
@@ -224,7 +300,8 @@ TEST(SparseUniformTest, CollisionsRandomizeSensitivities) {
   // Kane-Nelson guarantee of exactly 1, and l1 must fall below sqrt(s) on
   // collided columns — the privacy-calibration burden the paper's Section
   // 2.1 discussion attributes to this construction.
-  auto t = SparseUniformJl::Create(kD, kK, kS, kTestSeed).value();
+  auto t =
+      Sjlt::Create(kD, kK, kS, SjltConstruction::kUniform, 8, kTestSeed).value();
   const Sensitivities sens = t->ExactSensitivities();
   EXPECT_GT(sens.l2, 1.0 + 1e-9);
   EXPECT_LE(sens.l2, std::sqrt(static_cast<double>(kS)) + 1e-9);
@@ -232,7 +309,8 @@ TEST(SparseUniformTest, CollisionsRandomizeSensitivities) {
 }
 
 TEST(SparseUniformTest, VarianceStrictlyWorseThanKaneNelson) {
-  auto uniform = SparseUniformJl::Create(kD, kK, kS, kTestSeed).value();
+  auto uniform =
+      Sjlt::Create(kD, kK, kS, SjltConstruction::kUniform, 8, kTestSeed).value();
   auto kn =
       Sjlt::Create(kD, kK, kS, SjltConstruction::kBlock, 8, kTestSeed).value();
   const double z2sq = 5.0;
@@ -242,9 +320,13 @@ TEST(SparseUniformTest, VarianceStrictlyWorseThanKaneNelson) {
 }
 
 TEST(SparseUniformTest, CreateValidates) {
-  EXPECT_FALSE(SparseUniformJl::Create(0, kK, kS, 1).ok());
-  EXPECT_FALSE(SparseUniformJl::Create(kD, 0, kS, 1).ok());
-  EXPECT_FALSE(SparseUniformJl::Create(kD, kK, 0, 1).ok());
+  constexpr SjltConstruction kUniform = SjltConstruction::kUniform;
+  EXPECT_FALSE(Sjlt::Create(0, kK, kS, kUniform, 8, 1).ok());
+  EXPECT_FALSE(Sjlt::Create(kD, 0, kS, kUniform, 8, 1).ok());
+  EXPECT_FALSE(Sjlt::Create(kD, kK, 0, kUniform, 8, 1).ok());
+  // Draws are with replacement and per-column streams, so s > k and any
+  // hash independence are accepted.
+  EXPECT_TRUE(Sjlt::Create(kD, kS - 1, kS, kUniform, 0, 1).ok());
 }
 
 // ---------- SJLT structure ----------
@@ -337,6 +419,11 @@ TEST(SjltTest, CreateValidatesArguments) {
   EXPECT_FALSE(Sjlt::Create(kD, 30, 8, SjltConstruction::kBlock, 8, 1).ok());
   EXPECT_TRUE(Sjlt::Create(kD, 30, 8, SjltConstruction::kGraph, 8, 1).ok());
   EXPECT_FALSE(Sjlt::Create(kD, kK, kS, SjltConstruction::kBlock, 1, 1).ok());
+  // Per-column sampling uses fixed stack buffers; oversized s is refused
+  // at Create rather than aborting on first use.
+  EXPECT_FALSE(Sjlt::Create(kD, 1024, 513, SjltConstruction::kGraph, 8, 1).ok());
+  EXPECT_FALSE(
+      Sjlt::Create(kD, 1024, 513, SjltConstruction::kUniform, 8, 1).ok());
 }
 
 TEST(SjltTest, SparsityOneIsCountSketch) {
@@ -388,7 +475,7 @@ TEST(FjltTest, VarianceFormulaReducesToDenseCaseAtQOne) {
 
 TEST(GaussianJlTest, ColumnNormsConcentrateNearOne) {
   // chi^2_k concentration: with k = 128, column l2 norms live near 1.
-  auto t = GaussianJl::Create(256, 128, kTestSeed).value();
+  auto t = DenseJl::Create(256, 128, DenseEntries::kGaussian, kTestSeed).value();
   const Sensitivities s = t->ExactSensitivities();
   EXPECT_GT(s.l2, 0.8);
   EXPECT_LT(s.l2, 1.6);
@@ -397,14 +484,15 @@ TEST(GaussianJlTest, ColumnNormsConcentrateNearOne) {
 }
 
 TEST(GaussianJlTest, CreateValidates) {
-  EXPECT_FALSE(GaussianJl::Create(0, 4, 1).ok());
-  EXPECT_FALSE(GaussianJl::Create(4, 0, 1).ok());
+  EXPECT_FALSE(DenseJl::Create(0, 4, DenseEntries::kGaussian, 1).ok());
+  EXPECT_FALSE(DenseJl::Create(4, 0, DenseEntries::kGaussian, 1).ok());
+  EXPECT_FALSE(DenseJl::Create(0, 4, DenseEntries::kAchlioptas, 1).ok());
 }
 
 // ---------- Achlioptas specifics ----------
 
 TEST(AchlioptasTest, EntriesFromTernaryAlphabet) {
-  auto t = AchlioptasJl::Create(kD, kK, kTestSeed).value();
+  auto t = DenseJl::Create(kD, kK, DenseEntries::kAchlioptas, kTestSeed).value();
   const DenseMatrix m = t->Materialize();
   const double mag = std::sqrt(3.0 / static_cast<double>(kK));
   int64_t zeros = 0;

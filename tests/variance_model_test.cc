@@ -6,7 +6,7 @@
 
 #include "src/core/variance_model.h"
 #include "src/dp/mechanism.h"
-#include "src/jl/gaussian_jl.h"
+#include "src/jl/dense_jl.h"
 #include "src/jl/sjlt.h"
 #include "tests/test_util.h"
 
@@ -22,7 +22,7 @@ TEST(VarianceModelTest, OutputModelReproducesKenthapadiClosedForm) {
   const int64_t k = 64;
   const double sigma = 1.7;
   const double z2sq = 5.0;
-  auto t = GaussianJl::Create(128, k, kTestSeed).value();
+  auto t = DenseJl::Create(128, k, DenseEntries::kGaussian, kTestSeed).value();
   const VarianceBreakdown v = PredictVarianceOutput(
       *t, NoiseDistribution::Gaussian(sigma), z2sq, /*z4p4=*/1.0);
   EXPECT_TRUE(NearRel(v.total(), KenthapadiVariance(k, sigma, z2sq), 1e-12));

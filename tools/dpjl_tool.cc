@@ -934,24 +934,13 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   }
 }
 
-int CmdClient(const std::string& subcommand,
-              const std::map<std::string, std::string>& flags) {
-  const std::string connect = FlagOr(flags, "connect", "");
-  if (connect.empty()) {
-    Usage(std::cerr);
-    return 2;
-  }
-  auto endpoint = net::ParseEndpoint(connect);
-  if (!endpoint.ok()) {
-    std::cerr << endpoint.status() << "\n";
-    return 1;
-  }
-  auto request = ClientRequestFromFlags(flags, Priority::kInteractive);
-  if (!request.ok()) {
-    std::cerr << request.status() << "\n";
-    return 1;
-  }
-  net::Client client(endpoint->host, endpoint->port);
+/// The read-side subcommands `client` and `route` share: query, range,
+/// batch, estimate and stats. `Backend` is net::Client or net::Router,
+/// whose calls take identical arguments.
+template <typename Backend>
+int RunReadCommand(Backend& backend, const std::string& subcommand,
+                   const std::map<std::string, std::string>& flags,
+                   const RequestOptions& request) {
   if (subcommand == "query" || subcommand == "range") {
     auto sketch = LoadSketch(FlagOr(flags, "sketch", ""));
     if (!sketch.ok()) {
@@ -960,13 +949,13 @@ int CmdClient(const std::string& subcommand,
     }
     const auto neighbors =
         subcommand == "query"
-            ? client.NearestNeighbors(
+            ? backend.NearestNeighbors(
                   *sketch, std::atoll(FlagOr(flags, "top", "5").c_str()),
-                  *request)
-            : client.RangeQuery(
+                  request)
+            : backend.RangeQuery(
                   *sketch,
                   std::atof(FlagOr(flags, "radius-sq", "0").c_str()),
-                  *request);
+                  request);
     if (!neighbors.ok()) {
       std::cerr << neighbors.status() << "\n";
       return 1;
@@ -989,8 +978,8 @@ int CmdClient(const std::string& subcommand,
       Usage(std::cerr);
       return 2;
     }
-    const auto lists = client.BatchQuery(
-        probes, std::atoll(FlagOr(flags, "top", "5").c_str()), *request);
+    const auto lists = backend.BatchQuery(
+        probes, std::atoll(FlagOr(flags, "top", "5").c_str()), request);
     if (!lists.ok()) {
       std::cerr << lists.status() << "\n";
       return 1;
@@ -1010,7 +999,7 @@ int CmdClient(const std::string& subcommand,
       Usage(std::cerr);
       return 2;
     }
-    const auto distance = client.SquaredDistance(id_a, id_b, *request);
+    const auto distance = backend.SquaredDistance(id_a, id_b, request);
     if (!distance.ok()) {
       std::cerr << distance.status() << "\n";
       return 1;
@@ -1018,6 +1007,37 @@ int CmdClient(const std::string& subcommand,
     std::printf("squared_distance_estimate\t%.6f\n", *distance);
     return 0;
   }
+  if (subcommand == "stats") {
+    const auto stats = backend.Stats(request);
+    if (!stats.ok()) {
+      std::cerr << stats.status() << "\n";
+      return 1;
+    }
+    std::cout << *stats;
+    return 0;
+  }
+  Usage(std::cerr);
+  return 2;
+}
+
+int CmdClient(const std::string& subcommand,
+              const std::map<std::string, std::string>& flags) {
+  const std::string connect = FlagOr(flags, "connect", "");
+  if (connect.empty()) {
+    Usage(std::cerr);
+    return 2;
+  }
+  auto endpoint = net::ParseEndpoint(connect);
+  if (!endpoint.ok()) {
+    std::cerr << endpoint.status() << "\n";
+    return 1;
+  }
+  auto request = ClientRequestFromFlags(flags, Priority::kInteractive);
+  if (!request.ok()) {
+    std::cerr << request.status() << "\n";
+    return 1;
+  }
+  net::Client client(endpoint->host, endpoint->port);
   if (subcommand == "insert") {
     const std::string id = FlagOr(flags, "id", "");
     auto sketch = LoadSketch(FlagOr(flags, "sketch", ""));
@@ -1037,15 +1057,6 @@ int CmdClient(const std::string& subcommand,
     std::cout << "inserted " << id << "\n";
     return 0;
   }
-  if (subcommand == "stats") {
-    const auto stats = client.Stats(*request);
-    if (!stats.ok()) {
-      std::cerr << stats.status() << "\n";
-      return 1;
-    }
-    std::cout << *stats;
-    return 0;
-  }
   if (subcommand == "ping") {
     if (const Status alive = client.Ping(*request); !alive.ok()) {
       std::cerr << alive << "\n";
@@ -1054,8 +1065,7 @@ int CmdClient(const std::string& subcommand,
     std::cout << "pong\n";
     return 0;
   }
-  Usage(std::cerr);
-  return 2;
+  return RunReadCommand(client, subcommand, flags, *request);
 }
 
 int CmdRoute(const std::string& subcommand,
@@ -1091,83 +1101,7 @@ int CmdRoute(const std::string& subcommand,
     std::cerr << request.status() << "\n";
     return 1;
   }
-  if (subcommand == "query" || subcommand == "range") {
-    auto sketch = LoadSketch(FlagOr(flags, "sketch", ""));
-    if (!sketch.ok()) {
-      std::cerr << sketch.status() << "\n";
-      return 1;
-    }
-    const auto neighbors =
-        subcommand == "query"
-            ? (*router)->NearestNeighbors(
-                  *sketch, std::atoll(FlagOr(flags, "top", "5").c_str()),
-                  *request)
-            : (*router)->RangeQuery(
-                  *sketch,
-                  std::atof(FlagOr(flags, "radius-sq", "0").c_str()),
-                  *request);
-    if (!neighbors.ok()) {
-      std::cerr << neighbors.status() << "\n";
-      return 1;
-    }
-    PrintNeighbors(*neighbors);
-    return 0;
-  }
-  if (subcommand == "batch") {
-    std::vector<PrivateSketch> probes;
-    for (const std::string& path :
-         SplitCsvList(FlagOr(flags, "sketches", ""))) {
-      auto sketch = LoadSketch(path);
-      if (!sketch.ok()) {
-        std::cerr << path << ": " << sketch.status() << "\n";
-        return 1;
-      }
-      probes.push_back(std::move(*sketch));
-    }
-    if (probes.empty()) {
-      Usage(std::cerr);
-      return 2;
-    }
-    const auto lists = (*router)->BatchQuery(
-        probes, std::atoll(FlagOr(flags, "top", "5").c_str()), *request);
-    if (!lists.ok()) {
-      std::cerr << lists.status() << "\n";
-      return 1;
-    }
-    for (size_t probe = 0; probe < lists->size(); ++probe) {
-      for (const auto& n : (*lists)[probe]) {
-        std::printf("%zu\t%s\t%.6f\n", probe, n.id.c_str(),
-                    n.squared_distance);
-      }
-    }
-    return 0;
-  }
-  if (subcommand == "estimate") {
-    const std::string id_a = FlagOr(flags, "id-a", "");
-    const std::string id_b = FlagOr(flags, "id-b", "");
-    if (id_a.empty() || id_b.empty()) {
-      Usage(std::cerr);
-      return 2;
-    }
-    const auto distance = (*router)->SquaredDistance(id_a, id_b, *request);
-    if (!distance.ok()) {
-      std::cerr << distance.status() << "\n";
-      return 1;
-    }
-    std::printf("squared_distance_estimate\t%.6f\n", *distance);
-    return 0;
-  }
-  if (subcommand == "stats") {
-    const auto stats = (*router)->Stats(*request);
-    if (!stats.ok()) {
-      std::cerr << stats.status() << "\n";
-      return 1;
-    }
-    std::cout << *stats;
-    return 0;
-  }
-  Usage(std::cerr);
-  return 2;
+  return RunReadCommand(**router, subcommand, flags, *request);
 }
 
 /// A fresh mkdtemp directory under the system temp path, removed with
