@@ -9,6 +9,11 @@
 // engine's index and estimates pairwise divergence between devices there,
 // while tracking the cumulative privacy spend of repeated releases.
 //
+// At d = 2^20 and s = 16 the projection has d*s = 2^24 (row, sign) pairs,
+// above the SJLT's 2^20-pair table bound, so each update recomputes its
+// column's pairs on demand: memory stays O(k) per device instead of a
+// 256 MiB pattern table.
+//
 // Build & run:  ./build/examples/streaming_updates
 
 #include <iostream>

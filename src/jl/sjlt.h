@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/common/result.h"
@@ -43,16 +42,24 @@ enum class SjltConstruction {
 /// strictly worse by the collision term. Collisions also make its column
 /// norms RANDOM: a same-sign collision stacks 2/sqrt(s) into one row,
 /// pushing ||column||_2 above 1 (up to sqrt(s)) and ||column||_1 below
-/// sqrt(s). Its sensitivities are therefore scanned exactly (O(ds),
-/// cached) — the same calibration burden as the dense baselines, and the
-/// concrete reason Theorem 3 builds on Kane–Nelson. s may exceed k.
+/// sqrt(s). Its sensitivities are therefore scanned exactly over every
+/// column at Create (O(ds)) — the same calibration burden as the dense
+/// baselines, and the concrete reason Theorem 3 builds on Kane–Nelson.
+/// s may exceed k.
 ///
 /// Block construction hashes are drawn from a `wise`-wise independent
 /// polynomial family (the paper requires Omega(log(1/beta))-wise); graph
 /// and uniform derive an independent per-column stream.
 ///
 /// Costs: Apply is O(s ||x||_0); AccumulateColumn is O(s) — Theorem 3(4)'s
-/// streaming update; sensitivities are O(1) for block and graph.
+/// streaming update; sensitivities are O(1) after Create. A column's s
+/// (row, sign) pairs cost 2s degree-(wise-1) hash evaluations (block) or
+/// an s-draw RNG stream (graph, uniform), far more than the s
+/// multiply-adds that use them, so Create tabulates every column once:
+/// 16 bytes per pair, d*s pairs, built only while d*s <= 2^20 (16 MiB).
+/// Above that bound (huge key spaces such as streaming histograms) each
+/// column's pairs are recomputed on demand by the same code, so the map
+/// is identical either way; only the apply cost differs.
 class Sjlt : public LinearTransform {
  public:
   /// `k` must be a multiple of `s` for kBlock (use RoundUpToMultiple);
@@ -66,9 +73,9 @@ class Sjlt : public LinearTransform {
   int64_t input_dim() const override { return d_; }
   int64_t output_dim() const override { return k_; }
   std::vector<double> Apply(const std::vector<double>& x) const override;
-  /// Matrix-form apply: the (row, sign) pattern of each column is computed
-  /// once and applied to all kSketchBlockWidth lanes, amortizing the hash
-  /// evaluations (the dominant cost) across the micro-block.
+  /// Matrix-form apply: each column's (row, sign) pairs are read (or, above
+  /// the table bound, computed) once and applied to all kSketchBlockWidth
+  /// lanes by one sjlt_column_block kernel call.
   void ApplyBlock(const std::vector<double>* xs, int64_t count,
                   std::vector<double>* ys,
                   std::vector<double>* scratch) const override;
@@ -76,8 +83,8 @@ class Sjlt : public LinearTransform {
   void AccumulateColumn(int64_t j, double weight,
                         std::vector<double>* y) const override;
   int64_t column_cost() const override { return s_; }
-  /// O(1) {sqrt(s), 1} by construction for block and graph; an exact
-  /// O(ds) column scan, cached, for uniform.
+  /// {sqrt(s), 1} by construction for block and graph; for uniform the
+  /// exact column scan made at Create.
   Sensitivities ExactSensitivities() const override;
   double SquaredNormVariance(double z_norm2_sq, double z_norm4_pow4) const override;
   std::string Name() const override;
@@ -89,9 +96,15 @@ class Sjlt : public LinearTransform {
   Sjlt(int64_t d, int64_t k, int64_t s, SjltConstruction construction,
        uint64_t seed);
 
-  // Writes the s (row, sign) pairs of column j for the graph and uniform
-  // constructions.
-  void SampleColumn(int64_t j, int64_t* rows, double* signs) const;
+  // Writes pairs [r0, r0 + n) of column j's s (row, sign) pairs. Graph and
+  // uniform draw a column as one RNG stream, so for them r0 == 0 and n == s.
+  void FillColumn(int64_t j, int64_t r0, int64_t n, int64_t* rows,
+                  double* signs) const;
+
+  // Calls fn(rows, signs, n) over column j's pairs in ascending pair order:
+  // once on the table when it is built, else on chunks filled on demand.
+  template <typename Fn>
+  void ForEachColumnChunk(int64_t j, Fn&& fn) const;
 
   int64_t d_;
   int64_t k_;
@@ -102,8 +115,11 @@ class Sjlt : public LinearTransform {
   // Block construction: s row hashes and s sign hashes.
   std::vector<KwiseHash> row_hashes_;
   std::vector<KwiseHash> sign_hashes_;
-  // Uniform construction: the lazily scanned sensitivities.
-  mutable std::optional<Sensitivities> cached_sensitivities_;
+  // Column-major pattern table (column j at [j*s, (j+1)*s)); empty above
+  // the table bound.
+  std::vector<int64_t> table_rows_;
+  std::vector<double> table_signs_;
+  Sensitivities sensitivities_;
 };
 
 }  // namespace dpjl

@@ -68,8 +68,9 @@ class LinearTransform {
   virtual int64_t column_cost() const = 0;
 
   /// Exact sensitivities (Definition 3). Structural O(1) for the block and
-  /// graph SJLT; a column scan, computed once and cached, for transforms
-  /// without bounded columns — the initialization cost of Section 2.1.1.
+  /// graph SJLT; a column scan for transforms without bounded columns —
+  /// the initialization cost of Section 2.1.1 — made at Create for the
+  /// uniform SJLT and on first call, then cached, for DenseJl and Fjlt.
   virtual Sensitivities ExactSensitivities() const = 0;
 
   /// Exact Var[ ||S z||_2^2 ] as a function of ||z||_2^2 and ||z||_4^4,

@@ -434,6 +434,78 @@ TEST(SjltTest, SparsityOneIsCountSketch) {
   EXPECT_DOUBLE_EQ(s.l2, 1.0);
 }
 
+// ---------- SJLT pattern table vs on-demand columns ----------
+
+// Create tabulates every column's (row, sign) pairs only while d*s <= 2^20
+// and recomputes them per use above that. Column patterns depend on
+// (construction, k, s, seed, j) and not on d, so a transform with d*s above
+// the bound and a small-d one with the same seed must agree bit for bit on
+// their shared columns through every apply path.
+struct TableBoundCase {
+  const char* name;
+  SjltConstruction construction;
+  int64_t k;
+  int64_t s;  // 600 > the 512-pair on-demand chunk: columns fill in chunks
+};
+
+void PrintTo(const TableBoundCase& c, std::ostream* os) { *os << c.name; }
+
+class SjltTableBoundTest : public ::testing::TestWithParam<TableBoundCase> {};
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_P(SjltTableBoundTest, OnDemandColumnsMatchTabulatedColumns) {
+  const TableBoundCase& c = GetParam();
+  const int64_t d_big = (int64_t{1} << 20) / c.s + 1;
+  auto big = Sjlt::Create(d_big, c.k, c.s, c.construction, 8, kTestSeed).value();
+  auto small = Sjlt::Create(kD, c.k, c.s, c.construction, 8, kTestSeed).value();
+
+  for (int64_t j = 0; j < kD; ++j) {
+    std::vector<double> yb(static_cast<size_t>(c.k), 0.0);
+    std::vector<double> ys(static_cast<size_t>(c.k), 0.0);
+    big->AccumulateColumn(j, -1.75, &yb);
+    small->AccumulateColumn(j, -1.75, &ys);
+    ASSERT_TRUE(BitIdentical(yb, ys)) << "column " << j;
+  }
+
+  Rng rng(kTestSeed);
+  constexpr int64_t kCount = kSketchBlockWidth + 3;  // one full block + tail
+  std::vector<std::vector<double>> xs_big(kCount);
+  std::vector<std::vector<double>> xs_small(kCount);
+  for (int64_t i = 0; i < kCount; ++i) {
+    const SparseVector x = RandomSparseVector(kD, 9, 1.0, &rng);
+    xs_small[i] = x.ToDense();
+    xs_big[i] = xs_small[i];
+    xs_big[i].resize(static_cast<size_t>(d_big), 0.0);
+    const SparseVector x_big(d_big, x.entries());
+    const std::vector<double> expect = small->ApplySparse(x);
+    EXPECT_TRUE(BitIdentical(big->ApplySparse(x_big), expect)) << "item " << i;
+    EXPECT_TRUE(BitIdentical(small->Apply(xs_small[i]), expect)) << "item " << i;
+  }
+  std::vector<std::vector<double>> ys_big(kCount);
+  std::vector<std::vector<double>> ys_small(kCount);
+  std::vector<double> scratch;
+  big->ApplyBlock(xs_big.data(), kCount, ys_big.data(), &scratch);
+  small->ApplyBlock(xs_small.data(), kCount, ys_small.data(), &scratch);
+  for (int64_t i = 0; i < kCount; ++i) {
+    EXPECT_TRUE(BitIdentical(ys_big[i], ys_small[i])) << "item " << i;
+    EXPECT_TRUE(BitIdentical(ys_small[i], small->Apply(xs_small[i])))
+        << "item " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConstructions, SjltTableBoundTest,
+    ::testing::Values(
+        TableBoundCase{"block", SjltConstruction::kBlock, kK, kS},
+        TableBoundCase{"graph", SjltConstruction::kGraph, kK, kS},
+        TableBoundCase{"uniform", SjltConstruction::kUniform, kK, kS},
+        TableBoundCase{"block_wide", SjltConstruction::kBlock, 1200, 600}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // ---------- FJLT specifics ----------
 
 TEST(FjltTest, PadsNonPowerOfTwoDimensions) {

@@ -3,7 +3,8 @@
 # dpjl_tool so every stage is a separate OS process (the distributed
 # deployment shape, minus the network):
 #
-#   1. sketch-batch builds the monolithic corpus index,
+#   1. sketch-batch builds the monolithic corpus index, and index-add (one
+#      process per sketch) must rebuild it byte for byte,
 #   2. index export-shards splits it into partition snapshots + manifest,
 #   3. index merge-shards (a separate process) reassembles them — the
 #      merged snapshot must be byte-identical to the monolithic one,
@@ -34,6 +35,13 @@ done
 "$tool" sketch-batch --input "$dir/matrix.csv" --output-prefix "$dir/row" \
   --base-noise-seed 404 --epsilon 8 --seed 3 --index "$dir/mono.idx" \
   2> /dev/null
+
+for ((i = 0; i < rows; i++)); do
+  "$tool" index-add --index "$dir/added.idx" --id "row$i" \
+    --sketch "$dir/row$i.sketch" > /dev/null
+done
+cmp "$dir/mono.idx" "$dir/added.idx" \
+  || { echo "FAIL: index-add snapshot differs from sketch-batch --index"; exit 1; }
 
 "$tool" query --index "$dir/mono.idx" --sketch "$dir/row0.sketch" --top 5 \
   > "$dir/mono.out" 2> /dev/null

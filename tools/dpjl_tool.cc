@@ -1132,7 +1132,9 @@ int CmdSelftest() {
   // End-to-end: write two CSVs, sketch both, estimate, and check the
   // estimate against a bound calibrated from the library's own variance
   // model. Seeds are fixed, so the run is fully deterministic. Each run
-  // works in its own temp dir, so concurrent selftests never collide.
+  // works in its own temp dir, so concurrent selftests never collide. The
+  // index, batch, partition and serving paths have their own ctests
+  // (partition_roundtrip.sh, serve_roundtrip.sh, engine_test).
   const ScopedTempDir temp("dpjl_tool_selftest");
   if (temp.path().empty()) {
     std::cerr << "selftest FAILED: cannot create a temp directory\n";
@@ -1205,215 +1207,6 @@ int CmdSelftest() {
     std::cerr << "selftest FAILED: |" << est << " - " << truth_z2sq
               << "| exceeds calibrated half-width " << halfwidth << "\n";
     return 1;
-  }
-
-  // Index round trip through the file-based subcommands.
-  std::remove((dir + "/corpus.index").c_str());
-  rc = CmdIndexAdd({{"index", dir + "/corpus.index"},
-                    {"id", "a"},
-                    {"sketch", dir + "/a.sketch"}});
-  if (rc != 0) return rc;
-  rc = CmdIndexAdd({{"index", dir + "/corpus.index"},
-                    {"id", "b"},
-                    {"sketch", dir + "/b.sketch"}});
-  if (rc != 0) return rc;
-  rc = CmdIndexQuery({{"index", dir + "/corpus.index"},
-                      {"sketch", dir + "/a.sketch"},
-                      {"top", "2"}});
-  if (rc != 0) return rc;
-
-  // The corpus query must rank a's own sketch ahead of b's: at eps = 50
-  // the self-distance noise is far smaller than the 64 separating a and b.
-  auto index = SketchIndex::Deserialize(*ReadFile(dir + "/corpus.index"));
-  if (!index.ok()) return 1;
-  auto neighbors = index->NearestNeighbors(*a, 2);
-  if (!neighbors.ok() || neighbors->size() != 2 ||
-      (*neighbors)[0].id != "a" ||
-      (*neighbors)[0].squared_distance >= (*neighbors)[1].squared_distance) {
-    std::cerr << "selftest FAILED: corpus query did not rank the query's own "
-                 "sketch first\n";
-    return 1;
-  }
-
-  // Batch mode: sketch-batch over the two vectors as a 2-row matrix must
-  // reproduce, byte for byte, the serial per-item releases under the
-  // documented seed-derivation contract, at any thread count.
-  {
-    std::ifstream a_in(dir + "/a.csv");
-    std::ifstream b_in(dir + "/b.csv");
-    std::ostringstream matrix;
-    matrix << a_in.rdbuf() << "\n" << b_in.rdbuf() << "\n";
-    if (!WriteFile(dir + "/matrix.csv", matrix.str()).ok()) return 1;
-  }
-  rc = CmdSketchBatch({{"input", dir + "/matrix.csv"},
-                       {"output-prefix", dir + "/row"},
-                       {"base-noise-seed", "303"},
-                       {"threads", "2"},
-                       {"epsilon", epsilon},
-                       {"seed", seed},
-                       {"index", dir + "/batch.index"}});
-  if (rc != 0) return rc;
-  // The bulk-ingested index must round-trip and rank row0 (the query's own
-  // sketch) first, exactly like the per-Add index above.
-  rc = CmdIndexQuery({{"index", dir + "/batch.index"},
-                      {"sketch", dir + "/row0.sketch"},
-                      {"top", "2"},
-                      {"priority", "interactive"},
-                      {"tenant", "selftest"}});
-  if (rc != 0) return rc;
-  {
-    auto batch_index = SketchIndex::Deserialize(*ReadFile(dir + "/batch.index"));
-    auto row0 = PrivateSketch::Deserialize(*ReadFile(dir + "/row0.sketch"));
-    if (!batch_index.ok() || !row0.ok()) return 1;
-    auto ranked = batch_index->NearestNeighbors(*row0, 2);
-    if (!ranked.ok() || ranked->size() != 2 || (*ranked)[0].id != "row0") {
-      std::cerr << "selftest FAILED: bulk-ingested index did not rank the "
-                   "query's own sketch first\n";
-      return 1;
-    }
-  }
-  for (int64_t i = 0; i < 2; ++i) {
-    auto batch_bytes = ReadFile(dir + "/row" + std::to_string(i) + ".sketch");
-    if (!batch_bytes.ok()) return 1;
-    auto row = ReadCsvVector(i == 0 ? dir + "/a.csv" : dir + "/b.csv");
-    if (!row.ok()) return 1;
-    const PrivateSketch serial =
-        (*engine)->Sketch(*row, BatchItemNoiseSeed(303, i));
-    if (*batch_bytes != serial.Serialize()) {
-      std::cerr << "selftest FAILED: sketch-batch row " << i
-                << " differs from the serial release\n";
-      return 1;
-    }
-  }
-
-  // Partitioned persistence round trip through the file-based
-  // subcommands: export the batch corpus as two shards, merge them back,
-  // and require the merged snapshot byte-identical to the original — then
-  // serve the query directly from the partition files and require the
-  // ranking identical to the monolithic one.
-  rc = CmdIndexExportShards({{"index", dir + "/batch.index"},
-                             {"output-prefix", dir + "/shard."},
-                             {"partitions", "2"}});
-  if (rc != 0) return rc;
-  rc = CmdIndexMergeShards(
-      {{"manifest", dir + "/shard.manifest"},
-       {"parts", dir + "/shard.0.part," + dir + "/shard.1.part"},
-       {"output", dir + "/merged.index"}});
-  if (rc != 0) return rc;
-  if (*ReadFile(dir + "/merged.index") != *ReadFile(dir + "/batch.index")) {
-    std::cerr << "selftest FAILED: merged shards differ from the original "
-                 "index snapshot\n";
-    return 1;
-  }
-  rc = CmdIndexQuery(
-      {{"partitions", dir + "/shard.0.part," + dir + "/shard.1.part"},
-       {"sketch", dir + "/row0.sketch"},
-       {"top", "2"}});
-  if (rc != 0) return rc;
-  rc = CmdIndexInspect({{"manifest", dir + "/shard.manifest"}});
-  if (rc != 0) return rc;
-  {
-    auto batch_index =
-        SketchIndex::Deserialize(*ReadFile(dir + "/batch.index"));
-    auto row0 = PrivateSketch::Deserialize(*ReadFile(dir + "/row0.sketch"));
-    if (!batch_index.ok() || !row0.ok()) return 1;
-    const auto monolithic = batch_index->NearestNeighbors(*row0, 2);
-    auto options_partitioned = OptionsFromFlags({{"threads", "2"}});
-    if (!options_partitioned.ok()) return 1;
-    auto server = Engine::FromIndex(SketchIndex(), *options_partitioned);
-    if (!server.ok()) return 1;
-    for (const std::string& part_path :
-         {dir + "/shard.0.part", dir + "/shard.1.part"}) {
-      auto part = SketchIndex::Deserialize(*ReadFile(part_path));
-      if (!part.ok() ||
-          !(*server)->AttachPartition(std::move(part).value()).ok()) {
-        std::cerr << "selftest FAILED: partition attach\n";
-        return 1;
-      }
-    }
-    const auto scattered = (*server)->NearestNeighbors(*row0, 2);
-    if (!monolithic.ok() || !scattered.ok() ||
-        scattered->size() != monolithic->size()) {
-      std::cerr << "selftest FAILED: partitioned query\n";
-      return 1;
-    }
-    for (size_t i = 0; i < monolithic->size(); ++i) {
-      if ((*scattered)[i].id != (*monolithic)[i].id ||
-          (*scattered)[i].squared_distance !=
-              (*monolithic)[i].squared_distance) {
-        std::cerr << "selftest FAILED: partitioned query differs from the "
-                     "monolithic index\n";
-        return 1;
-      }
-    }
-  }
-
-  // Serving facade: a threaded engine over the same index must reproduce
-  // the serial query byte for byte, both through the sync call and through
-  // the async submission path.
-  {
-    auto serve_options = OptionsFromFlags({{"threads", "2"}});
-    if (!serve_options.ok()) return 1;
-    auto server = Engine::FromIndex(std::move(index).value(), *serve_options);
-    if (!server.ok()) {
-      std::cerr << server.status() << "\n";
-      return 1;
-    }
-    const auto check = [&](const Result<std::vector<SketchIndex::Neighbor>>&
-                               got) {
-      if (!got.ok() || got->size() != neighbors->size()) return false;
-      for (size_t i = 0; i < neighbors->size(); ++i) {
-        if ((*got)[i].id != (*neighbors)[i].id ||
-            (*got)[i].squared_distance != (*neighbors)[i].squared_distance) {
-          return false;
-        }
-      }
-      return true;
-    };
-    if (!check((*server)->NearestNeighbors(*a, 2))) {
-      std::cerr << "selftest FAILED: engine query differs from serial\n";
-      return 1;
-    }
-    if (!check((*server)->SubmitQuery(*a, 2).Get())) {
-      std::cerr << "selftest FAILED: async engine query differs from serial\n";
-      return 1;
-    }
-    const auto async_est = (*server)->SubmitEstimate("a", "b").Get();
-    const auto sync_est = (*server)->SquaredDistance("a", "b");
-    if (!async_est.ok() || !sync_est.ok() || *async_est != *sync_est) {
-      std::cerr << "selftest FAILED: async estimate differs from sync\n";
-      return 1;
-    }
-
-    // Batched submission: one admission, two probes, byte-identical to the
-    // individual submissions — and the scheduler counted everything.
-    RequestOptions batch_request;
-    batch_request.priority = Priority::kBatch;
-    batch_request.tenant = "selftest";
-    const auto batched =
-        (*server)
-            ->SubmitQueryBatch({*a, *b}, 2, batch_request)
-            .Get();
-    const auto individual_b = (*server)->SubmitQuery(*b, 2).Get();
-    if (!batched.ok() || batched->size() != 2 || !check((*batched)[0]) ||
-        !individual_b.ok() || (*batched)[1].size() != individual_b->size() ||
-        (*batched)[1][0].id != (*individual_b)[0].id ||
-        (*batched)[1][0].squared_distance !=
-            (*individual_b)[0].squared_distance) {
-      std::cerr << "selftest FAILED: batched query differs from individual\n";
-      return 1;
-    }
-    // A tenant's quota slot is held until its work completes (in-flight
-    // accounting), and release happens just after the future resolves —
-    // drain the backlog before auditing the counters.
-    (*server)->WaitIdle();
-    const EngineStats stats = (*server)->Stats();
-    if (stats.lane(Priority::kBatch).served < 1 ||
-        stats.lane(Priority::kInteractive).served < 1 ||
-        !stats.queue.tenant_usage.empty()) {
-      std::cerr << "selftest FAILED: engine stats inconsistent with traffic\n";
-      return 1;
-    }
   }
 
   std::cout << "selftest ok\n";
