@@ -491,35 +491,15 @@ Engine::SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
   return Submit<std::vector<std::vector<SketchIndex::Neighbor>>>(
       [this, queries = std::move(queries), top_n](const CancelToken& cancel)
           -> Result<std::vector<std::vector<SketchIndex::Neighbor>>> {
-        // One read-lock acquisition for the whole batch; probes fan across
-        // the pool with the deterministic chunking. Each probe's scan runs
-        // serially (no nested ParallelFor) — by the index's determinism
-        // contract the result is byte-identical to the pool-parallel scan
-        // a lone SubmitQuery performs. The cancel token is polled per
-        // probe, so cancelling a large batch stops its remaining probes,
-        // not just its queue admission.
+        // One read-lock acquisition and one tiled pass over the arenas for
+        // the whole batch: each column block is loaded once and scored
+        // against every probe, with the pool splitting the blocks exactly
+        // as for a lone SubmitQuery, so result[i] is byte-identical to it.
+        // The cancel token is polled before the scan; a cancelled batch
+        // resolves kCancelled.
+        if (cancel.Cancelled()) return Status::Cancelled(kCancelledBeforeScan);
         ReaderLock lock(index_mutex_);
-        const int64_t n = static_cast<int64_t>(queries.size());
-        std::vector<std::vector<SketchIndex::Neighbor>> results(queries.size());
-        std::vector<Status> probe_status(queries.size());
-        ThreadPool::Run(pool_.get(), 0, n, 1, [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            const size_t slot = static_cast<size_t>(i);
-            if (cancel.Cancelled()) {
-              probe_status[slot] = Status::Cancelled(kCancelledBeforeScan);
-              continue;
-            }
-            auto probe = index_.NearestNeighbors(queries[slot], top_n,
-                                                 /*pool=*/nullptr);
-            if (!probe.ok()) {
-              probe_status[slot] = probe.status();
-              continue;
-            }
-            results[slot] = std::move(*probe);
-          }
-        });
-        for (const Status& status : probe_status) DPJL_RETURN_IF_ERROR(status);
-        return results;
+        return index_.NearestNeighborsBatch(queries, top_n, pool_.get());
       },
       request);
 }

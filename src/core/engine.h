@@ -389,10 +389,13 @@ class Engine {
       const RequestOptions& request = {});
 
   /// Many probes, one admission: the batch occupies a single queue slot
-  /// (one quota unit, one queue hop) and, once popped, fans the probes
-  /// across the thread pool with the same deterministic chunking every
+  /// (one quota unit, one queue hop) and, once popped, runs as one tiled
+  /// pass over the index (SketchIndex::NearestNeighborsBatch): each column
+  /// block is loaded once and scored against every probe, with the thread
+  /// pool splitting the blocks by the same deterministic chunking every
   /// parallel path uses. result[i] is byte-identical to
-  /// `SubmitQuery(queries[i], top_n)` at any thread count.
+  /// `SubmitQuery(queries[i], top_n)` at any thread count. Cancellation is
+  /// polled before the scan starts; a cancelled batch resolves kCancelled.
   EngineFuture<std::vector<std::vector<SketchIndex::Neighbor>>>
   SubmitQueryBatch(std::vector<PrivateSketch> queries, int64_t top_n,
                    const RequestOptions& request = {});

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/jl/transform.h"
-#include "src/linalg/kernels.h"
 
 namespace dpjl {
 
@@ -32,18 +30,6 @@ Result<double> EstimateSquaredDistance(const PrivateSketch& a,
     diff_sq += diff * diff;
   }
   return diff_sq - a.metadata().noise_center - b.metadata().noise_center;
-}
-
-void EstimateSquaredDistanceBlock(const double* query, int64_t k,
-                                  double query_center, const double* block,
-                                  const double* candidate_centers,
-                                  int64_t width, double* out) {
-  // The kernel always runs the full kSketchBlockWidth lane stride (that is
-  // the storage layout); only the width live lanes get the center epilogue.
-  Kernels().squared_distance_block(query, block, k, kSketchBlockWidth, out);
-  for (int64_t t = 0; t < width; ++t) {
-    out[t] = out[t] - query_center - candidate_centers[t];
-  }
 }
 
 double EstimateSquaredNorm(const PrivateSketch& a) {

@@ -7,6 +7,7 @@
 #include "src/common/top_k.h"
 #include "src/core/estimators.h"
 #include "src/jl/transform.h"
+#include "src/linalg/kernels.h"
 
 namespace dpjl {
 
@@ -43,6 +44,29 @@ int64_t ScanGrain(int64_t blocks, const ThreadPool* pool) {
   }
   const int64_t chunks = 4 * static_cast<int64_t>(pool->num_threads());
   return std::max(kMinScanGrainBlocks, (blocks + chunks - 1) / chunks);
+}
+
+/// Scores `nq` probes against one arena block: for each probe p and live
+/// lane t < width,
+///   dist[p * W + t] = (sum_j (probes[p][j] - block[j*W + t])^2
+///                      - probe_centers[p]) - candidate_centers[t],
+/// with W = kSketchBlockWidth — the per-pair estimator's operation order
+/// (ascending j, one accumulator, multiply-then-add, centers subtracted
+/// query-first), so every distance is byte-identical to
+/// EstimateSquaredDistance in every kernel dispatch mode. The kernel runs
+/// the full W-lane stride of the storage layout; lanes >= width are
+/// scratch (zero-padded candidates leave garbage there).
+void EstimateBlock(const KernelOps& ops, const double* const* probes,
+                   const double* probe_centers, int64_t nq, int64_t k,
+                   const double* block, const double* candidate_centers,
+                   int64_t width, double* dist) {
+  ops.squared_distance_tile(probes, nq, block, k, kSketchBlockWidth, dist);
+  for (int64_t p = 0; p < nq; ++p) {
+    double* row = dist + p * kSketchBlockWidth;
+    for (int64_t t = 0; t < width; ++t) {
+      row[t] = row[t] - probe_centers[p] - candidate_centers[t];
+    }
+  }
 }
 
 }  // namespace
@@ -209,24 +233,32 @@ Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
 }
 
 template <typename Sink, typename MakeSink, typename Visit>
-std::vector<Sink> SketchIndex::ScanChunks(const PrivateSketch& query,
-                                          ThreadPool* pool,
-                                          const MakeSink& make_sink,
-                                          const Visit& visit) const {
+std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
+    const PrivateSketch* queries, int64_t num_queries, ThreadPool* pool,
+    const MakeSink& make_sink, const Visit& visit) const {
   // Global block numbering runs through the segments in order; chunk c
   // covers blocks [c * grain, (c + 1) * grain) and may span segments.
   int64_t blocks = 0;
   for (const Segment& segment : segments_) blocks += segment.num_blocks();
   const int64_t grain = ScanGrain(blocks, pool);
-  std::vector<Sink> sinks;
-  for (int64_t c = 0; c < (blocks + grain - 1) / grain; ++c) {
-    sinks.push_back(make_sink());
+  const int64_t chunks = (blocks + grain - 1) / grain;
+  std::vector<const double*> probes;
+  std::vector<double> probe_centers;
+  probes.reserve(static_cast<size_t>(num_queries));
+  probe_centers.reserve(static_cast<size_t>(num_queries));
+  std::vector<std::vector<Sink>> sinks(static_cast<size_t>(num_queries));
+  for (int64_t p = 0; p < num_queries; ++p) {
+    probes.push_back(queries[p].values().data());
+    probe_centers.push_back(queries[p].metadata().noise_center);
+    for (int64_t c = 0; c < chunks; ++c) {
+      sinks[static_cast<size_t>(p)].push_back(make_sink());
+    }
   }
-  const double* q = query.values().data();
-  const double query_center = query.metadata().noise_center;
   ThreadPool::Run(pool, 0, blocks, grain, [&](int64_t begin, int64_t end) {
-    Sink& sink = sinks[static_cast<size_t>(begin / grain)];
-    double dist[kSketchBlockWidth];
+    const size_t chunk = static_cast<size_t>(begin / grain);
+    const KernelOps& ops = Kernels();
+    std::vector<double> dist(static_cast<size_t>(num_queries) *
+                             kSketchBlockWidth);
     int64_t first = 0;  // global number of the segment's first block
     for (const Segment& segment : segments_) {
       const int64_t last = std::min(end, first + segment.num_blocks());
@@ -234,12 +266,17 @@ std::vector<Sink> SketchIndex::ScanChunks(const PrivateSketch& query,
         const int64_t base = (b - first) * kSketchBlockWidth;
         const int64_t width =
             std::min<int64_t>(kSketchBlockWidth, segment.size() - base);
-        EstimateSquaredDistanceBlock(q, segment.dim, query_center,
-                                     segment.BlockAt(b - first),
-                                     segment.noise_centers.data() + base,
-                                     width, dist);
-        for (int64_t t = 0; t < width; ++t) {
-          visit(sink, segment, base + t, dist[t]);
+        // One load of the block serves every probe.
+        EstimateBlock(ops, probes.data(), probe_centers.data(), num_queries,
+                      segment.dim, segment.BlockAt(b - first),
+                      segment.noise_centers.data() + base, width,
+                      dist.data());
+        for (int64_t p = 0; p < num_queries; ++p) {
+          Sink& sink = sinks[static_cast<size_t>(p)][chunk];
+          const double* row = dist.data() + p * kSketchBlockWidth;
+          for (int64_t t = 0; t < width; ++t) {
+            visit(sink, segment, base + t, row[t]);
+          }
         }
       }
       first += segment.num_blocks();
@@ -250,15 +287,35 @@ std::vector<Sink> SketchIndex::ScanChunks(const PrivateSketch& query,
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
     const PrivateSketch& query, int64_t top_n, ThreadPool* pool) const {
+  DPJL_ASSIGN_OR_RETURN(std::vector<std::vector<Neighbor>> results,
+                        NearestNeighborsOf(&query, 1, top_n, pool));
+  return std::move(results.front());
+}
+
+Result<std::vector<std::vector<SketchIndex::Neighbor>>>
+SketchIndex::NearestNeighborsBatch(const std::vector<PrivateSketch>& queries,
+                                   int64_t top_n, ThreadPool* pool) const {
+  return NearestNeighborsOf(queries.data(),
+                            static_cast<int64_t>(queries.size()), top_n, pool);
+}
+
+Result<std::vector<std::vector<SketchIndex::Neighbor>>>
+SketchIndex::NearestNeighborsOf(const PrivateSketch* queries,
+                                int64_t num_queries, int64_t top_n,
+                                ThreadPool* pool) const {
   if (top_n < 1) {
     return Status::InvalidArgument("top_n must be >= 1");
   }
-  DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
-  // Each chunk keeps its own bounded top_n of (distance, row) candidates,
-  // ordered by (distance, id) — never by row, so the kept set cannot
-  // depend on where chunk or segment boundaries fall. The global top_n is
-  // contained in the union of the per-chunk sets, so merging them equals
-  // sorting every distance and truncating.
+  for (int64_t p = 0; p < num_queries; ++p) {
+    DPJL_RETURN_IF_ERROR(CheckQueryCompatible(queries[p]));
+  }
+  std::vector<std::vector<Neighbor>> results;
+  if (num_queries == 0) return results;
+  // Each (chunk, probe) keeps its own bounded top_n of (distance, row)
+  // candidates, ordered by (distance, id) — never by row, so the kept set
+  // cannot depend on where chunk or segment boundaries fall. A probe's
+  // global top_n is contained in the union of its per-chunk sets, so
+  // merging them equals sorting every distance and truncating.
   struct Candidate {
     double distance;
     const Segment* segment;
@@ -272,21 +329,25 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
     return a.id() < b.id();
   };
   using TopK = BoundedTopK<Candidate, decltype(less)>;
-  std::vector<TopK> chunks = ScanChunks<TopK>(
-      query, pool, [&] { return TopK(top_n, less); },
+  std::vector<std::vector<TopK>> probes = ScanChunks<TopK>(
+      queries, num_queries, pool, [&] { return TopK(top_n, less); },
       [](TopK& topk, const Segment& segment, int64_t row, double distance) {
         topk.Push(Candidate{distance, &segment, row});
       });
-  std::vector<std::vector<Neighbor>> parts;
-  parts.reserve(chunks.size());
-  for (TopK& topk : chunks) {
-    std::vector<Neighbor> part;
-    for (const Candidate& c : topk.TakeSorted()) {
-      part.push_back(Neighbor{c.id(), c.distance});
+  results.reserve(probes.size());
+  for (std::vector<TopK>& chunks : probes) {
+    std::vector<std::vector<Neighbor>> parts;
+    parts.reserve(chunks.size());
+    for (TopK& topk : chunks) {
+      std::vector<Neighbor> part;
+      for (const Candidate& c : topk.TakeSorted()) {
+        part.push_back(Neighbor{c.id(), c.distance});
+      }
+      parts.push_back(std::move(part));
     }
-    parts.push_back(std::move(part));
+    results.push_back(MergeNeighbors(std::move(parts), top_n));
   }
-  return MergeNeighbors(std::move(parts), top_n);
+  return results;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
@@ -296,17 +357,16 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
   }
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
   using Hits = std::vector<Neighbor>;
-  return MergeNeighbors(
-      ScanChunks<Hits>(
-          query, pool, [] { return Hits(); },
-          [radius_sq](Hits& hits, const Segment& segment, int64_t row,
-                      double distance) {
-            if (distance <= radius_sq) {
-              hits.push_back(
-                  Neighbor{segment.ids[static_cast<size_t>(row)], distance});
-            }
-          }),
-      -1);
+  std::vector<std::vector<Hits>> probes = ScanChunks<Hits>(
+      &query, 1, pool, [] { return Hits(); },
+      [radius_sq](Hits& hits, const Segment& segment, int64_t row,
+                  double distance) {
+        if (distance <= radius_sq) {
+          hits.push_back(
+              Neighbor{segment.ids[static_cast<size_t>(row)], distance});
+        }
+      });
+  return MergeNeighbors(std::move(probes.front()), -1);
 }
 
 std::vector<std::string> SketchIndex::ids() const {
@@ -340,11 +400,12 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
 
   // Row i owns every pair (i, j), j > i, and mirrors it into (j, i); each
   // cell is written by exactly one row task, so rows parallelize freely.
-  // Tiles of kSketchBlockWidth rows walk the arenas' column blocks outer-
-  // loop first, so one block (dim*8 doubles) stays cache-hot across the
-  // whole row tile. Every (row, block) kernel call sees the same lane
-  // inputs regardless of tiling or segment boundaries, and lanes never mix,
-  // so the matrix is chunking-independent.
+  // Tiles of kSketchBlockWidth rows walk the arenas' column blocks, and one
+  // multi-probe kernel call scores a block against the whole row tile, so
+  // each block (dim*8 doubles) is loaded once per tile. Every (row, lane)
+  // accumulator sees the same inputs regardless of tiling or segment
+  // boundaries, and rows and lanes never mix, so the matrix is
+  // chunking-independent.
   ThreadPool::Run(pool, 0, n, kSketchBlockWidth, [&](int64_t begin,
                                                      int64_t end) {
     // The tile's rows (global, in ids() order) as queries.
@@ -360,24 +421,29 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
       }
       first += segment.size();
     }
-    double dist[kSketchBlockWidth];
+    const KernelOps& ops = Kernels();
+    double dist[kSketchBlockWidth * kSketchBlockWidth];
     first = 0;
     for (const Segment& segment : segments_) {
       for (int64_t b = 0; b < segment.num_blocks(); ++b) {
         const int64_t col_base = first + b * kSketchBlockWidth;
         const int64_t col_width = std::min<int64_t>(
             kSketchBlockWidth, segment.size() - b * kSketchBlockWidth);
-        for (int64_t i = begin; i < end; ++i) {
-          if (i + 1 >= col_base + col_width) continue;  // no j > i here
-          EstimateSquaredDistanceBlock(
-              row_values[i - begin], segment.dim, row_centers[i - begin],
-              segment.BlockAt(b),
-              segment.noise_centers.data() + b * kSketchBlockWidth,
-              col_width, dist);
+        // The rows with a pair (i, j > i) in this block are a prefix of
+        // the tile; one tiled kernel call scores all of them.
+        const int64_t rows =
+            std::min(end, col_base + col_width - 1) - begin;
+        if (rows <= 0) continue;
+        EstimateBlock(ops, row_values, row_centers, rows, segment.dim,
+                      segment.BlockAt(b),
+                      segment.noise_centers.data() + b * kSketchBlockWidth,
+                      col_width, dist);
+        for (int64_t i = begin; i < begin + rows; ++i) {
+          const double* row = dist + (i - begin) * kSketchBlockWidth;
           for (int64_t j = std::max(col_base, i + 1);
                j < col_base + col_width; ++j) {
-            matrix.values[static_cast<size_t>(i * n + j)] = dist[j - col_base];
-            matrix.values[static_cast<size_t>(j * n + i)] = dist[j - col_base];
+            matrix.values[static_cast<size_t>(i * n + j)] = row[j - col_base];
+            matrix.values[static_cast<size_t>(j * n + i)] = row[j - col_base];
           }
         }
       }

@@ -33,15 +33,16 @@ namespace dpjl {
 /// DetachSegment drops it again. Every insertion funnels through one append
 /// point, so Deserialize/FromPartitions rebuild the arena for free.
 ///
-/// Queries scan the arenas block by block with the multi-candidate distance
-/// kernels — eight candidates per pass — split into chunks of consecutive
-/// blocks that a ThreadPool runs concurrently. Each chunk keeps its own
-/// (distance, row) selection; ids are materialized only for the rows a
-/// chunk returns, and MergeNeighbors imposes the deterministic
-/// (distance, id) order. The kernels vectorize across candidate lanes only
-/// and never reassociate a reduction, so every query result is
-/// byte-identical to the per-entry scalar scan for any chunking, thread
-/// count or dispatch mode, and `ids()` order, query results and the
+/// Queries scan the arenas block by block with the multi-probe distance
+/// kernel: one load of a block scores its eight candidates against every
+/// probe of a batch. The scan is split into chunks of consecutive blocks
+/// that a ThreadPool runs concurrently. Each chunk keeps its own
+/// (distance, row) selection per probe; ids are materialized only for the
+/// rows a chunk returns, and MergeNeighbors imposes the deterministic
+/// (distance, id) order. The kernels vectorize across candidate lanes and
+/// probes only and never reassociate a reduction, so every query result
+/// is byte-identical to the per-entry scalar scan for any chunking, batch,
+/// thread count or dispatch mode, and `ids()` order, query results and the
 /// serialized format depend on insertion order alone.
 ///
 /// All stored sketches must be mutually compatible (same public
@@ -107,6 +108,16 @@ class SketchIndex {
   Result<std::vector<Neighbor>> NearestNeighbors(const PrivateSketch& query,
                                                  int64_t top_n,
                                                  ThreadPool* pool = nullptr) const;
+
+  /// NearestNeighbors for every query of a batch in one pass over the
+  /// arenas: each column block is loaded once and scored against all
+  /// probes. Every query is checked for compatibility before the scan (the
+  /// first failure is returned); result[i] is byte-identical to
+  /// `NearestNeighbors(queries[i], top_n, pool)`. An empty batch yields an
+  /// empty result.
+  Result<std::vector<std::vector<Neighbor>>> NearestNeighborsBatch(
+      const std::vector<PrivateSketch>& queries, int64_t top_n,
+      ThreadPool* pool = nullptr) const;
 
   /// All stored sketches within estimated squared distance `radius_sq` of
   /// `query`, ascending. The noise floor applies: radii below
@@ -243,14 +254,24 @@ class SketchIndex {
   /// per query standing in for the per-entry checks of a per-pair scan.
   Status CheckQueryCompatible(const PrivateSketch& query) const;
 
-  /// Runs the blocked arena scan of `query` over every segment, split
-  /// into consecutive-block chunks on `pool`, and returns one sink per
-  /// chunk: `visit(sink, segment, row, distance)` sees each row of a
-  /// chunk, in row order, on one thread. Defined in sketch_index.cc.
+  /// Runs the blocked arena scan of `queries[0, num_queries)` over every
+  /// segment, split into consecutive-block chunks on `pool`: each block is
+  /// loaded once and scored against every probe by the multi-probe kernel.
+  /// Returns sinks[probe][chunk]: `visit(sink, segment, row, distance)`
+  /// sees each row of a chunk, in row order, on one thread. Defined in
+  /// sketch_index.cc.
   template <typename Sink, typename MakeSink, typename Visit>
-  std::vector<Sink> ScanChunks(const PrivateSketch& query, ThreadPool* pool,
-                               const MakeSink& make_sink,
-                               const Visit& visit) const;
+  std::vector<std::vector<Sink>> ScanChunks(const PrivateSketch* queries,
+                                            int64_t num_queries,
+                                            ThreadPool* pool,
+                                            const MakeSink& make_sink,
+                                            const Visit& visit) const;
+
+  /// The one nearest-neighbor scan behind NearestNeighbors (one query)
+  /// and NearestNeighborsBatch.
+  Result<std::vector<std::vector<Neighbor>>> NearestNeighborsOf(
+      const PrivateSketch* queries, int64_t num_queries, int64_t top_n,
+      ThreadPool* pool) const;
 
   /// Record stream for the owned rows [begin, end) — the envelope payload
   /// format.

@@ -79,12 +79,7 @@ void DenseJl::AccumulateColumn(int64_t j, double weight,
   }
 }
 
-Sensitivities DenseJl::ExactSensitivities() const {
-  if (!cached_sensitivities_) {
-    cached_sensitivities_ = ComputeSensitivities(matrix_);
-  }
-  return *cached_sensitivities_;
-}
+Sensitivities DenseJl::ExactSensitivities() const { return sensitivities_; }
 
 double DenseJl::SquaredNormVariance(double z_norm2_sq,
                                     double /*z_norm4_pow4*/) const {

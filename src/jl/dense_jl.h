@@ -2,7 +2,6 @@
 #define DPJL_JL_DENSE_JL_H_
 
 #include <memory>
-#include <optional>
 
 #include "src/common/result.h"
 #include "src/jl/transform.h"
@@ -29,10 +28,9 @@ enum class DenseEntries {
 ///
 /// The columns are random vectors, so the l1/l2 column norms (and hence
 /// Delta_1, Delta_2) are *not* bounded a priori — the privacy pitfall of
-/// Section 2.1.1 that the paper's SJLT construction removes.
-/// ExactSensitivities() performs the O(dk) scan once and caches it; this is
-/// the "initialization cost" the comparison experiments charge to these
-/// baselines.
+/// Section 2.1.1 that the paper's SJLT construction removes. Create
+/// performs the O(dk) sensitivity scan once; this is the "initialization
+/// cost" the comparison experiments charge to these baselines.
 class DenseJl : public LinearTransform {
  public:
   /// Builds a k x d transform. d, k >= 1. Memory: O(dk) doubles.
@@ -58,11 +56,13 @@ class DenseJl : public LinearTransform {
 
  private:
   DenseJl(DenseEntries entries, DenseMatrix matrix)
-      : entries_(entries), matrix_(std::move(matrix)) {}
+      : entries_(entries),
+        matrix_(std::move(matrix)),
+        sensitivities_(ComputeSensitivities(matrix_)) {}
 
   DenseEntries entries_;
   DenseMatrix matrix_;
-  mutable std::optional<Sensitivities> cached_sensitivities_;
+  Sensitivities sensitivities_;
 };
 
 }  // namespace dpjl

@@ -26,6 +26,7 @@ Result<std::unique_ptr<Fjlt>> Fjlt::Create(int64_t d, int64_t k, double q,
   t->diagonal_.resize(static_cast<size_t>(d_pad));
   for (double& v : t->diagonal_) v = diag_rng.Rademacher();
   t->BuildP(DeriveSeed(seed, 1));
+  t->sensitivities_ = t->ScanSensitivities();
   return t;
 }
 
@@ -187,8 +188,9 @@ void Fjlt::AccumulateColumn(int64_t j, double weight,
   }
 }
 
-Sensitivities Fjlt::ExactSensitivities() const {
-  if (cached_sensitivities_) return *cached_sensitivities_;
+Sensitivities Fjlt::ExactSensitivities() const { return sensitivities_; }
+
+Sensitivities Fjlt::ScanSensitivities() const {
   // Row i of P*H equals FWHT(row i of P) (normalized): column j of the
   // transform stacks (PH)_{i,j} * D_jj / sqrt(k), and |D_jj| = 1, so the
   // diagonal does not affect column norms.
@@ -214,7 +216,6 @@ Sensitivities Fjlt::ExactSensitivities() const {
     sens.l1 = std::max(sens.l1, l1[j] * inv_sqrt_k);
     sens.l2 = std::max(sens.l2, std::sqrt(l2sq[j]) * inv_sqrt_k);
   }
-  cached_sensitivities_ = sens;
   return sens;
 }
 

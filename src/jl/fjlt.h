@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/common/result.h"
@@ -45,8 +44,8 @@ class Fjlt : public LinearTransform {
                         std::vector<double>* y) const override;
   /// Dominated by the dense P·(column of H) product.
   int64_t column_cost() const override { return k_; }
-  /// Exact, via k FWHTs over the rows of P (O(k d log d)); cached. This is
-  /// the initialization cost of the output-perturbation variant (Note 6).
+  /// Exact, via k FWHTs over the rows of P (O(k d log d)) at Create. This
+  /// is the initialization cost of the output-perturbation variant (Note 6).
   Sensitivities ExactSensitivities() const override;
   /// Exact variance from Lemma 11 (Appendix B.3), evaluated at the padded
   /// dimension:
@@ -84,6 +83,9 @@ class Fjlt : public LinearTransform {
 
   void BuildP(uint64_t seed);
 
+  /// The column-norm scan behind ExactSensitivities; runs once, in Create.
+  Sensitivities ScanSensitivities() const;
+
   /// Shared engine of ApplyBlock / ApplyBlockWithPostHadamardNoise.
   void ApplyBlockImpl(const std::vector<double>* xs, int64_t count,
                       bool add_noise, double noise_stddev, Rng* rngs,
@@ -102,7 +104,7 @@ class Fjlt : public LinearTransform {
   // column_used_[f] == true iff some row of P has a non-zero in column f;
   // only those transformed coordinates need noise in Note 7's variant.
   std::vector<bool> column_used_;
-  mutable std::optional<Sensitivities> cached_sensitivities_;
+  Sensitivities sensitivities_;
 };
 
 }  // namespace dpjl

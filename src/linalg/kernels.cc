@@ -124,6 +124,14 @@ void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
   }
 }
 
+void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
+                               const double* c, int64_t k, int64_t width,
+                               double* out) {
+  for (int64_t p = 0; p < nq; ++p) {
+    SquaredDistanceBlockScalar(q[p], c, k, width, out + p * width);
+  }
+}
+
 void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
                     double* out) {
   for (int64_t t = 0; t < width; ++t) out[t] = 0.0;
@@ -149,6 +157,7 @@ const KernelOps kScalarOps = {
     internal::SjltColumnBlockScalar,
     internal::ScaleScalar,
     internal::SquaredDistanceBlockScalar,
+    internal::SquaredDistanceTileScalar,
     internal::DotBlockScalar,
 };
 

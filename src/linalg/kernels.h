@@ -76,6 +76,17 @@ struct KernelOps {
   void (*squared_distance_block)(const double* q, const double* c, int64_t k,
                                  int64_t width, double* out);
 
+  /// Multi-probe squared distance against one column block: for each probe
+  /// p < nq and lane t, out[p * width + t] = sum_j (q[p][j] - c[j*width + t])^2
+  /// with one accumulator per (probe, lane), advanced in ascending j by
+  /// squared_distance_block's exact operation sequence — so row p of `out`
+  /// is bit-identical to squared_distance_block(q[p], c, k, width, ...).
+  /// Vector tables tile several probes per load of a block row, so one
+  /// pass over an arena serves a whole batch of queries.
+  void (*squared_distance_tile)(const double* const* q, int64_t nq,
+                                const double* c, int64_t k, int64_t width,
+                                double* out);
+
   /// Multi-candidate dot product against one column block: for each lane t,
   /// out[t] = sum_j q[j] * c[j*width + t], same ordering discipline as
   /// squared_distance_block (multiply-then-add, two roundings, ascending j).

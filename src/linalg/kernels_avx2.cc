@@ -14,6 +14,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <utility>
+
 namespace dpjl::internal {
 
 namespace {
@@ -279,24 +282,83 @@ void SjltColumnBlockAvx2(const double* x, int64_t width, double scale,
   }
 }
 
+namespace {
+
+/// Probes per SquaredDistanceTileAvx2 pass over a block. At two ymm
+/// accumulators per probe, 8 probes overflow the 16 ymm registers and some
+/// accumulators live in L1, yet 8 measured 10-25% faster than 4 (and 4
+/// faster than 2) on a 2048-block, k = 370 arena: every block row is
+/// loaded once per 8 probes instead of twice.
+constexpr int64_t kAvx2TileHeight = 8;
+
+/// One j step of one probe against both halves of an 8-lane block row: the
+/// scalar estimator's exact sequence — subtract, square (one rounding),
+/// accumulate (one rounding).
+inline void DistanceStep(double qj, __m256d c0, __m256d c1, __m256d* lo,
+                         __m256d* hi) {
+  const __m256d q = _mm256_set1_pd(qj);
+  const __m256d d0 = _mm256_sub_pd(q, c0);
+  const __m256d d1 = _mm256_sub_pd(q, c1);
+  *lo = _mm256_add_pd(*lo, _mm256_mul_pd(d0, d0));
+  *hi = _mm256_add_pd(*hi, _mm256_mul_pd(d1, d1));
+}
+
+/// Scores probes q[0, sizeof...(p)) against one 8-lane block, loading each
+/// block row once for all of them. Every (probe, lane) accumulator advances
+/// in ascending j; only the candidate and probe axes are parallel.
+template <size_t... p>
+void TileImpl(std::index_sequence<p...>, const double* const* q,
+              const double* c, int64_t k, double* out) {
+  __m256d lo[sizeof...(p)];
+  __m256d hi[sizeof...(p)];
+  ((lo[p] = _mm256_setzero_pd(), hi[p] = _mm256_setzero_pd()), ...);
+  for (int64_t j = 0; j < k; ++j) {
+    const __m256d c0 = _mm256_loadu_pd(c + j * 8);
+    const __m256d c1 = _mm256_loadu_pd(c + j * 8 + 4);
+    (DistanceStep(q[p][j], c0, c1, &lo[p], &hi[p]), ...);
+  }
+  ((_mm256_storeu_pd(out + p * 8, lo[p]),
+    _mm256_storeu_pd(out + p * 8 + 4, hi[p])),
+   ...);
+}
+
+template <size_t H>
+void SquaredDistanceTileAvx2(const double* const* q, const double* c,
+                             int64_t k, double* out) {
+  TileImpl(std::make_index_sequence<H>(), q, c, k, out);
+}
+
+using TileFn = void (*)(const double* const*, const double*, int64_t,
+                        double*);
+
+/// kAvx2Tiles[h - 1] scores h probes in one pass.
+constexpr TileFn kAvx2Tiles[kAvx2TileHeight] = {
+    SquaredDistanceTileAvx2<1>, SquaredDistanceTileAvx2<2>,
+    SquaredDistanceTileAvx2<3>, SquaredDistanceTileAvx2<4>,
+    SquaredDistanceTileAvx2<5>, SquaredDistanceTileAvx2<6>,
+    SquaredDistanceTileAvx2<7>, SquaredDistanceTileAvx2<8>};
+
+void SquaredDistanceTileAvx2(const double* const* q, int64_t nq,
+                             const double* c, int64_t k, int64_t width,
+                             double* out) {
+  if (width != 8) {
+    SquaredDistanceTileScalar(q, nq, c, k, width, out);
+    return;
+  }
+  for (int64_t p = 0; p < nq; p += kAvx2TileHeight) {
+    const int64_t h = std::min(kAvx2TileHeight, nq - p);
+    kAvx2Tiles[h - 1](q + p, c, k, out + p * 8);
+  }
+}
+
+}  // namespace
+
 void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
                               int64_t width, double* out) {
+  // The arena's native width runs the one-probe tile; any other width is
+  // a scalar tail.
   if (width == 8) {
-    // The arena's native width: two ymm accumulators, one lane per
-    // candidate. Each lane runs the scalar estimator's exact sequence —
-    // subtract, square (one rounding), accumulate (one rounding) — in
-    // ascending j; only the candidate axis is vectorized.
-    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-    for (int64_t j = 0; j < k; ++j) {
-      const double* cj = c + j * 8;
-      const __m256d qj = _mm256_set1_pd(q[j]);
-      const __m256d d0 = _mm256_sub_pd(qj, _mm256_loadu_pd(cj));
-      const __m256d d1 = _mm256_sub_pd(qj, _mm256_loadu_pd(cj + 4));
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
-    }
-    _mm256_storeu_pd(out, a0);
-    _mm256_storeu_pd(out + 4, a1);
+    SquaredDistanceTileAvx2<1>(&q, c, k, out);
     return;
   }
   SquaredDistanceBlockScalar(q, c, k, width, out);
@@ -340,6 +402,7 @@ const KernelOps& Avx2Kernels() {
       SjltColumnBlockAvx2,
       ScaleAvx2,
       SquaredDistanceBlockAvx2,
+      SquaredDistanceTileAvx2,
       DotBlockAvx2,
   };
   return kOps;

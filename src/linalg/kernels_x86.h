@@ -31,6 +31,9 @@ void SjltColumnBlockScalar(const double* x, int64_t width, double scale,
 void ScaleScalar(double* v, int64_t n, double a);
 void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
                                 int64_t width, double* out);
+void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
+                               const double* c, int64_t k, int64_t width,
+                               double* out);
 void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
                     double* out);
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -289,6 +290,36 @@ TEST(TransformGoldenTest, MaterializedBytesNameSensitivitiesAndVariance) {
     EXPECT_EQ(Hex(Bits(sens.l1)), Hex(c.l1_bits));
     EXPECT_EQ(Hex(Bits(sens.l2)), Hex(c.l2_bits));
     EXPECT_EQ(Hex(Bits(t->SquaredNormVariance(3.0, 2.0))), Hex(c.variance_bits));
+  }
+}
+
+// ---------- concurrent first use ----------
+
+// Transforms are immutable after construction, so the very first
+// ExactSensitivities() calls may race each other: every thread must see
+// the scanned bits, and the TSan build (this binary runs under the tsan
+// preset) must stay silent.
+TEST(TransformConcurrencyTest, ColdSensitivityCallsAgreeAcrossThreads) {
+  constexpr int kThreads = 8;
+  for (const TransformKind kind :
+       {TransformKind::kGaussianIid, TransformKind::kAchlioptas,
+        TransformKind::kFjlt, TransformKind::kSjltBlock}) {
+    SCOPED_TRACE(TransformKindName(kind));
+    const std::unique_ptr<LinearTransform> t = MakeKind(kind, kD, kTestSeed);
+    std::vector<Sensitivities> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < seen.size(); ++i) {
+      threads.emplace_back(
+          [&t, &seen, i] { seen[i] = t->ExactSensitivities(); });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const Sensitivities scanned = ComputeSensitivities(t->Materialize());
+    for (const Sensitivities& s : seen) {
+      EXPECT_EQ(Bits(s.l1), Bits(seen[0].l1));
+      EXPECT_EQ(Bits(s.l2), Bits(seen[0].l2));
+      EXPECT_TRUE(NearRel(s.l1, scanned.l1, 1e-9));
+      EXPECT_TRUE(NearRel(s.l2, scanned.l2, 1e-9));
+    }
   }
 }
 

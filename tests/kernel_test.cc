@@ -105,6 +105,7 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.sjlt_column_block, nullptr);
   EXPECT_NE(active.scale, nullptr);
   EXPECT_NE(active.squared_distance_block, nullptr);
+  EXPECT_NE(active.squared_distance_tile, nullptr);
   EXPECT_NE(active.dot_block, nullptr);
 }
 
@@ -337,6 +338,70 @@ TEST(KernelBitExactnessTest, SquaredDistanceBlock) {
         EXPECT_TRUE(BytesEqual(expect, got))
             << table->name << " squared_distance_block k=" << k
             << " width=" << width;
+      }
+    }
+  }
+}
+
+/// TestVector with extreme magnitudes mixed in: huge values whose squared
+/// differences overflow to inf, and tiny normals whose squares underflow.
+std::vector<double> ExtremeVector(int64_t n, uint64_t salt) {
+  std::vector<double> v = TestVector(n, salt);
+  for (int64_t i = 0; i < n; ++i) {
+    if (i % 7 == 3) v[i] = (i % 2 == 0 ? 1.0 : -1.0) * 1e300;
+    if (i % 11 == 5) v[i] = (i % 2 == 0 ? 1.0 : -1.0) * 1e-300;
+  }
+  return v;
+}
+
+TEST(KernelBitExactnessTest, SquaredDistanceTileMatchesPerProbeBlocks) {
+  // Every table, scalar included, against nq single-probe scalar calls.
+  // The probe counts straddle every tile height; the layouts are a full
+  // 8-lane block, an 8-lane tail block with lanes 3..7 zero-padded (the
+  // arena's partial last block), and a generic width of 5.
+  struct Layout {
+    int64_t width;
+    int64_t live;
+  };
+  const Layout kLayouts[] = {{8, 8}, {8, 3}, {5, 5}};
+  const KernelOps& scalar = ScalarKernels();
+  std::vector<const KernelOps*> tables = VectorTables();
+  tables.insert(tables.begin(), &scalar);
+  for (const KernelOps* table : tables) {
+    for (int64_t k : {int64_t{1}, int64_t{5}, int64_t{370}}) {
+      for (const Layout& layout : kLayouts) {
+        const uint64_t salt = static_cast<uint64_t>(k * 16 + layout.live);
+        std::vector<double> block = ExtremeVector(k * layout.width, 503 + salt);
+        for (int64_t j = 0; j < k; ++j) {
+          for (int64_t t = layout.live; t < layout.width; ++t) {
+            block[static_cast<size_t>(j * layout.width + t)] = 0.0;
+          }
+        }
+        for (int64_t nq : {1, 2, 3, 7, 8, 9, 17}) {
+          std::vector<std::vector<double>> probes;
+          std::vector<const double*> rows;
+          for (int64_t p = 0; p < nq; ++p) {
+            probes.push_back(
+                ExtremeVector(k, 607 + salt * 32 + static_cast<uint64_t>(p)));
+          }
+          for (const std::vector<double>& probe : probes) {
+            rows.push_back(probe.data());
+          }
+          const size_t cells = static_cast<size_t>(nq * layout.width);
+          std::vector<double> expect(cells, -1.0);
+          std::vector<double> got(cells, -1.0);
+          for (int64_t p = 0; p < nq; ++p) {
+            scalar.squared_distance_block(rows[static_cast<size_t>(p)],
+                                          block.data(), k, layout.width,
+                                          expect.data() + p * layout.width);
+          }
+          table->squared_distance_tile(rows.data(), nq, block.data(), k,
+                                       layout.width, got.data());
+          EXPECT_TRUE(BytesEqual(expect, got))
+              << table->name << " squared_distance_tile k=" << k
+              << " width=" << layout.width << " live=" << layout.live
+              << " nq=" << nq;
+        }
       }
     }
   }

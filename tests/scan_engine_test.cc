@@ -200,6 +200,100 @@ TEST(ScanEngineTest, QueriesMatchPerEntryReferenceAcrossMatrix) {
   }
 }
 
+TEST(ScanEngineTest, BatchedProbesMatchSingleScans) {
+  // One tiled pass per batch must answer every probe exactly as its own
+  // scan does: index and engine batches of Q probes against Q single
+  // NearestNeighbors calls, in every dispatch table and at 1/2/7 threads
+  // (several scan chunks at 2 and 7), over an owned segment and an
+  // attached one that both end in a partial tail block.
+  const int64_t d = 24;
+  const int64_t k = 96;
+  const int64_t kOwned = 603;     // 75 blocks + 3 rows
+  const int64_t kAttached = 397;  // 49 blocks + 5 rows
+  const int64_t kTopN = 10;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
+  Rng rng(DeriveSeed(kTestSeed, 99));
+  std::vector<std::pair<std::string, PrivateSketch>> corpus;
+  for (int64_t i = 0; i < kOwned + kAttached; ++i) {
+    corpus.emplace_back("row-" + std::to_string(i),
+                        sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                        static_cast<uint64_t>(1 + i)));
+  }
+  std::vector<PrivateSketch> probes;
+  for (int64_t i = 0; i < 16; ++i) {
+    probes.push_back(sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                     static_cast<uint64_t>(5000 + i)));
+  }
+  probes.push_back(corpus[7].second);  // a stored row finds itself
+  const auto segments = [&] {
+    SketchIndex owned;
+    EXPECT_TRUE(owned.AddBatch({corpus.begin(), corpus.begin() + kOwned}).ok());
+    SketchIndex attached;
+    EXPECT_TRUE(
+        attached.AddBatch({corpus.begin() + kOwned, corpus.end()}).ok());
+    return std::make_pair(std::move(owned), std::move(attached));
+  };
+  auto [index, attached] = segments();
+  ASSERT_TRUE(index.AttachSegment(std::move(attached)).ok());
+  const int64_t kBatchSizes[] = {0, 1, 3, 8, 17};
+
+  for (const KernelOps* table : AllTables()) {
+    KernelOverride pin(table);
+    for (const int threads : {1, 2, 7}) {
+      SCOPED_TRACE(std::string("table=") + table->name +
+                   " threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      std::vector<std::string> singles;
+      for (const PrivateSketch& probe : probes) {
+        singles.push_back(
+            NeighborBytes(index.NearestNeighbors(probe, kTopN, &pool).value()));
+      }
+      EXPECT_EQ(singles.back(),
+                NeighborBytes(ReferenceNearest(
+                    ReferenceScan(index, probes.back()), kTopN)));
+
+      EngineOptions options;
+      options.sketcher = Config(k);
+      options.threads = threads;
+      options.serving_threads = 1;
+      auto [owned, partition] = segments();
+      auto engine = Engine::FromIndex(std::move(owned), options).value();
+      ASSERT_TRUE(engine->AttachPartition(std::move(partition)).ok());
+
+      for (const int64_t q : kBatchSizes) {
+        SCOPED_TRACE("Q=" + std::to_string(q));
+        const std::vector<PrivateSketch> batch(probes.begin(),
+                                               probes.begin() + q);
+        const auto direct = index.NearestNeighborsBatch(batch, kTopN, &pool);
+        ASSERT_TRUE(direct.ok()) << direct.status();
+        const auto served = engine->SubmitQueryBatch(batch, kTopN).Get();
+        ASSERT_TRUE(served.ok()) << served.status();
+        ASSERT_EQ(direct->size(), batch.size());
+        ASSERT_EQ(served->size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          EXPECT_EQ(NeighborBytes((*direct)[i]), singles[i]) << "probe " << i;
+          EXPECT_EQ(NeighborBytes((*served)[i]), singles[i]) << "probe " << i;
+        }
+      }
+    }
+  }
+
+  // Errors surface exactly as the single scan reports them: top_n first,
+  // then the first incompatible probe.
+  SketcherConfig other = Config(k);
+  other.projection_seed = kTestSeed + 1;
+  const PrivateSketch alien = MakeSketcherOrDie(d, other).Sketch(
+      DenseGaussianVector(d, 1.0, &rng), 2);
+  std::vector<PrivateSketch> mixed = {probes[0], alien, probes[1]};
+  const Status expected = index.NearestNeighbors(alien, kTopN).status();
+  ASSERT_EQ(expected.code(), StatusCode::kFailedPrecondition);
+  const auto refused = index.NearestNeighborsBatch(mixed, kTopN);
+  EXPECT_EQ(refused.status().code(), expected.code());
+  EXPECT_EQ(refused.status().message(), expected.message());
+  EXPECT_EQ(index.NearestNeighborsBatch(mixed, 0).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ScanEngineTest, AddAfterAttachKeepsArenaConsistent) {
   const int64_t d = 24;
   const int64_t k = 13;
