@@ -17,8 +17,10 @@ namespace dpjl {
 /// order — while never materializing more than `limit` items.
 ///
 /// Shape: a max-heap of the kept items, so the current worst survivor is
-/// one compare away. The query scan pre-checks candidates against Worst()
-/// before constructing them; see SketchIndex::NearestNeighbors.
+/// one compare away. The index scan's fp32 filter keeps one selector of
+/// per-row upper bounds and checks each row's lower bound against its
+/// Worst() before keeping the row for the exact re-rank; see
+/// SketchIndex::ScanChunks.
 ///
 /// Not thread-safe; use one selector per scan task.
 template <typename T, typename Less>

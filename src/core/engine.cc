@@ -539,7 +539,9 @@ EngineFuture<bool> Engine::SubmitTask(
 EngineStats Engine::Stats() const {
   EngineStats stats;
   stats.queue = queue_->GetStats();
-  stats.index_size = index_size();
+  ReaderLock lock(index_mutex_);
+  stats.index_size = index_.size();
+  stats.scans = index_.scan_counts();
   return stats;
 }
 
@@ -562,6 +564,8 @@ std::string EngineStats::ToString() const {
     out << "tenant." << tenant.first << ".usage\t" << tenant.second << "\n";
   }
   out << "index_size\t" << index_size << "\n";
+  out << "scan.rows_scanned\t" << scans.rows_scanned << "\n"
+      << "scan.rows_reranked\t" << scans.rows_reranked << "\n";
   return out.str();
 }
 
@@ -580,6 +584,8 @@ EngineStats EngineStats::Delta(const EngineStats& prev) const {
     now.promoted -= then.promoted;
   }
   delta.queue.deadline_misses -= prev.queue.deadline_misses;
+  delta.scans.rows_scanned -= prev.scans.rows_scanned;
+  delta.scans.rows_reranked -= prev.scans.rows_reranked;
   return delta;
 }
 

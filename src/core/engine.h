@@ -201,12 +201,16 @@ class [[nodiscard]] EngineFuture {
 };
 
 /// Snapshot of the serving layer's observable state: per-lane scheduler
-/// counters, the total deadline-miss count, per-tenant usage, and the
-/// index size. Obtained from Engine::Stats(); internally consistent,
-/// advisory under concurrency.
+/// counters, the total deadline-miss count, per-tenant usage, the index
+/// size and the index scans' filter work. Obtained from Engine::Stats();
+/// internally consistent, advisory under concurrency.
 struct EngineStats {
   RequestQueue::Stats queue;
   int64_t index_size = 0;
+  /// (probe, row) pairs the query scans' fp32 filter scored, and those it
+  /// re-ranked exactly (SketchIndex::scan_counts): their ratio is the
+  /// filter's selectivity.
+  SketchIndex::ScanCounts scans;
 
   const RequestQueue::LaneStats& lane(Priority priority) const {
     return queue.lane(priority);
@@ -214,14 +218,14 @@ struct EngineStats {
 
   /// Stable multi-line `key<TAB>value` rendering (the dpjl_tool stats
   /// dump): one line per lane counter, deadline misses, per-tenant usage,
-  /// index size.
+  /// index size, scanned and re-ranked rows.
   std::string ToString() const;
 
   /// Counter movement since `prev` (an earlier snapshot of the same
   /// engine): the monotonic counters (served, expired, refused, cancelled,
-  /// promoted, deadline misses) are subtracted, while the point-in-time
-  /// gauges (lane depth, tenant usage, index size) keep their current
-  /// values. Scrapers divide the deltas by the scrape interval to obtain
+  /// promoted, deadline misses, scanned and re-ranked rows) are
+  /// subtracted, while the point-in-time gauges (lane depth, tenant usage,
+  /// index size) keep their current values. Scrapers divide the deltas by the scrape interval to obtain
   /// rates instead of re-deriving them from cumulative totals.
   EngineStats Delta(const EngineStats& prev) const;
 };
@@ -420,7 +424,8 @@ class Engine {
 
   /// Observability snapshot: per-lane depth/served/expired/refused/
   /// cancelled counters, total deadline misses, per-tenant usage, index
-  /// size. Cheap (one lock, no allocation proportional to traffic).
+  /// size, scan filter counters. Cheap (two locks, no allocation
+  /// proportional to traffic).
   EngineStats Stats() const;
 
   /// Blocks until the async backlog is fully drained — nothing queued and

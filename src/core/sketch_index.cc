@@ -1,8 +1,11 @@
 #include "src/core/sketch_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
+#include <limits>
 
 #include "src/common/top_k.h"
 #include "src/core/estimators.h"
@@ -46,8 +49,148 @@ int64_t ScanGrain(int64_t blocks, const ThreadPool* pool) {
   return std::max(kMinScanGrainBlocks, (blocks + chunks - 1) / chunks);
 }
 
-/// Scores `nq` probes against one arena block: for each probe p and live
-/// lane t < width,
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Blocks per filter kernel call: a multiple of every table's widest
+/// multi-block pass, and small enough that a batch's distances stay in L1.
+constexpr int64_t kFilterGroupBlocks = 16;
+
+static_assert(kSketchBlockWidth == kF32BlockLanes,
+              "the filter arena uses the fp32 kernel's block layout");
+
+/// Relative slack on every filter bound; it covers the rounding of the
+/// bounds' own arithmetic (a few dozen units of 2^-53 at most).
+constexpr double kBoundSlack = 1.0 + 0x1p-20;
+
+/// One probe's filter error bound as a polynomial in a row's norm bound n:
+/// E(n) = c0 + n (c1 + n c2), +inf from n_max on (see FilterBound).
+struct ProbeBound {
+  double c0;
+  double c1;
+  double c2;
+  double n_max;
+
+  double Error(double n) const {
+    return n < n_max ? (c0 + n * (c1 + n * c2)) * kBoundSlack : kInf;
+  }
+};
+
+/// The rigorous error bound of the fp32 filter. For a probe q and a stored
+/// row x of k fp64 coordinates, let x' be x rounded to float, d the fp64
+/// sum_j (q_j - x_j)^2 the estimator computes and d' the one the filter
+/// kernel computes against x'. With Q >= ||q||, N >= ||x||, S = Q + N and
+/// e = 2^-24 N + 2^-150 sqrt(k) >= ||x' - x|| (round to nearest: relative
+/// 2^-24 in float's normal range, absolute 2^-150 below it),
+///   |d' - d| <= 2 e S + e^2 + gamma_{k+4} (S^2 + (S + e)^2) + 4k 2^-1074.
+/// The exact sums differ by at most 2 e S + e^2 (Cauchy-Schwarz); each
+/// computed sum is within gamma_{k+2} of its exact value (S^2 and
+/// (S + e)^2 bound them) plus k products' underflow; two more units of
+/// gamma cover rounding d' -/+ E. The analysis assumes no sum overflows,
+/// so from (S + e)^2 >= 2^998 on, far below overflow, the bound is +inf.
+/// Every coefficient is a sum of non-negative terms, so kBoundSlack covers
+/// its rounding. A coordinate beyond float range rounds to +-inf, so the
+/// filter distance to its row is inf or NaN; that, or any inf or NaN
+/// operand of the bound, makes lo or hi non-finite, which BoundEstimate
+/// widens to (-inf, +inf).
+class FilterBound {
+ public:
+  explicit FilterBound(int64_t k)
+      : gamma_(Gamma(k + 4)),
+        floor_(0x1p-150 * std::sqrt(static_cast<double>(k))),
+        underflow_(4.0 * static_cast<double>(k) * 0x1p-1074) {}
+
+  /// Upper bound on ||v|| from v's computed fp64 raw squared norm, which
+  /// lies within gamma_k relative plus k underflows of the exact one.
+  double NormBound(double raw_squared_norm) const {
+    return std::sqrt((raw_squared_norm + underflow_) / (1.0 - gamma_)) *
+           kBoundSlack;
+  }
+
+  /// The bound above for a probe of norm bound q, expanded in N with
+  /// e = a N + r and S + e = w + (1 + a) N, w = q + r.
+  ProbeBound ForProbe(double q) const {
+    const double a = 0x1p-24;
+    const double r = floor_;
+    const double g = gamma_;
+    const double w = q + r;
+    return {2.0 * r * q + r * r + g * (q * q + w * w) + underflow_,
+            2.0 * (a * q + r) + 2.0 * a * r + g * (2.0 * q + 2.0 * (1 + a) * w),
+            2.0 * a + a * a + g * (1.0 + (1.0 + a) * (1.0 + a)),
+            (0x1p499 - w) / (1.0 + a)};
+  }
+
+ private:
+  /// gamma_n = n u / (1 - n u) with u = 2^-53.
+  static double Gamma(int64_t n) {
+    const double nu = static_cast<double>(n) * 0x1p-53;
+    return nu / (1.0 - nu);
+  }
+
+  double gamma_;
+  double floor_;
+  double underflow_;
+};
+
+/// Bounds lo <= estimate <= hi on a row's exact estimate
+/// (d - probe_center) - row_center from its filter distance d' and norm
+/// bound: the epilogue is monotone in d, so it maps d's bounds d' -/+ E to
+/// the estimate's. A bound that is not finite proves nothing and widens to
+/// (-inf, +inf), so the row is always kept and never tightens a threshold.
+SketchIndex::EstimateBounds BoundEstimate(double filtered,
+                                          const ProbeBound& probe,
+                                          double probe_center,
+                                          double row_norm, double row_center) {
+  const double err = probe.Error(row_norm);
+  const double lo = filtered - err - probe_center - row_center;
+  const double hi = filtered + err - probe_center - row_center;
+  if (!std::isfinite(lo) || !std::isfinite(hi)) return {-kInf, kInf};
+  return {lo, hi};
+}
+
+/// One probe's filter state within one scan chunk. Rows are offered with
+/// bounds lo <= exact estimate <= hi; a row is kept unless lo exceeds the
+/// threshold. With top_n > 0 (nearest neighbors) the threshold is the
+/// top_n-th smallest upper bound kept so far, +inf until there are top_n:
+/// that many rows have estimates at or below it, so no row above it can
+/// reach the top_n. A rejected row's hi is at least its lo, so it could
+/// not have lowered the threshold. With top_n == 0 (range) the threshold
+/// is the radius.
+template <typename Row>
+class ChunkFilter {
+ public:
+  ChunkFilter(int64_t top_n, double radius)
+      : nearest_(top_n > 0),
+        threshold_(nearest_ ? kInf : radius),
+        uppers_(std::max<int64_t>(top_n, 1), std::less<double>()) {}
+
+  void Offer(Row row, SketchIndex::EstimateBounds bounds) {
+    if (bounds.lo > threshold_) return;
+    kept_.emplace_back(row, bounds.lo);
+    if (nearest_) {
+      uppers_.Push(bounds.hi);
+      if (uppers_.Full()) threshold_ = uppers_.Worst();
+    }
+  }
+
+  /// The kept rows, in offer order, whose lo is within the final
+  /// threshold — a superset of the rows that can reach the answer.
+  std::vector<Row> Survivors() const {
+    std::vector<Row> rows;
+    for (const auto& [row, lo] : kept_) {
+      if (!(lo > threshold_)) rows.push_back(row);
+    }
+    return rows;
+  }
+
+ private:
+  bool nearest_;
+  double threshold_;
+  BoundedTopK<double, std::less<double>> uppers_;  // unused for range
+  std::vector<std::pair<Row, double>> kept_;
+};
+
+/// Scores `nq` probes against one fp64 column block: for each probe p and
+/// live lane t < width,
 ///   dist[p * W + t] = (sum_j (probes[p][j] - block[j*W + t])^2
 ///                      - probe_centers[p]) - candidate_centers[t],
 /// with W = kSketchBlockWidth — the per-pair estimator's operation order
@@ -150,17 +293,17 @@ void SketchIndex::Segment::Append(std::string id, PrivateSketch sketch) {
   if (lane == 0) {
     // New tail block, zero-padded: unfilled lanes scan as the zero vector
     // and their garbage distances are discarded by the width bound.
-    values.resize(values.size() +
-                      static_cast<size_t>(dim) * kSketchBlockWidth,
-                  0.0);
+    filter.resize(filter.size() + static_cast<size_t>(dim) * kSketchBlockWidth,
+                  0.0f);
   }
-  double* block = values.data() + (row / kSketchBlockWidth) * dim *
-                                       kSketchBlockWidth;
+  float* block = filter.data() + (row / kSketchBlockWidth) * dim *
+                                     kSketchBlockWidth;
   for (int64_t j = 0; j < dim; ++j) {
-    block[j * kSketchBlockWidth + lane] = v[static_cast<size_t>(j)];
+    block[j * kSketchBlockWidth + lane] =
+        static_cast<float>(v[static_cast<size_t>(j)]);
   }
-  raw_norms.push_back(sketch.RawSquaredNorm());
   noise_centers.push_back(sketch.metadata().noise_center);
+  norm_bounds.push_back(FilterBound(dim).NormBound(sketch.RawSquaredNorm()));
   rows.emplace(id, row);
   ids.push_back(std::move(id));
   sketches.push_back(std::move(sketch));
@@ -234,55 +377,127 @@ Status SketchIndex::CheckQueryCompatible(const PrivateSketch& query) const {
 
 template <typename Sink, typename MakeSink, typename Visit>
 std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
-    const PrivateSketch* queries, int64_t num_queries, ThreadPool* pool,
-    const MakeSink& make_sink, const Visit& visit) const {
+    const PrivateSketch* queries, int64_t num_queries, int64_t top_n,
+    double radius, ThreadPool* pool, const MakeSink& make_sink,
+    const Visit& visit) const {
   // Global block numbering runs through the segments in order; chunk c
   // covers blocks [c * grain, (c + 1) * grain) and may span segments.
   int64_t blocks = 0;
   for (const Segment& segment : segments_) blocks += segment.num_blocks();
   const int64_t grain = ScanGrain(blocks, pool);
   const int64_t chunks = (blocks + grain - 1) / grain;
+  // Queries are compatible with every stored row, so one dimension serves.
+  const int64_t dim =
+      num_queries == 0 ? 0 : static_cast<int64_t>(queries[0].values().size());
+  const FilterBound bound(dim);
   std::vector<const double*> probes;
   std::vector<double> probe_centers;
+  std::vector<ProbeBound> probe_bounds;
   probes.reserve(static_cast<size_t>(num_queries));
   probe_centers.reserve(static_cast<size_t>(num_queries));
+  probe_bounds.reserve(static_cast<size_t>(num_queries));
   std::vector<std::vector<Sink>> sinks(static_cast<size_t>(num_queries));
   for (int64_t p = 0; p < num_queries; ++p) {
     probes.push_back(queries[p].values().data());
     probe_centers.push_back(queries[p].metadata().noise_center);
+    probe_bounds.push_back(
+        bound.ForProbe(bound.NormBound(queries[p].RawSquaredNorm())));
     for (int64_t c = 0; c < chunks; ++c) {
       sinks[static_cast<size_t>(p)].push_back(make_sink());
     }
   }
+  using Filter = ChunkFilter<std::pair<const Segment*, int64_t>>;
   ThreadPool::Run(pool, 0, blocks, grain, [&](int64_t begin, int64_t end) {
     const size_t chunk = static_cast<size_t>(begin / grain);
     const KernelOps& ops = Kernels();
+    std::vector<Filter> filters(static_cast<size_t>(num_queries),
+                                Filter(top_n, radius));
     std::vector<double> dist(static_cast<size_t>(num_queries) *
-                             kSketchBlockWidth);
+                             kFilterGroupBlocks * kSketchBlockWidth);
+    int64_t scanned = 0;
     int64_t first = 0;  // global number of the segment's first block
     for (const Segment& segment : segments_) {
       const int64_t last = std::min(end, first + segment.num_blocks());
-      for (int64_t b = std::max(begin, first); b < last; ++b) {
+      for (int64_t b = std::max(begin, first); b < last;
+           b += kFilterGroupBlocks) {
+        const int64_t group = std::min(kFilterGroupBlocks, last - b);
         const int64_t base = (b - first) * kSketchBlockWidth;
         const int64_t width =
-            std::min<int64_t>(kSketchBlockWidth, segment.size() - base);
-        // One load of the block serves every probe.
-        EstimateBlock(ops, probes.data(), probe_centers.data(), num_queries,
-                      segment.dim, segment.BlockAt(b - first),
-                      segment.noise_centers.data() + base, width,
-                      dist.data());
+            std::min(group * kSketchBlockWidth, segment.size() - base);
+        // One load of each block serves every probe.
+        ops.squared_distance_f32_blocks(probes.data(), num_queries,
+                                        segment.FilterBlock(b - first),
+                                        segment.dim, group, dist.data());
         for (int64_t p = 0; p < num_queries; ++p) {
-          Sink& sink = sinks[static_cast<size_t>(p)][chunk];
-          const double* row = dist.data() + p * kSketchBlockWidth;
+          Filter& filter = filters[static_cast<size_t>(p)];
+          const double* filtered =
+              dist.data() + p * group * kSketchBlockWidth;
           for (int64_t t = 0; t < width; ++t) {
-            visit(sink, segment, base + t, row[t]);
+            const size_t row = static_cast<size_t>(base + t);
+            filter.Offer({&segment, base + t},
+                         BoundEstimate(filtered[t],
+                                       probe_bounds[static_cast<size_t>(p)],
+                                       probe_centers[static_cast<size_t>(p)],
+                                       segment.norm_bounds[row],
+                                       segment.noise_centers[row]));
           }
         }
+        scanned += width;
       }
       first += segment.num_blocks();
     }
+    // Exact re-rank: the survivors' fp64 rows through the block kernel at
+    // width 1, bit-identical to the per-pair estimator by the kernel
+    // contract.
+    int64_t reranked = 0;
+    for (int64_t p = 0; p < num_queries; ++p) {
+      Sink& sink = sinks[static_cast<size_t>(p)][chunk];
+      for (const auto& [segment, row] :
+           filters[static_cast<size_t>(p)].Survivors()) {
+        double distance = 0.0;
+        ops.squared_distance_block(
+            probes[static_cast<size_t>(p)],
+            segment->sketches[static_cast<size_t>(row)].values().data(), dim,
+            1, &distance);
+        visit(sink, *segment, row,
+              distance - probe_centers[static_cast<size_t>(p)] -
+                  segment->noise_centers[static_cast<size_t>(row)]);
+        ++reranked;
+      }
+    }
+    rows_scanned_.Add(scanned * num_queries);
+    rows_reranked_.Add(reranked);
   });
   return sinks;
+}
+
+Result<std::vector<SketchIndex::EstimateBounds>> SketchIndex::FilterBounds(
+    const PrivateSketch& query) const {
+  DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
+  const FilterBound bound(static_cast<int64_t>(query.values().size()));
+  const ProbeBound probe_bound =
+      bound.ForProbe(bound.NormBound(query.RawSquaredNorm()));
+  const double* probe = query.values().data();
+  std::vector<EstimateBounds> bounds;
+  bounds.reserve(static_cast<size_t>(size()));
+  double dist[kSketchBlockWidth];
+  for (const Segment& segment : segments_) {
+    for (int64_t b = 0; b < segment.num_blocks(); ++b) {
+      Kernels().squared_distance_f32_blocks(&probe, 1, segment.FilterBlock(b),
+                                            segment.dim, 1, dist);
+      const int64_t base = b * kSketchBlockWidth;
+      for (int64_t t = 0; t < std::min<int64_t>(kSketchBlockWidth,
+                                                segment.size() - base);
+           ++t) {
+        const size_t row = static_cast<size_t>(base + t);
+        bounds.push_back(BoundEstimate(dist[t], probe_bound,
+                                       query.metadata().noise_center,
+                                       segment.norm_bounds[row],
+                                       segment.noise_centers[row]));
+      }
+    }
+  }
+  return bounds;
 }
 
 Result<std::vector<SketchIndex::Neighbor>> SketchIndex::NearestNeighbors(
@@ -330,7 +545,8 @@ SketchIndex::NearestNeighborsOf(const PrivateSketch* queries,
   };
   using TopK = BoundedTopK<Candidate, decltype(less)>;
   std::vector<std::vector<TopK>> probes = ScanChunks<TopK>(
-      queries, num_queries, pool, [&] { return TopK(top_n, less); },
+      queries, num_queries, top_n, kInf, pool,
+      [&] { return TopK(top_n, less); },
       [](TopK& topk, const Segment& segment, int64_t row, double distance) {
         topk.Push(Candidate{distance, &segment, row});
       });
@@ -358,7 +574,7 @@ Result<std::vector<SketchIndex::Neighbor>> SketchIndex::RangeQuery(
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
   using Hits = std::vector<Neighbor>;
   std::vector<std::vector<Hits>> probes = ScanChunks<Hits>(
-      &query, 1, pool, [] { return Hits(); },
+      &query, 1, 0, radius_sq, pool, [] { return Hits(); },
       [radius_sq](Hits& hits, const Segment& segment, int64_t row,
                   double distance) {
         if (distance <= radius_sq) {
@@ -383,8 +599,9 @@ std::vector<double> SketchIndex::SquaredNormEstimates() const {
   estimates.reserve(static_cast<size_t>(size()));
   for (const Segment& segment : segments_) {
     for (int64_t r = 0; r < segment.size(); ++r) {
-      estimates.push_back(segment.raw_norms[static_cast<size_t>(r)] -
-                          segment.noise_centers[static_cast<size_t>(r)]);
+      estimates.push_back(
+          segment.sketches[static_cast<size_t>(r)].RawSquaredNorm() -
+          segment.noise_centers[static_cast<size_t>(r)]);
     }
   }
   return estimates;
@@ -400,12 +617,12 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
 
   // Row i owns every pair (i, j), j > i, and mirrors it into (j, i); each
   // cell is written by exactly one row task, so rows parallelize freely.
-  // Tiles of kSketchBlockWidth rows walk the arenas' column blocks, and one
-  // multi-probe kernel call scores a block against the whole row tile, so
-  // each block (dim*8 doubles) is loaded once per tile. Every (row, lane)
-  // accumulator sees the same inputs regardless of tiling or segment
-  // boundaries, and rows and lanes never mix, so the matrix is
-  // chunking-independent.
+  // Tiles of kSketchBlockWidth rows walk fp64 column blocks packed from
+  // the stored rows, and one multi-probe kernel call scores a block
+  // against the whole row tile, so each block (dim*8 doubles) is packed
+  // and loaded once per tile. Every (row, lane) accumulator sees the same
+  // inputs regardless of tiling or segment boundaries, and rows and lanes
+  // never mix, so the matrix is chunking-independent.
   ThreadPool::Run(pool, 0, n, kSketchBlockWidth, [&](int64_t begin,
                                                      int64_t end) {
     // The tile's rows (global, in ids() order) as queries.
@@ -423,6 +640,7 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
     }
     const KernelOps& ops = Kernels();
     double dist[kSketchBlockWidth * kSketchBlockWidth];
+    std::vector<double> block;
     first = 0;
     for (const Segment& segment : segments_) {
       for (int64_t b = 0; b < segment.num_blocks(); ++b) {
@@ -434,8 +652,20 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
         const int64_t rows =
             std::min(end, col_base + col_width - 1) - begin;
         if (rows <= 0) continue;
+        // Lane t holds stored row b * W + t; padding lanes stay zero.
+        block.assign(static_cast<size_t>(segment.dim * kSketchBlockWidth),
+                     0.0);
+        for (int64_t t = 0; t < col_width; ++t) {
+          const std::vector<double>& v =
+              segment.sketches[static_cast<size_t>(b * kSketchBlockWidth + t)]
+                  .values();
+          for (int64_t j = 0; j < segment.dim; ++j) {
+            block[static_cast<size_t>(j * kSketchBlockWidth + t)] =
+                v[static_cast<size_t>(j)];
+          }
+        }
         EstimateBlock(ops, row_values, row_centers, rows, segment.dim,
-                      segment.BlockAt(b),
+                      block.data(),
                       segment.noise_centers.data() + b * kSketchBlockWidth,
                       col_width, dist);
         for (int64_t i = begin; i < begin + rows; ++i) {

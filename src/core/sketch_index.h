@@ -1,6 +1,7 @@
 #ifndef DPJL_CORE_SKETCH_INDEX_H_
 #define DPJL_CORE_SKETCH_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -24,26 +25,35 @@ namespace dpjl {
 ///
 /// Storage is one insertion-ordered store made of *segments*. Each segment
 /// holds an id table (row order = insertion order) with one id -> row map,
-/// the canonical PrivateSketch objects Find() points into, and a *sketch
-/// arena*: a contiguous, lane-interleaved (kSketchBlockWidth-wide, the
-/// kernels.h column-block layout) SoA copy of the rows' values plus
-/// parallel arrays of cached raw squared norms and noise centers. Segment 0
-/// holds the owned, growable rows; AttachSegment adopts another index as a
-/// further read-only segment (the engine's partitioned serving), and
-/// DetachSegment drops it again. Every insertion funnels through one append
-/// point, so Deserialize/FromPartitions rebuild the arena for free.
+/// the canonical fp64 PrivateSketch objects Find() points into — the exact
+/// store — and an fp32 *filter arena*: a contiguous, lane-interleaved
+/// (kSketchBlockWidth-wide, the kernels.h column-block layout) copy of the
+/// rows' values rounded to float, plus parallel arrays of noise centers
+/// and norm bounds. Segment 0 holds the owned, growable rows;
+/// AttachSegment adopts another index as a further read-only segment (the
+/// engine's partitioned serving), and DetachSegment drops it again. Every
+/// insertion funnels through one append point, so Deserialize/
+/// FromPartitions rebuild the arena for free.
 ///
-/// Queries scan the arenas block by block with the multi-probe distance
-/// kernel: one load of a block scores its eight candidates against every
-/// probe of a batch. The scan is split into chunks of consecutive blocks
-/// that a ThreadPool runs concurrently. Each chunk keeps its own
-/// (distance, row) selection per probe; ids are materialized only for the
-/// rows a chunk returns, and MergeNeighbors imposes the deterministic
-/// (distance, id) order. The kernels vectorize across candidate lanes and
-/// probes only and never reassociate a reduction, so every query result
-/// is byte-identical to the per-entry scalar scan for any chunking, batch,
-/// thread count or dispatch mode, and `ids()` order, query results and the
-/// serialized format depend on insertion order alone.
+/// Queries are a filter and an exact re-rank. The filter streams the fp32
+/// arena (half the bytes of the values) block by block with the
+/// multi-probe kernel, which scores each candidate's float-rounded values
+/// in fp64 against every probe of a batch. A rigorous per-row error bound
+/// from cached norms (the float rounding of the row plus the fp64
+/// accumulation error of both sums) turns that score into lo <= estimate
+/// <= hi. The scan is split into chunks of consecutive blocks that a
+/// ThreadPool runs concurrently; a chunk keeps the rows whose lo does not
+/// exceed its running top_n-th smallest hi (or the range radius) and
+/// re-scores exactly those from the fp64 rows with the per-pair estimator's
+/// operation sequence. Each chunk keeps its own (distance, row) selection
+/// per probe; ids are materialized only for the rows a chunk returns, and
+/// MergeNeighbors imposes the deterministic (distance, id) order. The
+/// kernels vectorize across candidate lanes and probes only and never
+/// reassociate a reduction, and no row that can reach the answer is ever
+/// filtered out, so every query result is byte-identical to the per-entry
+/// scalar scan for any chunking, batch, thread count or dispatch mode, and
+/// `ids()` order, query results and the serialized format depend on
+/// insertion order alone.
 ///
 /// All stored sketches must be mutually compatible (same public
 /// projection); Add() enforces this. The index stores released artifacts
@@ -110,9 +120,9 @@ class SketchIndex {
                                                  ThreadPool* pool = nullptr) const;
 
   /// NearestNeighbors for every query of a batch in one pass over the
-  /// arenas: each column block is loaded once and scored against all
-  /// probes. Every query is checked for compatibility before the scan (the
-  /// first failure is returned); result[i] is byte-identical to
+  /// filter arenas: each column block is loaded once and scored against
+  /// all probes. Every query is checked for compatibility before the scan
+  /// (the first failure is returned); result[i] is byte-identical to
   /// `NearestNeighbors(queries[i], top_n, pool)`. An empty batch yields an
   /// empty result.
   Result<std::vector<std::vector<Neighbor>>> NearestNeighborsBatch(
@@ -128,10 +138,11 @@ class SketchIndex {
 
   /// Estimated squared distances between every stored pair, in ids()
   /// order: `values[i * n + j]` estimates ||x_i - x_j||^2 for ids()[i],
-  /// ids()[j]. Row i owns every pair (i, j), j > i, scanned against the
-  /// arenas' column blocks, and mirrors it, so the matrix is symmetric by
-  /// construction; the diagonal is exactly 0 by definition rather than the
-  /// estimator's negative self-noise value.
+  /// ids()[j]. Row i owns every pair (i, j), j > i, scored exactly in
+  /// fp64 against column blocks packed from the stored rows, and mirrors
+  /// it, so the matrix is symmetric by construction; the diagonal is
+  /// exactly 0 by definition rather than the estimator's negative
+  /// self-noise value.
   struct DistanceMatrix {
     std::vector<std::string> ids;
     std::vector<double> values;  // n * n, row-major
@@ -203,40 +214,88 @@ class SketchIndex {
   std::vector<std::string> ids() const;
 
   /// Unbiased squared-norm estimates (EstimateSquaredNorm) for every stored
-  /// sketch, in ids() order. Served from the arenas' cached raw norms —
-  /// one subtraction per row, no sketch traversal.
+  /// sketch, in ids() order. Served from the sketches' cached raw norms —
+  /// one subtraction per row, no value traversal.
   [[nodiscard]] std::vector<double> SquaredNormEstimates() const;
+
+  /// Bounds lo <= EstimateSquaredDistance(query, row) <= hi from the fp32
+  /// filter for every stored row, in ids() order: exactly what the scans
+  /// compare against their thresholds. Rows the filter cannot bound (a
+  /// coordinate beyond float range, a norm near overflow) get
+  /// (-inf, +inf). Fails like NearestNeighbors for an incompatible query.
+  /// For tests and diagnostics.
+  struct EstimateBounds {
+    double lo;
+    double hi;
+  };
+  Result<std::vector<EstimateBounds>> FilterBounds(
+      const PrivateSketch& query) const;
+
+  /// Cumulative work of the filtered query scans (NearestNeighbors,
+  /// NearestNeighborsBatch, RangeQuery) run on this index: (probe, row)
+  /// pairs the fp32 filter scored, and those it passed to the exact fp64
+  /// re-rank. Both only grow; each scan chunk adds its totals with one
+  /// relaxed atomic add, so concurrent readers see advisory values.
+  struct ScanCounts {
+    int64_t rows_scanned = 0;
+    int64_t rows_reranked = 0;
+  };
+  ScanCounts scan_counts() const {
+    return {rows_scanned_.Get(), rows_reranked_.Get()};
+  }
 
  private:
   /// One insertion-ordered run of rows. Row r is `ids[r]`, `sketches[r]`
-  /// (a deque, so Find() pointers survive later appends) and lane r of the
-  /// arena: `values` packs row r's coordinate j at
-  /// `values[(r / W) * dim * W + j * W + (r % W)]` with W =
-  /// kSketchBlockWidth; the tail block is zero-padded (padding lanes
-  /// compute garbage distances that scans discard). `raw_norms` and
-  /// `noise_centers` are indexed by row, unpadded.
+  /// (the exact fp64 values; a deque, so Find() pointers survive later
+  /// appends) and lane r of the fp32 filter arena: `filter` packs
+  /// float(row r's coordinate j) at `filter[(r / W) * dim * W + j * W +
+  /// (r % W)]` with W = kSketchBlockWidth; the tail block is zero-padded
+  /// (padding lanes compute garbage distances that scans discard).
+  /// `noise_centers[r]` is row r's noise center and `norm_bounds[r]` an
+  /// upper bound on its Euclidean norm (sketch_index.cc). A coordinate
+  /// beyond float range is stored as +-inf, which makes the row's filter
+  /// distances non-finite, so the filter never excludes it.
   struct Segment {
     int64_t handle = 0;  // 0 for the owned segment
     std::vector<std::string> ids;
     std::unordered_map<std::string, int64_t> rows;
     std::deque<PrivateSketch> sketches;
     int64_t dim = 0;
-    std::vector<double> values;
-    std::vector<double> raw_norms;
+    std::vector<float> filter;
     std::vector<double> noise_centers;
+    std::vector<double> norm_bounds;
 
     int64_t size() const { return static_cast<int64_t>(ids.size()); }
     int64_t num_blocks() const {
       return (size() + kSketchBlockWidth - 1) / kSketchBlockWidth;
     }
-    const double* BlockAt(int64_t block) const {
-      return values.data() + block * dim * kSketchBlockWidth;
+    const float* FilterBlock(int64_t block) const {
+      return filter.data() + block * dim * kSketchBlockWidth;
     }
 
     /// Appends a row assuming the caller already established id
     /// uniqueness and sketch compatibility (Add/AddBatch validation, or a
     /// manifest fingerprint in FromPartitions).
     void Append(std::string id, PrivateSketch sketch);
+  };
+
+  /// A relaxed atomic counter that copies by value, so the index stays a
+  /// regular copyable, movable type.
+  class Counter {
+   public:
+    Counter() = default;
+    Counter(const Counter& other) : value_(other.Get()) {}
+    Counter& operator=(const Counter& other) {
+      value_.store(other.Get(), std::memory_order_relaxed);
+      return *this;
+    }
+    void Add(int64_t n) const {
+      value_.fetch_add(n, std::memory_order_relaxed);
+    }
+    int64_t Get() const { return value_.load(std::memory_order_relaxed); }
+
+   private:
+    mutable std::atomic<int64_t> value_{0};
   };
 
   Segment& owned() { return segments_.front(); }
@@ -254,15 +313,19 @@ class SketchIndex {
   /// per query standing in for the per-entry checks of a per-pair scan.
   Status CheckQueryCompatible(const PrivateSketch& query) const;
 
-  /// Runs the blocked arena scan of `queries[0, num_queries)` over every
-  /// segment, split into consecutive-block chunks on `pool`: each block is
-  /// loaded once and scored against every probe by the multi-probe kernel.
-  /// Returns sinks[probe][chunk]: `visit(sink, segment, row, distance)`
-  /// sees each row of a chunk, in row order, on one thread. Defined in
-  /// sketch_index.cc.
+  /// Runs the filtered scan of `queries[0, num_queries)` over every
+  /// segment, split into consecutive-block chunks on `pool`: each fp32
+  /// block is loaded once and scored against every probe by the filter
+  /// kernel. Within a chunk, a row is dropped for a probe when its lower
+  /// bound exceeds the threshold — the chunk's running `top_n`-th smallest
+  /// upper bound when top_n > 0, else `radius` — and every other row is
+  /// re-scored exactly. Returns sinks[probe][chunk]: `visit(sink, segment,
+  /// row, distance)` sees each re-scored row of a chunk with its exact
+  /// estimate, in row order, on one thread. Defined in sketch_index.cc.
   template <typename Sink, typename MakeSink, typename Visit>
   std::vector<std::vector<Sink>> ScanChunks(const PrivateSketch* queries,
                                             int64_t num_queries,
+                                            int64_t top_n, double radius,
                                             ThreadPool* pool,
                                             const MakeSink& make_sink,
                                             const Visit& visit) const;
@@ -284,6 +347,8 @@ class SketchIndex {
   /// so attaching and detaching never move a segment.
   std::list<Segment> segments_;
   int64_t next_handle_ = 1;
+  Counter rows_scanned_;
+  Counter rows_reranked_;
 };
 
 }  // namespace dpjl

@@ -132,6 +132,27 @@ void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
   }
 }
 
+void SquaredDistanceF32BlocksScalar(const double* const* q, int64_t nq,
+                                    const float* c, int64_t k, int64_t blocks,
+                                    double* out) {
+  constexpr int64_t kW = kF32BlockLanes;
+  for (int64_t p = 0; p < nq; ++p) {
+    for (int64_t b = 0; b < blocks; ++b) {
+      const float* cb = c + b * k * kW;
+      double* o = out + (p * blocks + b) * kW;
+      for (int64_t t = 0; t < kW; ++t) o[t] = 0.0;
+      for (int64_t j = 0; j < k; ++j) {
+        const double qj = q[p][j];
+        const float* cj = cb + j * kW;
+        for (int64_t t = 0; t < kW; ++t) {
+          const double diff = qj - static_cast<double>(cj[t]);
+          o[t] += diff * diff;
+        }
+      }
+    }
+  }
+}
+
 void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
                     double* out) {
   for (int64_t t = 0; t < width; ++t) out[t] = 0.0;
@@ -158,6 +179,7 @@ const KernelOps kScalarOps = {
     internal::ScaleScalar,
     internal::SquaredDistanceBlockScalar,
     internal::SquaredDistanceTileScalar,
+    internal::SquaredDistanceF32BlocksScalar,
     internal::DotBlockScalar,
 };
 

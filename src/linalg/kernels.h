@@ -5,6 +5,9 @@
 
 namespace dpjl {
 
+/// Lanes per fp32 column block of squared_distance_f32_blocks.
+inline constexpr int64_t kF32BlockLanes = 8;
+
 /// Runtime-dispatched inner loops of the sketching hot path.
 ///
 /// Every function table implements the SAME math in the SAME per-element
@@ -86,6 +89,22 @@ struct KernelOps {
   void (*squared_distance_tile)(const double* const* q, int64_t nq,
                                 const double* c, int64_t k, int64_t width,
                                 double* out);
+
+  /// Multi-probe squared distance against `blocks` consecutive fp32 column
+  /// blocks of kF32BlockLanes lanes each (block b at c + b * k *
+  /// kF32BlockLanes, its tail lanes zero-padded by the caller): for probe
+  /// p < nq, block b and lane t,
+  ///   out[(p * blocks + b) * kF32BlockLanes + t] =
+  ///       sum_j (q[p][j] - double(c[b][j * kF32BlockLanes + t]))^2.
+  /// Each stored float widens to double exactly, then the accumulation
+  /// runs squared_distance_block's fp64 sequence in ascending j, so the
+  /// result is bit-identical across tables and equals the fp64 distance
+  /// to the fp32-rounded candidate. Vector tables interleave several
+  /// blocks per pass for one probe (independent accumulator chains) and
+  /// tile probes for batches. This is the filter pass of the index scan.
+  void (*squared_distance_f32_blocks)(const double* const* q, int64_t nq,
+                                      const float* c, int64_t k,
+                                      int64_t blocks, double* out);
 
   /// Multi-candidate dot product against one column block: for each lane t,
   /// out[t] = sum_j q[j] * c[j*width + t], same ordering discipline as

@@ -15,6 +15,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 namespace dpjl::internal {
@@ -351,6 +352,88 @@ void SquaredDistanceTileAvx2(const double* const* q, int64_t nq,
   }
 }
 
+/// Widens row j of fp32 blocks c[0, sizeof...(b)) (block stride k * 8) to
+/// two ymm halves per block; float -> double is exact.
+template <size_t... b>
+inline void LoadF32Rows(std::index_sequence<b...>, const float* c, int64_t k,
+                        int64_t j, __m256d* lo, __m256d* hi) {
+  ((lo[b] = _mm256_cvtps_pd(
+        _mm_loadu_ps(c + (static_cast<int64_t>(b) * k + j) * 8)),
+    hi[b] = _mm256_cvtps_pd(
+        _mm_loadu_ps(c + (static_cast<int64_t>(b) * k + j) * 8 + 4))),
+   ...);
+}
+
+/// Scores H probes against B consecutive fp32 blocks in one pass: the
+/// flattened accumulator pair i serves probe i / B and block i % B, and
+/// each advances in ascending j exactly as the scalar spec does. Out row p
+/// starts at out + p * stride.
+template <size_t H, size_t B, size_t... i>
+void F32PassImpl(std::index_sequence<i...>, const double* const* q,
+                 const float* c, int64_t k, int64_t stride, double* out) {
+  __m256d lo[H * B];
+  __m256d hi[H * B];
+  ((lo[i] = _mm256_setzero_pd(), hi[i] = _mm256_setzero_pd()), ...);
+  for (int64_t j = 0; j < k; ++j) {
+    __m256d c0[B];
+    __m256d c1[B];
+    LoadF32Rows(std::make_index_sequence<B>(), c, k, j, c0, c1);
+    (DistanceStep(q[i / B][j], c0[i % B], c1[i % B], &lo[i], &hi[i]), ...);
+  }
+  ((_mm256_storeu_pd(out + (i / B) * stride + (i % B) * 8, lo[i]),
+    _mm256_storeu_pd(out + (i / B) * stride + (i % B) * 8 + 4, hi[i])),
+   ...);
+}
+
+template <size_t H, size_t B>
+void F32PassAvx2(const double* const* q, const float* c, int64_t k,
+                 int64_t stride, double* out) {
+  F32PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, k, stride, out);
+}
+
+/// Blocks per pass for h probes: about eight independent ymm add chains,
+/// so a lone probe is not bound by the add latency; wider shapes would
+/// spill the 16 ymm registers.
+constexpr size_t F32PassBlocks(size_t h) {
+  return h == 1 ? 4 : h == 2 ? 2 : 1;
+}
+
+using F32PassFn = void (*)(const double* const*, const float*, int64_t,
+                           int64_t, double*);
+
+template <size_t... h>
+constexpr std::array<F32PassFn, sizeof...(h)> F32Passes(
+    std::index_sequence<h...>, bool wide) {
+  return {(wide ? F32PassAvx2<h + 1, F32PassBlocks(h + 1)>
+                : F32PassAvx2<h + 1, 1>)...};
+}
+
+/// kF32Wide[h - 1] / kF32Narrow[h - 1] score h probes against
+/// F32PassBlocks(h) blocks / one block.
+constexpr std::array<F32PassFn, kAvx2TileHeight> kF32Wide =
+    F32Passes(std::make_index_sequence<kAvx2TileHeight>(), true);
+constexpr std::array<F32PassFn, kAvx2TileHeight> kF32Narrow =
+    F32Passes(std::make_index_sequence<kAvx2TileHeight>(), false);
+
+void SquaredDistanceF32BlocksAvx2(const double* const* q, int64_t nq,
+                                  const float* c, int64_t k, int64_t blocks,
+                                  double* out) {
+  const int64_t stride = blocks * 8;
+  for (int64_t p = 0; p < nq; p += kAvx2TileHeight) {
+    const int64_t h = std::min(kAvx2TileHeight, nq - p);
+    const int64_t per_pass = static_cast<int64_t>(F32PassBlocks(h));
+    int64_t b = 0;
+    for (; b + per_pass <= blocks; b += per_pass) {
+      kF32Wide[h - 1](q + p, c + b * k * 8, k, stride,
+                      out + p * stride + b * 8);
+    }
+    for (; b < blocks; ++b) {
+      kF32Narrow[h - 1](q + p, c + b * k * 8, k, stride,
+                        out + p * stride + b * 8);
+    }
+  }
+}
+
 }  // namespace
 
 void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
@@ -403,6 +486,7 @@ const KernelOps& Avx2Kernels() {
       ScaleAvx2,
       SquaredDistanceBlockAvx2,
       SquaredDistanceTileAvx2,
+      SquaredDistanceF32BlocksAvx2,
       DotBlockAvx2,
   };
   return kOps;

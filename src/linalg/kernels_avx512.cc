@@ -15,6 +15,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 namespace dpjl::internal {
@@ -293,6 +294,83 @@ void SquaredDistanceTileAvx512(const double* const* q, int64_t nq,
   }
 }
 
+/// Widens row j of fp32 blocks c[0, sizeof...(b)) (block stride k * 8) to
+/// one zmm per block; float -> double is exact.
+template <size_t... b>
+inline void LoadF32Rows(std::index_sequence<b...>, const float* c, int64_t k,
+                        int64_t j, __m512d* rows) {
+  ((rows[b] = _mm512_cvtps_pd(
+        _mm256_loadu_ps(c + (static_cast<int64_t>(b) * k + j) * 8))),
+   ...);
+}
+
+/// Scores H probes against B consecutive fp32 blocks in one pass: the
+/// flattened accumulator i serves probe i / B and block i % B, and each
+/// advances in ascending j exactly as the scalar spec does. Out row p
+/// starts at out + p * stride.
+template <size_t H, size_t B, size_t... i>
+void F32PassImpl(std::index_sequence<i...>, const double* const* q,
+                 const float* c, int64_t k, int64_t stride, double* out) {
+  __m512d acc[H * B];
+  ((acc[i] = _mm512_setzero_pd()), ...);
+  for (int64_t j = 0; j < k; ++j) {
+    __m512d rows[B];
+    LoadF32Rows(std::make_index_sequence<B>(), c, k, j, rows);
+    ((acc[i] = DistanceStep(acc[i], q[i / B][j], rows[i % B])), ...);
+  }
+  (_mm512_storeu_pd(out + (i / B) * stride + (i % B) * 8, acc[i]), ...);
+}
+
+template <size_t H, size_t B>
+void F32PassAvx512(const double* const* q, const float* c, int64_t k,
+                   int64_t stride, double* out) {
+  F32PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, k, stride, out);
+}
+
+/// Blocks per pass for h probes: about eight independent zmm add chains,
+/// so a lone probe is not bound by the add latency. On a 2048-block,
+/// k = 370 fp32 arena a lone probe measured 1.2x faster at eight blocks
+/// per pass than at two.
+constexpr size_t F32PassBlocks(size_t h) {
+  return h == 1 ? 8 : h == 2 ? 4 : h <= 4 ? 2 : 1;
+}
+
+using F32PassFn = void (*)(const double* const*, const float*, int64_t,
+                           int64_t, double*);
+
+template <size_t... h>
+constexpr std::array<F32PassFn, sizeof...(h)> F32Passes(
+    std::index_sequence<h...>, bool wide) {
+  return {(wide ? F32PassAvx512<h + 1, F32PassBlocks(h + 1)>
+                : F32PassAvx512<h + 1, 1>)...};
+}
+
+/// kF32Wide[h - 1] / kF32Narrow[h - 1] score h probes against
+/// F32PassBlocks(h) blocks / one block.
+constexpr std::array<F32PassFn, kAvx512TileHeight> kF32Wide =
+    F32Passes(std::make_index_sequence<kAvx512TileHeight>(), true);
+constexpr std::array<F32PassFn, kAvx512TileHeight> kF32Narrow =
+    F32Passes(std::make_index_sequence<kAvx512TileHeight>(), false);
+
+void SquaredDistanceF32BlocksAvx512(const double* const* q, int64_t nq,
+                                    const float* c, int64_t k, int64_t blocks,
+                                    double* out) {
+  const int64_t stride = blocks * 8;
+  for (int64_t p = 0; p < nq; p += kAvx512TileHeight) {
+    const int64_t h = std::min(kAvx512TileHeight, nq - p);
+    const int64_t per_pass = static_cast<int64_t>(F32PassBlocks(h));
+    int64_t b = 0;
+    for (; b + per_pass <= blocks; b += per_pass) {
+      kF32Wide[h - 1](q + p, c + b * k * 8, k, stride,
+                      out + p * stride + b * 8);
+    }
+    for (; b < blocks; ++b) {
+      kF32Narrow[h - 1](q + p, c + b * k * 8, k, stride,
+                        out + p * stride + b * 8);
+    }
+  }
+}
+
 void DotBlockAvx512(const double* q, const double* c, int64_t k, int64_t width,
                     double* out) {
   if (width != 8) {
@@ -332,6 +410,7 @@ const KernelOps& Avx512Kernels() {
       ScaleAvx512,
       SquaredDistanceBlockAvx512,
       SquaredDistanceTileAvx512,
+      SquaredDistanceF32BlocksAvx512,
       DotBlockAvx512,
   };
   return kOps;

@@ -34,6 +34,9 @@ void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
 void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
                                const double* c, int64_t k, int64_t width,
                                double* out);
+void SquaredDistanceF32BlocksScalar(const double* const* q, int64_t nq,
+                                    const float* c, int64_t k, int64_t blocks,
+                                    double* out);
 void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
                     double* out);
 

@@ -1176,6 +1176,10 @@ TEST(EngineTest, StatsCountersConsistentWithStagedOutcomes) {
   }
   EXPECT_EQ(fresh.queue.deadline_misses, 0);
   EXPECT_EQ(fresh.index_size, 11);
+  // The sync query above scanned every row once through the filter.
+  EXPECT_EQ(fresh.scans.rows_scanned, 11);
+  EXPECT_GE(fresh.scans.rows_reranked, 3);
+  EXPECT_LE(fresh.scans.rows_reranked, 11);
 
   LaneGate gate(engine.get());
 
@@ -1364,13 +1368,29 @@ TEST(EngineTest, StatsDeltaSubtractsCountersAndKeepsGauges) {
   // Counters report the movement of the interval...
   EXPECT_EQ(delta.lane(Priority::kInteractive).served, 3);
   EXPECT_EQ(delta.queue.deadline_misses, 0);
+  // Three top-3 scans over 9 rows: 27 (probe, row) pairs filtered, and at
+  // least the 3 answers per scan re-ranked.
+  EXPECT_EQ(delta.scans.rows_scanned, 27);
+  EXPECT_GE(delta.scans.rows_reranked, 9);
+  EXPECT_LE(delta.scans.rows_reranked, 27);
+  EXPECT_EQ(after.scans.rows_scanned, 45);
   // ...while gauges keep their current values.
   EXPECT_EQ(delta.index_size, 9);
   EXPECT_EQ(delta.lane(Priority::kInteractive).depth, 0);
+  // The rendering ends with the index size and the scan counters.
+  const std::string full = after.ToString();
+  EXPECT_NE(full.find("index_size\t9\nscan.rows_scanned\t45\n"
+                      "scan.rows_reranked\t" +
+                      std::to_string(after.scans.rows_reranked) + "\n"),
+            std::string::npos)
+      << full;
   // Delta against itself zeroes every counter but still renders cleanly.
   const std::string rendered = after.Delta(after).ToString();
   EXPECT_NE(rendered.find("lane.interactive.served\t0"), std::string::npos);
   EXPECT_NE(rendered.find("lane.batch.promoted\t0"), std::string::npos);
+  EXPECT_NE(rendered.find("scan.rows_scanned\t0\nscan.rows_reranked\t0\n"),
+            std::string::npos)
+      << rendered;
 }
 
 }  // namespace

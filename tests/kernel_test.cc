@@ -106,6 +106,7 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.scale, nullptr);
   EXPECT_NE(active.squared_distance_block, nullptr);
   EXPECT_NE(active.squared_distance_tile, nullptr);
+  EXPECT_NE(active.squared_distance_f32_blocks, nullptr);
   EXPECT_NE(active.dot_block, nullptr);
 }
 
@@ -401,6 +402,85 @@ TEST(KernelBitExactnessTest, SquaredDistanceTileMatchesPerProbeBlocks) {
               << table->name << " squared_distance_tile k=" << k
               << " width=" << layout.width << " live=" << layout.live
               << " nq=" << nq;
+        }
+      }
+    }
+  }
+}
+
+/// Floats for the fp32 filter kernel: ExtremeVector rounded to float (its
+/// 1e300s overflow to +-inf, its 1e-300s flush to +-0), with +-0.0f,
+/// float subnormals and +-FLT_MAX mixed in.
+std::vector<float> ExtremeFloats(int64_t n, uint64_t salt) {
+  const std::vector<double> v = ExtremeVector(n, salt);
+  std::vector<float> f(v.begin(), v.end());
+  for (int64_t i = 0; i < n; ++i) {
+    if (i % 13 == 1) f[static_cast<size_t>(i)] = -0.0f;
+    if (i % 13 == 4) {
+      f[static_cast<size_t>(i)] = std::numeric_limits<float>::denorm_min() *
+                                  static_cast<float>(1 + i % 50);
+    }
+    if (i % 17 == 6) {
+      f[static_cast<size_t>(i)] =
+          (i % 2 == 0 ? 1.0f : -1.0f) * std::numeric_limits<float>::max();
+    }
+  }
+  return f;
+}
+
+TEST(KernelBitExactnessTest, SquaredDistanceF32BlocksMatchesWidenedBlocks) {
+  // Every table, scalar included, against the fp64 block kernel on the
+  // float blocks widened to double — the entry's contract — across probe
+  // counts straddling every tile height, block counts straddling every
+  // multi-block pass, and a last block with lanes 3..7 zero-padded (the
+  // filter arena's partial tail). Probes carry doubles beyond FLT_MAX and
+  // float subnormals, and the blocks +-0.0f, float subnormals, +-FLT_MAX
+  // and +-inf.
+  constexpr int64_t kW = kF32BlockLanes;
+  const KernelOps& scalar = ScalarKernels();
+  std::vector<const KernelOps*> tables = VectorTables();
+  tables.insert(tables.begin(), &scalar);
+  for (const KernelOps* table : tables) {
+    for (int64_t k : {int64_t{1}, int64_t{5}, int64_t{370}}) {
+      for (int64_t blocks : {1, 2, 3, 5}) {
+        const uint64_t salt = static_cast<uint64_t>(k * 8 + blocks);
+        std::vector<float> c = ExtremeFloats(blocks * k * kW, 701 + salt);
+        float* tail = c.data() + (blocks - 1) * k * kW;
+        for (int64_t j = 0; j < k; ++j) {
+          for (int64_t t = 3; t < kW; ++t) tail[j * kW + t] = 0.0f;
+        }
+        for (int64_t nq : {1, 2, 3, 8, 9}) {
+          std::vector<std::vector<double>> probes;
+          std::vector<const double*> rows;
+          for (int64_t p = 0; p < nq; ++p) {
+            std::vector<double> probe =
+                ExtremeVector(k, 809 + salt * 16 + static_cast<uint64_t>(p));
+            for (int64_t j = 0; j < k; ++j) {
+              if (j % 5 == 2) probe[static_cast<size_t>(j)] = 3.5e38;
+              if (j % 5 == 4) probe[static_cast<size_t>(j)] = 0x1p-140;
+            }
+            probes.push_back(std::move(probe));
+          }
+          for (const std::vector<double>& probe : probes) {
+            rows.push_back(probe.data());
+          }
+          const size_t cells = static_cast<size_t>(nq * blocks * kW);
+          std::vector<double> expect(cells, -1.0);
+          std::vector<double> got(cells, -1.0);
+          for (int64_t b = 0; b < blocks; ++b) {
+            const std::vector<double> widened(c.begin() + b * k * kW,
+                                              c.begin() + (b + 1) * k * kW);
+            for (int64_t p = 0; p < nq; ++p) {
+              scalar.squared_distance_block(
+                  rows[static_cast<size_t>(p)], widened.data(), k, kW,
+                  expect.data() + (p * blocks + b) * kW);
+            }
+          }
+          table->squared_distance_f32_blocks(rows.data(), nq, c.data(), k,
+                                             blocks, got.data());
+          EXPECT_TRUE(BytesEqual(expect, got))
+              << table->name << " squared_distance_f32_blocks k=" << k
+              << " blocks=" << blocks << " nq=" << nq;
         }
       }
     }

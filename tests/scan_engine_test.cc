@@ -9,11 +9,16 @@
 // arenas rebuilt by Deserialize / FromPartitions and segments attached,
 // detached and grown around each other. All comparisons
 // are memcmp over serialized results; EXPECT_DOUBLE_EQ would hide exactly
-// the reassociation/FMA bugs this layer can have.
+// the reassociation/FMA bugs this layer can have. The scans are an fp32
+// filter plus an exact fp64 re-rank, so the suite also checks the filter's
+// bounds row by row on random and adversarial corpora, and that the
+// adversarial corpora still scan byte-identically.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -479,6 +484,247 @@ TEST(ScanEngineTest, NormCachingLeavesEstimatorOutputsUnchanged) {
     EXPECT_EQ(norms[0], EstimateSquaredNorm(a));
     EXPECT_EQ(norms[1], EstimateSquaredNorm(b));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The fp32 filter: its bounds hold on every row, and corpora built to
+// break them still scan byte-identically to the per-entry reference.
+
+/// Asserts lo <= EstimateSquaredDistance(query, row) <= hi on every row.
+void ExpectBoundsHold(const SketchIndex& index, const PrivateSketch& query) {
+  const auto bounds = index.FilterBounds(query);
+  ASSERT_TRUE(bounds.ok()) << bounds.status();
+  const std::vector<std::string> ids = index.ids();
+  ASSERT_EQ(bounds->size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const double exact =
+        EstimateSquaredDistance(query, *index.Find(ids[i])).value();
+    EXPECT_LE((*bounds)[i].lo, exact) << ids[i];
+    EXPECT_GE((*bounds)[i].hi, exact) << ids[i];
+  }
+}
+
+std::vector<double> ScaledGaussian(int64_t k, double scale, Rng* rng) {
+  std::vector<double> v(static_cast<size_t>(k));
+  for (double& x : v) x = rng->Gaussian() * scale;
+  return v;
+}
+
+/// Rows built to break the filter bound, under `like`'s metadata (so they
+/// are mutually compatible): Gaussian rows at norm scales from 1e-50
+/// (below float's subnormals) to 1e30; rows with coordinates at +-FLT_MAX,
+/// at the next double above it (which still rounds to FLT_MAX), at the
+/// rounding midpoint above it and at 2 FLT_MAX (both round to inf); rows
+/// of -0.0; and five exact copies of `dup` under different ids, spread
+/// across the corpus.
+std::vector<std::pair<std::string, PrivateSketch>> AdversarialCorpus(
+    const PrivateSketch& like, const std::vector<double>& dup, Rng* rng) {
+  const int64_t k = static_cast<int64_t>(like.values().size());
+  const double flt_max = FLT_MAX;
+  const double kEdges[] = {flt_max, std::nextafter(flt_max, INFINITY),
+                           flt_max + 0x1p103, 2.0 * flt_max};
+  std::vector<std::vector<double>> rows;
+  for (const double scale : {1e-50, 1e-40, 1e-30, 1e-10, 1.0, 1e10, 1e30}) {
+    for (int i = 0; i < 40; ++i) rows.push_back(ScaledGaussian(k, scale, rng));
+  }
+  for (const double edge : kEdges) {
+    for (int i = 0; i < 5; ++i) {
+      std::vector<double> v = ScaledGaussian(k, 1.0, rng);
+      for (int64_t j = i; j < k; j += 9) {
+        v[static_cast<size_t>(j)] = (j % 2 == 0 ? edge : -edge);
+      }
+      rows.push_back(std::move(v));
+    }
+  }
+  rows.emplace_back(static_cast<size_t>(k), -0.0);
+  for (int i = 0; i < 4; ++i) {
+    std::vector<double> v = ScaledGaussian(k, 1.0, rng);
+    for (int64_t j = i % 2; j < k; j += 2) v[static_cast<size_t>(j)] = -0.0;
+    rows.push_back(std::move(v));
+  }
+  std::vector<std::pair<std::string, PrivateSketch>> corpus;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i % 60 == 7) {
+      corpus.emplace_back("dup-" + std::to_string(i),
+                          PrivateSketch(dup, like.metadata()));
+    }
+    corpus.emplace_back("adv-" + std::to_string(i),
+                        PrivateSketch(rows[i], like.metadata()));
+  }
+  return corpus;
+}
+
+TEST(ScanEngineTest, FilterBoundsHoldOnRandomAndAdversarialCorpora) {
+  const int64_t d = 24;
+  const int64_t k = 370;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
+  Rng rng(DeriveSeed(kTestSeed, 4242));
+  SketchIndex random;
+  std::vector<PrivateSketch> probes;
+  for (int64_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(random
+                    .Add("r-" + std::to_string(i),
+                         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                         static_cast<uint64_t>(1 + i)))
+                    .ok());
+  }
+  for (int64_t i = 0; i < 4; ++i) {
+    probes.push_back(sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                     static_cast<uint64_t>(900 + i)));
+  }
+  const PrivateSketch like = probes.front();  // probes grows below
+  const std::vector<double> dup = ScaledGaussian(k, 1.0, &rng);
+  SketchIndex adversarial;
+  ASSERT_TRUE(adversarial.AddBatch(AdversarialCorpus(like, dup, &rng)).ok());
+  for (const double scale : {1e-50, 1e-30, 1e30}) {
+    probes.emplace_back(ScaledGaussian(k, scale, &rng), like.metadata());
+  }
+  probes.emplace_back(dup, like.metadata());
+  probes.emplace_back(std::vector<double>(static_cast<size_t>(k), FLT_MAX),
+                      like.metadata());
+  for (const KernelOps* table : AllTables()) {
+    KernelOverride pin(table);
+    for (const PrivateSketch& probe : probes) {
+      SCOPED_TRACE(table->name);
+      ExpectBoundsHold(random, probe);
+      ExpectBoundsHold(adversarial, probe);
+    }
+  }
+  // Rows float cannot hold are never bounded, and so never filtered out.
+  const auto bounds = adversarial.FilterBounds(probes.front()).value();
+  const std::vector<std::string> ids = adversarial.ids();
+  int64_t unbounded = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (std::isinf(bounds[i].lo)) {
+      ++unbounded;
+      EXPECT_EQ(bounds[i].lo, -INFINITY) << ids[i];
+      EXPECT_EQ(bounds[i].hi, INFINITY) << ids[i];
+    }
+  }
+  EXPECT_EQ(unbounded, 10);  // the midpoint and 2 FLT_MAX rows
+}
+
+TEST(ScanEngineTest, AdversarialCorporaMatchPerEntryReference) {
+  // NN at top_n straddling the tied duplicates, a range radius equal to a
+  // stored distance, and a batch of eight probes, over an owned segment
+  // and an attached one, in every table at 1/2/7 threads.
+  const int64_t d = 24;
+  const int64_t k = 96;
+  const PrivateSketch like = MakeSketcherOrDie(d, Config(k)).Sketch(
+      std::vector<double>(static_cast<size_t>(d), 1.0), 1);
+  Rng rng(DeriveSeed(kTestSeed, 4343));
+  const std::vector<double> dup = ScaledGaussian(k, 1.0, &rng);
+  const std::vector<std::pair<std::string, PrivateSketch>> corpus =
+      AdversarialCorpus(like, dup, &rng);
+  const size_t split = corpus.size() * 3 / 5;
+  SketchIndex index;
+  ASSERT_TRUE(index.AddBatch({corpus.begin(), corpus.begin() + split}).ok());
+  SketchIndex attached;
+  ASSERT_TRUE(attached.AddBatch({corpus.begin() + split, corpus.end()}).ok());
+  ASSERT_TRUE(index.AttachSegment(std::move(attached)).ok());
+
+  std::vector<PrivateSketch> probes;
+  for (const double scale : {1.0, 1e-50, 1e-30, 1e30}) {
+    probes.emplace_back(ScaledGaussian(k, scale, &rng), like.metadata());
+  }
+  probes.emplace_back(dup, like.metadata());  // five tied nearest rows
+  probes.push_back(*index.Find("adv-280"));  // a +-FLT_MAX row
+  probes.push_back(*index.Find("adv-295"));  // a +-2 FLT_MAX row
+  probes.emplace_back(std::vector<double>(static_cast<size_t>(k), -0.0),
+                      like.metadata());
+  ASSERT_EQ(probes.size(), 8u);
+  ASSERT_EQ(probes[5].values()[0], FLT_MAX);
+  ASSERT_EQ(probes[6].values()[0], 2.0 * FLT_MAX);
+  std::vector<std::vector<SketchIndex::Neighbor>> ref_scans;
+  std::vector<double> radii;
+  for (const PrivateSketch& probe : probes) {
+    ref_scans.push_back(ReferenceScan(index, probe));
+    // The first non-negative distance past the median: a radius exactly
+    // on a stored distance.
+    double radius = 0.0;
+    for (size_t i = ref_scans.back().size() / 2; i < ref_scans.back().size();
+         ++i) {
+      radius = ref_scans.back()[i].squared_distance;
+      if (radius >= 0.0) break;
+    }
+    radii.push_back(std::max(0.0, radius));
+  }
+  const int64_t kTopNs[] = {1, 3, 5, 7, 40};
+  ThreadPool pool1(1), pool2(2), pool7(7);
+  for (const KernelOps* table : AllTables()) {
+    KernelOverride pin(table);
+    for (ThreadPool* pool : {&pool1, &pool2, &pool7}) {
+      SCOPED_TRACE(std::string("table=") + table->name +
+                   " threads=" + std::to_string(pool->num_threads()));
+      for (size_t i = 0; i < probes.size(); ++i) {
+        SCOPED_TRACE("probe " + std::to_string(i));
+        for (const int64_t top_n : kTopNs) {
+          EXPECT_EQ(
+              NeighborBytes(
+                  index.NearestNeighbors(probes[i], top_n, pool).value()),
+              NeighborBytes(ReferenceNearest(ref_scans[i], top_n)));
+        }
+        EXPECT_EQ(
+            NeighborBytes(index.RangeQuery(probes[i], radii[i], pool).value()),
+            NeighborBytes(ReferenceRange(ref_scans[i], radii[i])));
+      }
+      const auto batch = index.NearestNeighborsBatch(probes, 5, pool).value();
+      ASSERT_EQ(batch.size(), probes.size());
+      for (size_t i = 0; i < probes.size(); ++i) {
+        EXPECT_EQ(NeighborBytes(batch[i]),
+                  NeighborBytes(ReferenceNearest(ref_scans[i], 5)))
+            << "batch probe " << i;
+      }
+    }
+  }
+}
+
+TEST(ScanEngineTest, ScanCountsTrackFilterWork) {
+  const int64_t d = 24;
+  const int64_t k = 96;
+  const int64_t n = 500;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Config(k));
+  Rng rng(DeriveSeed(kTestSeed, 4444));
+  SketchIndex index;
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(index
+                    .Add("c-" + std::to_string(i),
+                         sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng),
+                                         static_cast<uint64_t>(1 + i)))
+                    .ok());
+  }
+  const std::vector<PrivateSketch> probes = {
+      sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 7001),
+      sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 7002),
+      sketcher.Sketch(DenseGaussianVector(d, 1.0, &rng), 7003)};
+  EXPECT_EQ(index.scan_counts().rows_scanned, 0);
+  EXPECT_EQ(index.scan_counts().rows_reranked, 0);
+
+  // Every (probe, row) pair is scanned once; at least top_n per probe are
+  // re-ranked, and no more than were scanned.
+  ThreadPool pool(3);
+  ASSERT_TRUE(index.NearestNeighbors(probes[0], 10, &pool).ok());
+  SketchIndex::ScanCounts counts = index.scan_counts();
+  EXPECT_EQ(counts.rows_scanned, n);
+  EXPECT_GE(counts.rows_reranked, 10);
+  EXPECT_LT(counts.rows_reranked, n);
+  ASSERT_TRUE(index.NearestNeighborsBatch(probes, 10).ok());
+  EXPECT_EQ(index.scan_counts().rows_scanned, 4 * n);
+  EXPECT_GE(index.scan_counts().rows_reranked, counts.rows_reranked + 30);
+  // A range query re-ranks at least its hits; all-pairs is not filtered.
+  const double radius =
+      ReferenceScan(index, probes[0])[static_cast<size_t>(n / 2)]
+          .squared_distance;
+  counts = index.scan_counts();
+  const auto hits = index.RangeQuery(probes[0], radius).value();
+  EXPECT_GE(static_cast<int64_t>(hits.size()), n / 2);
+  EXPECT_EQ(index.scan_counts().rows_scanned, counts.rows_scanned + n);
+  EXPECT_GE(index.scan_counts().rows_reranked,
+            counts.rows_reranked + static_cast<int64_t>(hits.size()));
+  counts = index.scan_counts();
+  ASSERT_TRUE(index.AllPairsDistances().ok());
+  EXPECT_EQ(index.scan_counts().rows_scanned, counts.rows_scanned);
+  EXPECT_EQ(index.scan_counts().rows_reranked, counts.rows_reranked);
 }
 
 }  // namespace
