@@ -1,6 +1,7 @@
 #include "src/core/sketch_index.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -55,97 +56,186 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// multi-block pass, and small enough that a batch's distances stay in L1.
 constexpr int64_t kFilterGroupBlocks = 16;
 
-static_assert(kSketchBlockWidth == kF32BlockLanes,
-              "the filter arena uses the fp32 kernel's block layout");
-
 /// Relative slack on every filter bound; it covers the rounding of the
-/// bounds' own arithmetic (a few dozen units of 2^-53 at most).
+/// bounds' own arithmetic (a few units of 2^-53 per step).
 constexpr double kBoundSlack = 1.0 + 0x1p-20;
 
-/// One probe's filter error bound as a polynomial in a row's norm bound n:
-/// E(n) = c0 + n (c1 + n c2), +inf from n_max on (see FilterBound).
-struct ProbeBound {
-  double c0;
-  double c1;
-  double c2;
-  double n_max;
+/// gamma_n = n u / (1 - n u), the relative error bound of n roundings at
+/// unit roundoff u; +inf once n u reaches 1/2.
+double Gamma(int64_t n, double u) {
+  const double nu = static_cast<double>(n) * u;
+  return nu < 0.5 ? nu / (1.0 - nu) : kInf;
+}
 
-  double Error(double n) const {
-    return n < n_max ? (c0 + n * (c1 + n * c2)) * kBoundSlack : kInf;
+/// 1 / (1 - gamma), +inf for an infinite gamma.
+double Grow(double gamma) { return gamma < 1.0 ? 1.0 / (1.0 - gamma) : kInf; }
+
+/// The exponent s for which the row's largest magnitude `max_abs` times
+/// 2^-s rounds into fp16's top binade [2^15, 65504], clamped so that 2^s
+/// stays a normal float.
+int FilterExponent(double max_abs) {
+  if (!(max_abs > 0.0)) return -126;
+  int s = std::ilogb(max_abs);
+  if (s < std::numeric_limits<int>::max()) {
+    s -= 15;
+    // [65520, 65536) would round up to inf: move down one binade.
+    if (std::ldexp(max_abs, -s) >= 65520.0) ++s;
   }
-};
+  return std::clamp(s, -126, 127);
+}
 
-/// The rigorous error bound of the fp32 filter. For a probe q and a stored
-/// row x of k fp64 coordinates, let x' be x rounded to float, d the fp64
-/// sum_j (q_j - x_j)^2 the estimator computes and d' the one the filter
-/// kernel computes against x'. With Q >= ||q||, N >= ||x||, S = Q + N and
-/// e = 2^-24 N + 2^-150 sqrt(k) >= ||x' - x|| (round to nearest: relative
-/// 2^-24 in float's normal range, absolute 2^-150 below it),
-///   |d' - d| <= 2 e S + e^2 + gamma_{k+4} (S^2 + (S + e)^2) + 4k 2^-1074.
-/// The exact sums differ by at most 2 e S + e^2 (Cauchy-Schwarz); each
-/// computed sum is within gamma_{k+2} of its exact value (S^2 and
-/// (S + e)^2 bound them) plus k products' underflow; two more units of
-/// gamma cover rounding d' -/+ E. The analysis assumes no sum overflows,
-/// so from (S + e)^2 >= 2^998 on, far below overflow, the bound is +inf.
-/// Every coefficient is a sum of non-negative terms, so kBoundSlack covers
-/// its rounding. A coordinate beyond float range rounds to +-inf, so the
-/// filter distance to its row is inf or NaN; that, or any inf or NaN
-/// operand of the bound, makes lo or hi non-finite, which BoundEstimate
-/// widens to (-inf, +inf).
+/// Upper bound on ||v - v'|| from an fp64 sum, in any order, of the k
+/// squared differences of their coordinates (each a subtraction, a square
+/// and at most k additions: gamma_{k+2} plus k underflows): the measured
+/// rounding error of a row or probe as the filter kernel sees it.
+double RoundingError(double sum_squares, int64_t k) {
+  return std::sqrt((sum_squares + static_cast<double>(k) * 0x1p-1074) *
+                   Grow(Gamma(k + 2, 0x1p-53))) *
+         kBoundSlack;
+}
+
+/// The rigorous error bound of the fp16 filter. For a probe q and a stored
+/// row x of k fp64 coordinates, the kernel scores q^ = float(q) against
+/// x~ = float(half) * 2^s (the row as the arena stores it) in fp32, while
+/// the exact re-rank computes the fp64 sum d of (q_j - x_j)^2. With
+/// e_q >= ||q - q^|| and e_r >= ||x - x~||, both measured when q^ and x~
+/// are made (RoundingError), and u32 = 2^-24:
+///  1. The kernel's sum D^ of k non-negative terms, each a subtraction,
+///     a square (absolute 2^-150 on underflow) and an addition, satisfies
+///     |D^ - S| <= gamma_{k+2}(u32) S + k 2^-149 for S = ||q^ - x~||^2.
+///  2. ||q - x|| lies within e_q + e_r of sqrt(S) (triangle inequality),
+///     and sqrt(S +- k 2^-149) within sqrt(k 2^-149) of sqrt(S).
+///  3. d lies within gamma_{k+2}(2^-53) relative plus k 2^-1074 of
+///     ||q - x||^2.
+/// Each lower piece is divided and each upper piece multiplied by
+/// kBoundSlack before it is combined, so the roundings of this arithmetic
+/// stay inside a 2^-20 margin. The bound scales with the distance, not
+/// with the norms. It assumes no fp32 sum overflows: a D^, e_q or e_r that
+/// is not finite (an overflowed sum, a coordinate beyond the half or float
+/// range, a NaN) widens it to (-inf, +inf).
 class FilterBound {
  public:
   explicit FilterBound(int64_t k)
-      : gamma_(Gamma(k + 4)),
-        floor_(0x1p-150 * std::sqrt(static_cast<double>(k))),
-        underflow_(4.0 * static_cast<double>(k) * 0x1p-1074) {}
+      : shrink32_(std::sqrt(1.0 / (1.0 + Gamma(k + 2, 0x1p-24))) /
+                  kBoundSlack),
+        grow32_(std::sqrt(Grow(Gamma(k + 2, 0x1p-24))) * kBoundSlack),
+        floor32_(std::sqrt(static_cast<double>(k) * 0x1p-149) * kBoundSlack),
+        gamma64_(Gamma(k + 2, 0x1p-53)),
+        underflow64_(static_cast<double>(k) * 0x1p-1074) {}
 
-  /// Upper bound on ||v|| from v's computed fp64 raw squared norm, which
-  /// lies within gamma_k relative plus k underflows of the exact one.
-  double NormBound(double raw_squared_norm) const {
-    return std::sqrt((raw_squared_norm + underflow_) / (1.0 - gamma_)) *
-           kBoundSlack;
+  /// Bounds lo <= d <= hi on the exact re-rank sum from the kernel's fp32
+  /// sum and error = e_q + e_r; non-finite when nothing is proven.
+  SketchIndex::EstimateBounds Distance(float filtered, double error) const {
+    if (!std::isfinite(filtered) || !std::isfinite(error)) {
+      return {-kInf, kInf};
+    }
+    const double root = std::sqrt(static_cast<double>(filtered));
+    const double slack_error = error * kBoundSlack;
+    const double near =
+        std::max(0.0, (root - floor32_) * shrink32_ - slack_error);
+    const double far = (root + floor32_) * grow32_ + slack_error;
+    return {near * near * (1.0 - gamma64_) / kBoundSlack - underflow64_,
+            far * far * (1.0 + gamma64_) * kBoundSlack + underflow64_};
   }
 
-  /// The bound above for a probe of norm bound q, expanded in N with
-  /// e = a N + r and S + e = w + (1 + a) N, w = q + r.
-  ProbeBound ForProbe(double q) const {
-    const double a = 0x1p-24;
-    const double r = floor_;
-    const double g = gamma_;
-    const double w = q + r;
-    return {2.0 * r * q + r * r + g * (q * q + w * w) + underflow_,
-            2.0 * (a * q + r) + 2.0 * a * r + g * (2.0 * q + 2.0 * (1 + a) * w),
-            2.0 * a + a * a + g * (1.0 + (1.0 + a) * (1.0 + a)),
-            (0x1p499 - w) / (1.0 + a)};
+  /// The kernel sum at which Distance(sum, error).lo reaches `d_lo`:
+  /// Distance inverted in exact arithmetic, so only approximately.
+  double SumFor(double d_lo, double error) const {
+    const double near = std::sqrt(
+        std::max(0.0, (d_lo + underflow64_) * kBoundSlack / (1.0 - gamma64_)));
+    const double root = (near + error * kBoundSlack) / shrink32_ + floor32_;
+    return root * root;
   }
 
  private:
-  /// gamma_n = n u / (1 - n u) with u = 2^-53.
-  static double Gamma(int64_t n) {
-    const double nu = static_cast<double>(n) * 0x1p-53;
-    return nu / (1.0 - nu);
-  }
-
-  double gamma_;
-  double floor_;
-  double underflow_;
+  double shrink32_;
+  double grow32_;
+  double floor32_;
+  double gamma64_;
+  double underflow64_;
 };
 
 /// Bounds lo <= estimate <= hi on a row's exact estimate
-/// (d - probe_center) - row_center from its filter distance d' and norm
-/// bound: the epilogue is monotone in d, so it maps d's bounds d' -/+ E to
-/// the estimate's. A bound that is not finite proves nothing and widens to
-/// (-inf, +inf), so the row is always kept and never tightens a threshold.
-SketchIndex::EstimateBounds BoundEstimate(double filtered,
-                                          const ProbeBound& probe,
+/// (d - probe_center) - row_center from its filter distance and the probe
+/// and row rounding errors: the epilogue is monotone in d, so it maps d's
+/// bounds to the estimate's. A bound that is not finite proves nothing and
+/// widens to (-inf, +inf), so the row is always kept and never tightens a
+/// threshold.
+SketchIndex::EstimateBounds BoundEstimate(const FilterBound& bound,
+                                          float filtered, double probe_error,
                                           double probe_center,
-                                          double row_norm, double row_center) {
-  const double err = probe.Error(row_norm);
-  const double lo = filtered - err - probe_center - row_center;
-  const double hi = filtered + err - probe_center - row_center;
+                                          double row_error,
+                                          double row_center) {
+  const SketchIndex::EstimateBounds d =
+      bound.Distance(filtered, probe_error + row_error);
+  const double lo = d.lo - probe_center - row_center;
+  const double hi = d.hi - probe_center - row_center;
   if (!std::isfinite(lo) || !std::isfinite(hi)) return {-kInf, kInf};
   return {lo, hi};
 }
+
+/// The smallest kernel sum from which BoundEstimate's lo provably exceeds
+/// `threshold` for every row whose error is at most `row_error` and whose
+/// center is at most `row_center`, or +inf. The computed lo never
+/// decreases in the sum (every step rounds a monotone operation) and
+/// never increases in the error or center, so confirming one candidate
+/// with BoundEstimate itself covers every finite sum above it. The
+/// candidate inverts the bound and is nudged up when rounding left it
+/// just short.
+float RejectFrom(const FilterBound& bound, double threshold,
+                 double probe_error, double probe_center, double row_error,
+                 double row_center) {
+  double sum = bound.SumFor(threshold + probe_center + row_center,
+                            probe_error + row_error);
+  for (int attempt = 0; attempt < 3 && sum < FLT_MAX; ++attempt) {
+    const auto cut = static_cast<float>(sum);
+    if (BoundEstimate(bound, cut, probe_error, probe_center, row_error,
+                      row_center)
+            .lo > threshold) {
+      return cut;
+    }
+    sum *= 1.0 + 0x1p-10;
+  }
+  return std::numeric_limits<float>::infinity();
+}
+
+/// The largest row error and noise center of rows [begin, end) of a
+/// segment's filter arrays; +inf when any is not finite, so that no cut
+/// derived from them drops a row the bound cannot handle.
+struct RowLimits {
+  double error = 0.0;
+  double center = -kInf;
+
+  RowLimits(const std::vector<double>& errors,
+            const std::vector<double>& centers, int64_t begin, int64_t end) {
+    for (auto r = static_cast<size_t>(begin); r < static_cast<size_t>(end);
+         ++r) {
+      if (!std::isfinite(errors[r]) || !std::isfinite(centers[r])) {
+        error = kInf;
+        return;
+      }
+      error = std::max(error, errors[r]);
+      center = std::max(center, centers[r]);
+    }
+  }
+};
+
+/// A probe as the filter kernel sees it: its coordinates rounded to float,
+/// and the measured bound on ||q - q^||.
+struct RoundedProbe {
+  std::vector<float> values;
+  double error;
+
+  explicit RoundedProbe(const std::vector<double>& exact)
+      : values(exact.begin(), exact.end()) {
+    double sum_squares = 0.0;
+    for (size_t j = 0; j < exact.size(); ++j) {
+      const double diff = exact[j] - static_cast<double>(values[j]);
+      sum_squares += diff * diff;
+    }
+    error = RoundingError(sum_squares, static_cast<int64_t>(exact.size()));
+  }
+};
 
 /// One probe's filter state within one scan chunk. Rows are offered with
 /// bounds lo <= exact estimate <= hi; a row is kept unless lo exceeds the
@@ -171,6 +261,9 @@ class ChunkFilter {
       if (uppers_.Full()) threshold_ = uppers_.Worst();
     }
   }
+
+  /// Rows whose lo exceeds this are rejected; it only ever decreases.
+  double threshold() const { return threshold_; }
 
   /// The kept rows, in offer order, whose lo is within the final
   /// threshold — a superset of the rows that can reach the answer.
@@ -284,26 +377,54 @@ Status SketchIndex::Add(std::string id, PrivateSketch sketch) {
 }
 
 void SketchIndex::Segment::Append(std::string id, PrivateSketch sketch) {
+  constexpr int64_t kW = kF16BlockLanes;
   const std::vector<double>& v = sketch.values();
   const int64_t row = size();
   if (row == 0) dim = static_cast<int64_t>(v.size());
   DPJL_CHECK(static_cast<int64_t>(v.size()) == dim,
              "segment append requires a compatibility-checked sketch");
-  const int64_t lane = row % kSketchBlockWidth;
+  const int64_t lane = row % kW;
   if (lane == 0) {
     // New tail block, zero-padded: unfilled lanes scan as the zero vector
     // and their garbage distances are discarded by the width bound.
-    filter.resize(filter.size() + static_cast<size_t>(dim) * kSketchBlockWidth,
-                  0.0f);
+    filter.resize(filter.size() + static_cast<size_t>(dim * kW), 0);
+    filter_scales.resize(filter_scales.size() + kW, 0.0f);
   }
-  float* block = filter.data() + (row / kSketchBlockWidth) * dim *
-                                     kSketchBlockWidth;
-  for (int64_t j = 0; j < dim; ++j) {
-    block[j * kSketchBlockWidth + lane] =
-        static_cast<float>(v[static_cast<size_t>(j)]);
+  // Both reductions below run as four independent chains: as one chain,
+  // each would wait on the latency of its max or add.
+  const double* x = v.data();
+  double max_abs[4] = {0.0, 0.0, 0.0, 0.0};
+  int64_t j = 0;
+  for (; j + 4 <= dim; j += 4) {
+    for (int64_t t = 0; t < 4; ++t) {
+      max_abs[t] = std::max(max_abs[t], std::fabs(x[j + t]));
+    }
   }
+  for (; j < dim; ++j) max_abs[0] = std::max(max_abs[0], std::fabs(x[j]));
+  const int exponent =
+      FilterExponent(std::max(std::max(max_abs[0], max_abs[1]),
+                              std::max(max_abs[2], max_abs[3])));
+  const float scale = std::ldexp(1.0f, exponent);
+  const double inverse = std::ldexp(1.0, -exponent);
+  // Round once, then measure ||x - x~|| against exactly the values the
+  // kernel reconstructs (float(half) * scale in fp32), so the bound holds
+  // whatever the rounding.
+  uint16_t* column = filter.data() + (row / kW) * dim * kW + lane;
+  double sums[4] = {0.0, 0.0, 0.0, 0.0};
+  const auto quantize = [&](int64_t i, double* sum) {
+    const uint16_t half = HalfFromDouble(x[i] * inverse);
+    column[i * kW] = half;
+    const double diff = x[i] - static_cast<double>(HalfToFloat(half) * scale);
+    *sum += diff * diff;
+  };
+  for (j = 0; j + 4 <= dim; j += 4) {
+    for (int64_t t = 0; t < 4; ++t) quantize(j + t, &sums[t]);
+  }
+  for (; j < dim; ++j) quantize(j, &sums[0]);
+  const double sum_squares = (sums[0] + sums[1]) + (sums[2] + sums[3]);
+  filter_scales[static_cast<size_t>(row)] = scale;
+  filter_errors.push_back(RoundingError(sum_squares, dim));
   noise_centers.push_back(sketch.metadata().noise_center);
-  norm_bounds.push_back(FilterBound(dim).NormBound(sketch.RawSquaredNorm()));
   rows.emplace(id, row);
   ids.push_back(std::move(id));
   sketches.push_back(std::move(sketch));
@@ -390,18 +511,14 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
   const int64_t dim =
       num_queries == 0 ? 0 : static_cast<int64_t>(queries[0].values().size());
   const FilterBound bound(dim);
-  std::vector<const double*> probes;
-  std::vector<double> probe_centers;
-  std::vector<ProbeBound> probe_bounds;
+  std::vector<RoundedProbe> rounded;
+  std::vector<const float*> probes;
+  rounded.reserve(static_cast<size_t>(num_queries));
   probes.reserve(static_cast<size_t>(num_queries));
-  probe_centers.reserve(static_cast<size_t>(num_queries));
-  probe_bounds.reserve(static_cast<size_t>(num_queries));
   std::vector<std::vector<Sink>> sinks(static_cast<size_t>(num_queries));
   for (int64_t p = 0; p < num_queries; ++p) {
-    probes.push_back(queries[p].values().data());
-    probe_centers.push_back(queries[p].metadata().noise_center);
-    probe_bounds.push_back(
-        bound.ForProbe(bound.NormBound(queries[p].RawSquaredNorm())));
+    rounded.emplace_back(queries[p].values());
+    probes.push_back(rounded.back().values.data());
     for (int64_t c = 0; c < chunks; ++c) {
       sinks[static_cast<size_t>(p)].push_back(make_sink());
     }
@@ -412,8 +529,8 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
     const KernelOps& ops = Kernels();
     std::vector<Filter> filters(static_cast<size_t>(num_queries),
                                 Filter(top_n, radius));
-    std::vector<double> dist(static_cast<size_t>(num_queries) *
-                             kFilterGroupBlocks * kSketchBlockWidth);
+    std::vector<float> dist(static_cast<size_t>(num_queries) *
+                            kFilterGroupBlocks * kF16BlockLanes);
     int64_t scanned = 0;
     int64_t first = 0;  // global number of the segment's first block
     for (const Segment& segment : segments_) {
@@ -421,24 +538,32 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
       for (int64_t b = std::max(begin, first); b < last;
            b += kFilterGroupBlocks) {
         const int64_t group = std::min(kFilterGroupBlocks, last - b);
-        const int64_t base = (b - first) * kSketchBlockWidth;
+        const int64_t base = (b - first) * kF16BlockLanes;
         const int64_t width =
-            std::min(group * kSketchBlockWidth, segment.size() - base);
+            std::min(group * kF16BlockLanes, segment.size() - base);
         // One load of each block serves every probe.
-        ops.squared_distance_f32_blocks(probes.data(), num_queries,
-                                        segment.FilterBlock(b - first),
-                                        segment.dim, group, dist.data());
+        ops.squared_distance_f16_blocks(
+            probes.data(), num_queries, segment.FilterBlock(b - first),
+            segment.ScaleBlock(b - first), segment.dim, group, dist.data());
+        const RowLimits limits(segment.filter_errors, segment.noise_centers,
+                               base, base + width);
         for (int64_t p = 0; p < num_queries; ++p) {
           Filter& filter = filters[static_cast<size_t>(p)];
-          const double* filtered =
-              dist.data() + p * group * kSketchBlockWidth;
+          const float* filtered = dist.data() + p * group * kF16BlockLanes;
+          const double probe_error = rounded[static_cast<size_t>(p)].error;
+          const double probe_center = queries[p].metadata().noise_center;
+          // Most rows are dropped by one comparison: a finite sum at or
+          // above the cut proves lo > threshold without evaluating the
+          // bound, and Offer would reject such a row anyway.
+          const float cut =
+              RejectFrom(bound, filter.threshold(), probe_error, probe_center,
+                         limits.error, limits.center);
           for (int64_t t = 0; t < width; ++t) {
+            if (filtered[t] >= cut && filtered[t] <= FLT_MAX) continue;
             const size_t row = static_cast<size_t>(base + t);
             filter.Offer({&segment, base + t},
-                         BoundEstimate(filtered[t],
-                                       probe_bounds[static_cast<size_t>(p)],
-                                       probe_centers[static_cast<size_t>(p)],
-                                       segment.norm_bounds[row],
+                         BoundEstimate(bound, filtered[t], probe_error,
+                                       probe_center, segment.filter_errors[row],
                                        segment.noise_centers[row]));
           }
         }
@@ -452,15 +577,16 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
     int64_t reranked = 0;
     for (int64_t p = 0; p < num_queries; ++p) {
       Sink& sink = sinks[static_cast<size_t>(p)][chunk];
+      const PrivateSketch& query = queries[p];
       for (const auto& [segment, row] :
            filters[static_cast<size_t>(p)].Survivors()) {
         double distance = 0.0;
         ops.squared_distance_block(
-            probes[static_cast<size_t>(p)],
+            query.values().data(),
             segment->sketches[static_cast<size_t>(row)].values().data(), dim,
             1, &distance);
         visit(sink, *segment, row,
-              distance - probe_centers[static_cast<size_t>(p)] -
+              distance - query.metadata().noise_center -
                   segment->noise_centers[static_cast<size_t>(row)]);
         ++reranked;
       }
@@ -475,24 +601,23 @@ Result<std::vector<SketchIndex::EstimateBounds>> SketchIndex::FilterBounds(
     const PrivateSketch& query) const {
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
   const FilterBound bound(static_cast<int64_t>(query.values().size()));
-  const ProbeBound probe_bound =
-      bound.ForProbe(bound.NormBound(query.RawSquaredNorm()));
-  const double* probe = query.values().data();
+  const RoundedProbe probe(query.values());
+  const float* values = probe.values.data();
   std::vector<EstimateBounds> bounds;
   bounds.reserve(static_cast<size_t>(size()));
-  double dist[kSketchBlockWidth];
+  float dist[kF16BlockLanes];
   for (const Segment& segment : segments_) {
     for (int64_t b = 0; b < segment.num_blocks(); ++b) {
-      Kernels().squared_distance_f32_blocks(&probe, 1, segment.FilterBlock(b),
-                                            segment.dim, 1, dist);
-      const int64_t base = b * kSketchBlockWidth;
-      for (int64_t t = 0; t < std::min<int64_t>(kSketchBlockWidth,
-                                                segment.size() - base);
-           ++t) {
+      Kernels().squared_distance_f16_blocks(&values, 1, segment.FilterBlock(b),
+                                            segment.ScaleBlock(b), segment.dim,
+                                            1, dist);
+      const int64_t base = b * kF16BlockLanes;
+      for (int64_t t = 0;
+           t < std::min<int64_t>(kF16BlockLanes, segment.size() - base); ++t) {
         const size_t row = static_cast<size_t>(base + t);
-        bounds.push_back(BoundEstimate(dist[t], probe_bound,
+        bounds.push_back(BoundEstimate(bound, dist[t], probe.error,
                                        query.metadata().noise_center,
-                                       segment.norm_bounds[row],
+                                       segment.filter_errors[row],
                                        segment.noise_centers[row]));
       }
     }
@@ -643,7 +768,9 @@ Result<SketchIndex::DistanceMatrix> SketchIndex::AllPairsDistances(
     std::vector<double> block;
     first = 0;
     for (const Segment& segment : segments_) {
-      for (int64_t b = 0; b < segment.num_blocks(); ++b) {
+      const int64_t blocks =
+          (segment.size() + kSketchBlockWidth - 1) / kSketchBlockWidth;
+      for (int64_t b = 0; b < blocks; ++b) {
         const int64_t col_base = first + b * kSketchBlockWidth;
         const int64_t col_width = std::min<int64_t>(
             kSketchBlockWidth, segment.size() - b * kSketchBlockWidth);

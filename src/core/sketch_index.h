@@ -15,6 +15,7 @@
 #include "src/core/sketch.h"
 #include "src/core/snapshot.h"
 #include "src/jl/transform.h"
+#include "src/linalg/kernels.h"
 
 namespace dpjl {
 
@@ -26,34 +27,36 @@ namespace dpjl {
 /// Storage is one insertion-ordered store made of *segments*. Each segment
 /// holds an id table (row order = insertion order) with one id -> row map,
 /// the canonical fp64 PrivateSketch objects Find() points into — the exact
-/// store — and an fp32 *filter arena*: a contiguous, lane-interleaved
-/// (kSketchBlockWidth-wide, the kernels.h column-block layout) copy of the
-/// rows' values rounded to float, plus parallel arrays of noise centers
-/// and norm bounds. Segment 0 holds the owned, growable rows;
-/// AttachSegment adopts another index as a further read-only segment (the
-/// engine's partitioned serving), and DetachSegment drops it again. Every
-/// insertion funnels through one append point, so Deserialize/
-/// FromPartitions rebuild the arena for free.
+/// store — and an fp16 *filter arena*: a contiguous, lane-interleaved
+/// (kF16BlockLanes-wide, the kernels.h column-block layout) copy of the
+/// rows' values, each row scaled by its own power of two and rounded to
+/// half precision, plus parallel arrays of those scales, of each row's
+/// measured rounding error and of noise centers. Segment 0 holds the
+/// owned, growable rows; AttachSegment adopts another index as a further
+/// read-only segment (the engine's partitioned serving), and DetachSegment
+/// drops it again. Every insertion funnels through one append point, so
+/// Deserialize/FromPartitions rebuild the arena for free.
 ///
-/// Queries are a filter and an exact re-rank. The filter streams the fp32
-/// arena (half the bytes of the values) block by block with the
-/// multi-probe kernel, which scores each candidate's float-rounded values
-/// in fp64 against every probe of a batch. A rigorous per-row error bound
-/// from cached norms (the float rounding of the row plus the fp64
-/// accumulation error of both sums) turns that score into lo <= estimate
-/// <= hi. The scan is split into chunks of consecutive blocks that a
-/// ThreadPool runs concurrently; a chunk keeps the rows whose lo does not
-/// exceed its running top_n-th smallest hi (or the range radius) and
-/// re-scores exactly those from the fp64 rows with the per-pair estimator's
-/// operation sequence. Each chunk keeps its own (distance, row) selection
-/// per probe; ids are materialized only for the rows a chunk returns, and
-/// MergeNeighbors imposes the deterministic (distance, id) order. The
-/// kernels vectorize across candidate lanes and probes only and never
-/// reassociate a reduction, and no row that can reach the answer is ever
-/// filtered out, so every query result is byte-identical to the per-entry
-/// scalar scan for any chunking, batch, thread count or dispatch mode, and
-/// `ids()` order, query results and the serialized format depend on
-/// insertion order alone.
+/// Queries are a filter and an exact re-rank. The filter streams the fp16
+/// arena (a quarter of the bytes of the values) block by block with the
+/// multi-probe kernel, which scores each candidate's rounded values
+/// against every probe of a batch, rounded to float, in fp32. A rigorous
+/// per-row bound that scales with the distance (the fp32 sum's rounding,
+/// the probe's and the row's measured rounding errors by the triangle
+/// inequality, and the fp64 re-rank's own rounding) turns that score into
+/// lo <= estimate <= hi. The scan is split into chunks of consecutive
+/// blocks that a ThreadPool runs concurrently; a chunk keeps the rows
+/// whose lo does not exceed its running top_n-th smallest hi (or the range
+/// radius) and re-scores exactly those from the fp64 rows with the
+/// per-pair estimator's operation sequence. Each chunk keeps its own
+/// (distance, row) selection per probe; ids are materialized only for the
+/// rows a chunk returns, and MergeNeighbors imposes the deterministic
+/// (distance, id) order. The kernels vectorize across candidate lanes and
+/// probes only and never reassociate a reduction, and no row that can
+/// reach the answer is ever filtered out, so every query result is
+/// byte-identical to the per-entry scalar scan for any chunking, batch,
+/// thread count or dispatch mode, and `ids()` order, query results and the
+/// serialized format depend on insertion order alone.
 ///
 /// All stored sketches must be mutually compatible (same public
 /// projection); Add() enforces this. The index stores released artifacts
@@ -218,12 +221,13 @@ class SketchIndex {
   /// one subtraction per row, no value traversal.
   [[nodiscard]] std::vector<double> SquaredNormEstimates() const;
 
-  /// Bounds lo <= EstimateSquaredDistance(query, row) <= hi from the fp32
+  /// Bounds lo <= EstimateSquaredDistance(query, row) <= hi from the fp16
   /// filter for every stored row, in ids() order: exactly what the scans
   /// compare against their thresholds. Rows the filter cannot bound (a
-  /// coordinate beyond float range, a norm near overflow) get
-  /// (-inf, +inf). Fails like NearestNeighbors for an incompatible query.
-  /// For tests and diagnostics.
+  /// coordinate beyond half range after the row's scale or beyond float
+  /// range, an fp32 filter sum that overflows) get (-inf, +inf). Fails
+  /// like NearestNeighbors for an incompatible query. For tests and
+  /// diagnostics.
   struct EstimateBounds {
     double lo;
     double hi;
@@ -233,7 +237,7 @@ class SketchIndex {
 
   /// Cumulative work of the filtered query scans (NearestNeighbors,
   /// NearestNeighborsBatch, RangeQuery) run on this index: (probe, row)
-  /// pairs the fp32 filter scored, and those it passed to the exact fp64
+  /// pairs the fp16 filter scored, and those it passed to the exact fp64
   /// re-rank. Both only grow; each scan chunk adds its totals with one
   /// relaxed atomic add, so concurrent readers see advisory values.
   struct ScanCounts {
@@ -247,30 +251,38 @@ class SketchIndex {
  private:
   /// One insertion-ordered run of rows. Row r is `ids[r]`, `sketches[r]`
   /// (the exact fp64 values; a deque, so Find() pointers survive later
-  /// appends) and lane r of the fp32 filter arena: `filter` packs
-  /// float(row r's coordinate j) at `filter[(r / W) * dim * W + j * W +
-  /// (r % W)]` with W = kSketchBlockWidth; the tail block is zero-padded
-  /// (padding lanes compute garbage distances that scans discard).
-  /// `noise_centers[r]` is row r's noise center and `norm_bounds[r]` an
-  /// upper bound on its Euclidean norm (sketch_index.cc). A coordinate
-  /// beyond float range is stored as +-inf, which makes the row's filter
-  /// distances non-finite, so the filter never excludes it.
+  /// appends) and lane r of the fp16 filter arena: with W = kF16BlockLanes,
+  /// `filter` packs half(x_j * 2^-s_r) of row r's coordinate x_j at
+  /// `filter[(r / W) * dim * W + j * W + (r % W)]` and `filter_scales[r]`
+  /// holds 2^s_r, which puts the row's largest magnitude in fp16's top
+  /// binade (clamped to a normal float); the tail block and its scales are
+  /// zero-padded (padding lanes compute garbage distances that scans
+  /// discard). `filter_errors[r]` bounds ||x - x~|| for the values x~ =
+  /// float(half) * 2^s_r the kernel reconstructs, measured at append time,
+  /// and `noise_centers[r]` is row r's noise center. A coordinate that the
+  /// scale cannot bring into half range becomes +-inf, which makes the
+  /// row's error infinite, so the filter never excludes it.
   struct Segment {
     int64_t handle = 0;  // 0 for the owned segment
     std::vector<std::string> ids;
     std::unordered_map<std::string, int64_t> rows;
     std::deque<PrivateSketch> sketches;
     int64_t dim = 0;
-    std::vector<float> filter;
+    std::vector<uint16_t> filter;
+    std::vector<float> filter_scales;
+    std::vector<double> filter_errors;
     std::vector<double> noise_centers;
-    std::vector<double> norm_bounds;
 
     int64_t size() const { return static_cast<int64_t>(ids.size()); }
+    /// Filter arena blocks (kF16BlockLanes rows each).
     int64_t num_blocks() const {
-      return (size() + kSketchBlockWidth - 1) / kSketchBlockWidth;
+      return (size() + kF16BlockLanes - 1) / kF16BlockLanes;
     }
-    const float* FilterBlock(int64_t block) const {
-      return filter.data() + block * dim * kSketchBlockWidth;
+    const uint16_t* FilterBlock(int64_t block) const {
+      return filter.data() + block * dim * kF16BlockLanes;
+    }
+    const float* ScaleBlock(int64_t block) const {
+      return filter_scales.data() + block * kF16BlockLanes;
     }
 
     /// Appends a row assuming the caller already established id
@@ -314,12 +326,12 @@ class SketchIndex {
   Status CheckQueryCompatible(const PrivateSketch& query) const;
 
   /// Runs the filtered scan of `queries[0, num_queries)` over every
-  /// segment, split into consecutive-block chunks on `pool`: each fp32
-  /// block is loaded once and scored against every probe by the filter
-  /// kernel. Within a chunk, a row is dropped for a probe when its lower
-  /// bound exceeds the threshold — the chunk's running `top_n`-th smallest
-  /// upper bound when top_n > 0, else `radius` — and every other row is
-  /// re-scored exactly. Returns sinks[probe][chunk]: `visit(sink, segment,
+  /// segment, split into consecutive-block chunks on `pool`: each probe is
+  /// rounded to float once, and each fp16 block is loaded once and scored
+  /// against every probe by the filter kernel. Within a chunk, a row is
+  /// dropped for a probe when its lower bound exceeds the threshold — the
+  /// chunk's running `top_n`-th smallest upper bound when top_n > 0, else
+  /// `radius` — and every other row is re-scored exactly. Returns sinks[probe][chunk]: `visit(sink, segment,
   /// row, distance)` sees each re-scored row of a chunk with its exact
   /// estimate, in row order, on one thread. Defined in sketch_index.cc.
   template <typename Sink, typename MakeSink, typename Visit>

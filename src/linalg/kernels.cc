@@ -132,20 +132,21 @@ void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
   }
 }
 
-void SquaredDistanceF32BlocksScalar(const double* const* q, int64_t nq,
-                                    const float* c, int64_t k, int64_t blocks,
-                                    double* out) {
-  constexpr int64_t kW = kF32BlockLanes;
+void SquaredDistanceF16BlocksScalar(const float* const* q, int64_t nq,
+                                    const uint16_t* c, const float* scales,
+                                    int64_t k, int64_t blocks, float* out) {
+  constexpr int64_t kW = kF16BlockLanes;
   for (int64_t p = 0; p < nq; ++p) {
     for (int64_t b = 0; b < blocks; ++b) {
-      const float* cb = c + b * k * kW;
-      double* o = out + (p * blocks + b) * kW;
-      for (int64_t t = 0; t < kW; ++t) o[t] = 0.0;
+      const uint16_t* cb = c + b * k * kW;
+      const float* sb = scales + b * kW;
+      float* o = out + (p * blocks + b) * kW;
+      for (int64_t t = 0; t < kW; ++t) o[t] = 0.0f;
       for (int64_t j = 0; j < k; ++j) {
-        const double qj = q[p][j];
-        const float* cj = cb + j * kW;
+        const float qj = q[p][j];
+        const uint16_t* cj = cb + j * kW;
         for (int64_t t = 0; t < kW; ++t) {
-          const double diff = qj - static_cast<double>(cj[t]);
+          const float diff = qj - HalfToFloat(cj[t]) * sb[t];
           o[t] += diff * diff;
         }
       }
@@ -179,13 +180,15 @@ const KernelOps kScalarOps = {
     internal::ScaleScalar,
     internal::SquaredDistanceBlockScalar,
     internal::SquaredDistanceTileScalar,
-    internal::SquaredDistanceF32BlocksScalar,
+    internal::SquaredDistanceF16BlocksScalar,
     internal::DotBlockScalar,
 };
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
+  // The table's fp16 filter kernel widens halves with F16C, a separate
+  // CPUID bit from AVX2.
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
 #else
   return false;
 #endif

@@ -1,12 +1,64 @@
 #ifndef DPJL_LINALG_KERNELS_H_
 #define DPJL_LINALG_KERNELS_H_
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace dpjl {
 
-/// Lanes per fp32 column block of squared_distance_f32_blocks.
-inline constexpr int64_t kF32BlockLanes = 8;
+/// Lanes per fp16 column block of squared_distance_f16_blocks.
+inline constexpr int64_t kF16BlockLanes = 16;
+
+/// IEEE binary16 from binary64, rounded to nearest even in one step
+/// (overflow to +-inf, gradual underflow, NaN kept NaN with its sign).
+/// Portable and table-independent, so a stored half never depends on the
+/// CPU that rounded it.
+inline uint16_t HalfFromDouble(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  const auto sign = static_cast<uint16_t>((bits >> 48) & 0x8000u);
+  bits &= ~(uint64_t{1} << 63);
+  // Normal halves: rebias the exponent and round the 52-bit significand to
+  // 10 bits (add just under half a unit, plus one more when the kept part
+  // is odd); a carry out of the significand bumps the exponent, up to
+  // 0x7C00 (inf) at 65520.
+  const uint64_t normal =
+      (bits - (uint64_t{1023 - 15} << 52) + 0x1FFFFFFFFFFu +
+       ((bits >> 42) & 1)) >>
+      42;
+  // Subnormal halves: adding 2^28, whose ulp is the half quantum 2^-24,
+  // rounds to that quantum; the sum's low bits are then the half's bits.
+  const double aligned = std::fabs(x) + 0x1p28;
+  uint64_t aligned_bits;
+  std::memcpy(&aligned_bits, &aligned, sizeof(aligned_bits));
+  const uint64_t subnormal = aligned_bits - 0x41B0000000000000u;  // 2^28
+  uint64_t half = bits < 0x3F10000000000000u ? subnormal : normal;  // 2^-14
+  if (bits >= 0x40EFFE0000000000u) {  // 65520, inf and NaN
+    half = bits > 0x7FF0000000000000u ? 0x7E00u : 0x7C00u;
+  }
+  return static_cast<uint16_t>(sign | half);
+}
+
+/// The exact float value of a binary16: the widening every kernel table
+/// applies (a signaling NaN comes back quieted, as F16C does).
+inline float HalfToFloat(uint16_t h) {
+  const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
+  const uint32_t magnitude = static_cast<uint32_t>(h & 0x7FFFu) << 13;
+  // Zero, subnormal and normal halves: the magnitude bits read as a float
+  // are the value times 2^-112, and the product is exact.
+  float f;
+  std::memcpy(&f, &magnitude, sizeof(f));
+  f *= 0x1p112f;
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  if ((h & 0x7C00u) == 0x7C00u) {  // inf, or NaN with the quiet bit set
+    bits = 0x7F800000u | magnitude | ((h & 0x3FFu) != 0 ? 0x400000u : 0u);
+  }
+  bits |= sign;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
 
 /// Runtime-dispatched inner loops of the sketching hot path.
 ///
@@ -90,21 +142,24 @@ struct KernelOps {
                                 const double* c, int64_t k, int64_t width,
                                 double* out);
 
-  /// Multi-probe squared distance against `blocks` consecutive fp32 column
-  /// blocks of kF32BlockLanes lanes each (block b at c + b * k *
-  /// kF32BlockLanes, its tail lanes zero-padded by the caller): for probe
-  /// p < nq, block b and lane t,
-  ///   out[(p * blocks + b) * kF32BlockLanes + t] =
-  ///       sum_j (q[p][j] - double(c[b][j * kF32BlockLanes + t]))^2.
-  /// Each stored float widens to double exactly, then the accumulation
-  /// runs squared_distance_block's fp64 sequence in ascending j, so the
-  /// result is bit-identical across tables and equals the fp64 distance
-  /// to the fp32-rounded candidate. Vector tables interleave several
-  /// blocks per pass for one probe (independent accumulator chains) and
-  /// tile probes for batches. This is the filter pass of the index scan.
-  void (*squared_distance_f32_blocks)(const double* const* q, int64_t nq,
-                                      const float* c, int64_t k,
-                                      int64_t blocks, double* out);
+  /// Multi-probe squared distance against `blocks` consecutive fp16 column
+  /// blocks of kF16BlockLanes lanes each (block b at c + b * k *
+  /// kF16BlockLanes, its tail lanes zero-padded by the caller), each lane
+  /// with its own fp32 scale (block b's at scales + b * kF16BlockLanes):
+  /// for probe p < nq, block b and lane t, with W = kF16BlockLanes and
+  /// s = scales[b * W + t],
+  ///   out[(p * blocks + b) * W + t] =
+  ///       sum_j (q[p][j] - HalfToFloat(c[b][j * W + t]) * s)^2
+  /// entirely in fp32: widen the half exactly, multiply by the scale, then
+  /// subtract, square and accumulate in ascending j, each one rounding (no
+  /// FMA). The result is bit-identical across tables (a lane that sums two
+  /// NaNs keeps one of them, unspecified which). Vector tables
+  /// interleave several blocks per pass for one probe (independent
+  /// accumulator chains) and tile probes for batches. This is the filter
+  /// pass of the index scan.
+  void (*squared_distance_f16_blocks)(const float* const* q, int64_t nq,
+                                      const uint16_t* c, const float* scales,
+                                      int64_t k, int64_t blocks, float* out);
 
   /// Multi-candidate dot product against one column block: for each lane t,
   /// out[t] = sum_j q[j] * c[j*width + t], same ordering discipline as
@@ -117,7 +172,8 @@ struct KernelOps {
 ///   1. DPJL_FORCE_SCALAR set to anything but "" or "0" -> scalar;
 ///   2. DPJL_KERNELS=scalar|avx2|avx512 -> that table when this build and
 ///      CPU support it (silently falls through to auto-detection otherwise);
-///   3. otherwise the best set CPUID reports: avx512 > avx2 > scalar.
+///   3. otherwise the best set CPUID reports: avx512 > avx2 > scalar
+///      (avx2 also needs F16C, which its fp16 filter kernel uses).
 /// The selection is immutable afterwards (concurrent readers are safe).
 const KernelOps& Kernels();
 

@@ -1,6 +1,7 @@
-// AVX2 kernel table. Compiled with -mavx2 -ffp-contract=off (no -mfma: the
-// scalar reference performs multiply-then-add with two roundings, and a
-// fused kernel would not be bit-identical to it).
+// AVX2 kernel table. Compiled with -mavx2 -mf16c -ffp-contract=off (F16C
+// widens the fp16 filter arena; no -mfma: the scalar reference performs
+// multiply-then-add with two roundings, and a fused kernel would not be
+// bit-identical to it).
 //
 // Bit-exactness strategy, shared with kernels_avx512.cc: vectorize only
 // across independent output elements — matrix rows, interleaved batch
@@ -352,84 +353,120 @@ void SquaredDistanceTileAvx2(const double* const* q, int64_t nq,
   }
 }
 
-/// Widens row j of fp32 blocks c[0, sizeof...(b)) (block stride k * 8) to
-/// two ymm halves per block; float -> double is exact.
+static_assert(kF16BlockLanes == 16, "two ymm per fp16 block row");
+
+/// One j step of one probe against both halves of a 16-lane fp16 block
+/// row (already widened and scaled): subtract, square, accumulate, each
+/// one fp32 rounding.
+inline void F16Step(float qj, __m256 c0, __m256 c1, __m256* lo, __m256* hi) {
+  const __m256 q = _mm256_set1_ps(qj);
+  const __m256 d0 = _mm256_sub_ps(q, c0);
+  const __m256 d1 = _mm256_sub_ps(q, c1);
+  *lo = _mm256_add_ps(*lo, _mm256_mul_ps(d0, d0));
+  *hi = _mm256_add_ps(*hi, _mm256_mul_ps(d1, d1));
+}
+
+/// Widens the eight halves at `c` to floats (exact) and multiplies each
+/// by its lane's scale.
+inline __m256 ScaledHalves(const uint16_t* c, __m256 scale) {
+  return _mm256_mul_ps(
+      _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(c))),
+      scale);
+}
+
+/// Loads the lane scales of fp16 blocks [0, sizeof...(b)) (block stride 16)
+/// as two ymm halves per block.
 template <size_t... b>
-inline void LoadF32Rows(std::index_sequence<b...>, const float* c, int64_t k,
-                        int64_t j, __m256d* lo, __m256d* hi) {
-  ((lo[b] = _mm256_cvtps_pd(
-        _mm_loadu_ps(c + (static_cast<int64_t>(b) * k + j) * 8)),
-    hi[b] = _mm256_cvtps_pd(
-        _mm_loadu_ps(c + (static_cast<int64_t>(b) * k + j) * 8 + 4))),
+inline void LoadF16Scales(std::index_sequence<b...>, const float* scales,
+                          __m256* s0, __m256* s1) {
+  ((s0[b] = _mm256_loadu_ps(scales + b * 16),
+    s1[b] = _mm256_loadu_ps(scales + b * 16 + 8)),
    ...);
 }
 
-/// Scores H probes against B consecutive fp32 blocks in one pass: the
+/// Row j of fp16 blocks [0, sizeof...(b)) (block stride k * 16), widened
+/// and scaled, as two ymm halves per block.
+template <size_t... b>
+inline void LoadF16Rows(std::index_sequence<b...>, const uint16_t* c,
+                        int64_t k, int64_t j, const __m256* s0,
+                        const __m256* s1, __m256* c0, __m256* c1) {
+  ((c0[b] = ScaledHalves(c + (static_cast<int64_t>(b) * k + j) * 16, s0[b]),
+    c1[b] = ScaledHalves(c + (static_cast<int64_t>(b) * k + j) * 16 + 8,
+                         s1[b])),
+   ...);
+}
+
+/// Scores H probes against B consecutive fp16 blocks in one pass: the
 /// flattened accumulator pair i serves probe i / B and block i % B, and
 /// each advances in ascending j exactly as the scalar spec does. Out row p
 /// starts at out + p * stride.
 template <size_t H, size_t B, size_t... i>
-void F32PassImpl(std::index_sequence<i...>, const double* const* q,
-                 const float* c, int64_t k, int64_t stride, double* out) {
-  __m256d lo[H * B];
-  __m256d hi[H * B];
-  ((lo[i] = _mm256_setzero_pd(), hi[i] = _mm256_setzero_pd()), ...);
+void F16PassImpl(std::index_sequence<i...>, const float* const* q,
+                 const uint16_t* c, const float* scales, int64_t k,
+                 int64_t stride, float* out) {
+  __m256 s0[B];
+  __m256 s1[B];
+  LoadF16Scales(std::make_index_sequence<B>(), scales, s0, s1);
+  __m256 lo[H * B];
+  __m256 hi[H * B];
+  ((lo[i] = _mm256_setzero_ps(), hi[i] = _mm256_setzero_ps()), ...);
   for (int64_t j = 0; j < k; ++j) {
-    __m256d c0[B];
-    __m256d c1[B];
-    LoadF32Rows(std::make_index_sequence<B>(), c, k, j, c0, c1);
-    (DistanceStep(q[i / B][j], c0[i % B], c1[i % B], &lo[i], &hi[i]), ...);
+    __m256 c0[B];
+    __m256 c1[B];
+    LoadF16Rows(std::make_index_sequence<B>(), c, k, j, s0, s1, c0, c1);
+    (F16Step(q[i / B][j], c0[i % B], c1[i % B], &lo[i], &hi[i]), ...);
   }
-  ((_mm256_storeu_pd(out + (i / B) * stride + (i % B) * 8, lo[i]),
-    _mm256_storeu_pd(out + (i / B) * stride + (i % B) * 8 + 4, hi[i])),
+  ((_mm256_storeu_ps(out + (i / B) * stride + (i % B) * 16, lo[i]),
+    _mm256_storeu_ps(out + (i / B) * stride + (i % B) * 16 + 8, hi[i])),
    ...);
 }
 
 template <size_t H, size_t B>
-void F32PassAvx2(const double* const* q, const float* c, int64_t k,
-                 int64_t stride, double* out) {
-  F32PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, k, stride, out);
+void F16PassAvx2(const float* const* q, const uint16_t* c,
+                 const float* scales, int64_t k, int64_t stride, float* out) {
+  F16PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, scales, k,
+                    stride, out);
 }
 
-/// Blocks per pass for h probes: about eight independent ymm add chains,
-/// so a lone probe is not bound by the add latency; wider shapes would
-/// spill the 16 ymm registers.
-constexpr size_t F32PassBlocks(size_t h) {
-  return h == 1 ? 4 : h == 2 ? 2 : 1;
-}
+/// Blocks per pass for h probes. On a 1024-block, k = 370 arena (12 MB),
+/// one pinned core, a lone probe took 601 / 594 / 518 us at 1 / 2 / 4
+/// blocks per pass (4 keeps eight add chains in flight and reads the
+/// scales from L1); eight probes at one block per pass took 2862 us
+/// against 3085 us in two tiles of four.
+constexpr size_t F16PassBlocks(size_t h) { return h == 1 ? 4 : 1; }
 
-using F32PassFn = void (*)(const double* const*, const float*, int64_t,
-                           int64_t, double*);
+using F16PassFn = void (*)(const float* const*, const uint16_t*,
+                           const float*, int64_t, int64_t, float*);
 
 template <size_t... h>
-constexpr std::array<F32PassFn, sizeof...(h)> F32Passes(
+constexpr std::array<F16PassFn, sizeof...(h)> F16Passes(
     std::index_sequence<h...>, bool wide) {
-  return {(wide ? F32PassAvx2<h + 1, F32PassBlocks(h + 1)>
-                : F32PassAvx2<h + 1, 1>)...};
+  return {(wide ? F16PassAvx2<h + 1, F16PassBlocks(h + 1)>
+                : F16PassAvx2<h + 1, 1>)...};
 }
 
-/// kF32Wide[h - 1] / kF32Narrow[h - 1] score h probes against
-/// F32PassBlocks(h) blocks / one block.
-constexpr std::array<F32PassFn, kAvx2TileHeight> kF32Wide =
-    F32Passes(std::make_index_sequence<kAvx2TileHeight>(), true);
-constexpr std::array<F32PassFn, kAvx2TileHeight> kF32Narrow =
-    F32Passes(std::make_index_sequence<kAvx2TileHeight>(), false);
+/// kF16Wide[h - 1] / kF16Narrow[h - 1] score h probes against
+/// F16PassBlocks(h) blocks / one block.
+constexpr std::array<F16PassFn, kAvx2TileHeight> kF16Wide =
+    F16Passes(std::make_index_sequence<kAvx2TileHeight>(), true);
+constexpr std::array<F16PassFn, kAvx2TileHeight> kF16Narrow =
+    F16Passes(std::make_index_sequence<kAvx2TileHeight>(), false);
 
-void SquaredDistanceF32BlocksAvx2(const double* const* q, int64_t nq,
-                                  const float* c, int64_t k, int64_t blocks,
-                                  double* out) {
-  const int64_t stride = blocks * 8;
+void SquaredDistanceF16BlocksAvx2(const float* const* q, int64_t nq,
+                                  const uint16_t* c, const float* scales,
+                                  int64_t k, int64_t blocks, float* out) {
+  const int64_t stride = blocks * 16;
   for (int64_t p = 0; p < nq; p += kAvx2TileHeight) {
     const int64_t h = std::min(kAvx2TileHeight, nq - p);
-    const int64_t per_pass = static_cast<int64_t>(F32PassBlocks(h));
+    const int64_t per_pass = static_cast<int64_t>(F16PassBlocks(h));
     int64_t b = 0;
     for (; b + per_pass <= blocks; b += per_pass) {
-      kF32Wide[h - 1](q + p, c + b * k * 8, k, stride,
-                      out + p * stride + b * 8);
+      kF16Wide[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+                      out + p * stride + b * 16);
     }
     for (; b < blocks; ++b) {
-      kF32Narrow[h - 1](q + p, c + b * k * 8, k, stride,
-                        out + p * stride + b * 8);
+      kF16Narrow[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+                        out + p * stride + b * 16);
     }
   }
 }
@@ -486,7 +523,7 @@ const KernelOps& Avx2Kernels() {
       ScaleAvx2,
       SquaredDistanceBlockAvx2,
       SquaredDistanceTileAvx2,
-      SquaredDistanceF32BlocksAvx2,
+      SquaredDistanceF16BlocksAvx2,
       DotBlockAvx2,
   };
   return kOps;

@@ -3,8 +3,9 @@
 // masked stores leave untouched lanes bit-identical).
 //
 // Only the kernels where 512-bit vectors actually pay are widened here:
-// the FWHT stages with len >= 8 and the width==8 block kernels, where one
-// zmm register holds a full batch micro-block row. Everything else
+// the FWHT stages with len >= 8, the width==8 block kernels, where one
+// zmm register holds a full batch micro-block row, and the fp16 filter
+// pass, where one zmm holds a 16-lane block row widened to float. Everything else
 // delegates to the AVX2 implementations (which this build also compiles,
 // since avx512f-capable hardware always has avx2).
 
@@ -294,79 +295,105 @@ void SquaredDistanceTileAvx512(const double* const* q, int64_t nq,
   }
 }
 
-/// Widens row j of fp32 blocks c[0, sizeof...(b)) (block stride k * 8) to
-/// one zmm per block; float -> double is exact.
+static_assert(kF16BlockLanes == 16, "one zmm per fp16 block row");
+
+/// One j step of one probe against a 16-lane fp16 block row (already
+/// widened and scaled): subtract, square, accumulate, each one fp32
+/// rounding.
+inline __m512 F16Step(__m512 acc, float qj, __m512 cj) {
+  const __m512 d = _mm512_sub_ps(_mm512_set1_ps(qj), cj);
+  return _mm512_add_ps(acc, _mm512_mul_ps(d, d));
+}
+
+/// Loads the lane scales of fp16 blocks [0, sizeof...(b)).
 template <size_t... b>
-inline void LoadF32Rows(std::index_sequence<b...>, const float* c, int64_t k,
-                        int64_t j, __m512d* rows) {
-  ((rows[b] = _mm512_cvtps_pd(
-        _mm256_loadu_ps(c + (static_cast<int64_t>(b) * k + j) * 8))),
+inline void LoadF16Scales(std::index_sequence<b...>, const float* scales,
+                          __m512* s) {
+  ((s[b] = _mm512_loadu_ps(scales + b * 16)), ...);
+}
+
+/// Row j of fp16 blocks [0, sizeof...(b)) (block stride k * 16), widened
+/// (exact) and multiplied by each lane's scale: one zmm per block.
+template <size_t... b>
+inline void LoadF16Rows(std::index_sequence<b...>, const uint16_t* c,
+                        int64_t k, int64_t j, const __m512* s, __m512* rows) {
+  ((rows[b] = _mm512_mul_ps(
+        _mm512_cvtph_ps(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+            c + (static_cast<int64_t>(b) * k + j) * 16))),
+        s[b])),
    ...);
 }
 
-/// Scores H probes against B consecutive fp32 blocks in one pass: the
+/// Scores H probes against B consecutive fp16 blocks in one pass: the
 /// flattened accumulator i serves probe i / B and block i % B, and each
 /// advances in ascending j exactly as the scalar spec does. Out row p
 /// starts at out + p * stride.
 template <size_t H, size_t B, size_t... i>
-void F32PassImpl(std::index_sequence<i...>, const double* const* q,
-                 const float* c, int64_t k, int64_t stride, double* out) {
-  __m512d acc[H * B];
-  ((acc[i] = _mm512_setzero_pd()), ...);
+void F16PassImpl(std::index_sequence<i...>, const float* const* q,
+                 const uint16_t* c, const float* scales, int64_t k,
+                 int64_t stride, float* out) {
+  __m512 s[B];
+  LoadF16Scales(std::make_index_sequence<B>(), scales, s);
+  __m512 acc[H * B];
+  ((acc[i] = _mm512_setzero_ps()), ...);
   for (int64_t j = 0; j < k; ++j) {
-    __m512d rows[B];
-    LoadF32Rows(std::make_index_sequence<B>(), c, k, j, rows);
-    ((acc[i] = DistanceStep(acc[i], q[i / B][j], rows[i % B])), ...);
+    __m512 rows[B];
+    LoadF16Rows(std::make_index_sequence<B>(), c, k, j, s, rows);
+    ((acc[i] = F16Step(acc[i], q[i / B][j], rows[i % B])), ...);
   }
-  (_mm512_storeu_pd(out + (i / B) * stride + (i % B) * 8, acc[i]), ...);
+  (_mm512_storeu_ps(out + (i / B) * stride + (i % B) * 16, acc[i]), ...);
 }
 
 template <size_t H, size_t B>
-void F32PassAvx512(const double* const* q, const float* c, int64_t k,
-                   int64_t stride, double* out) {
-  F32PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, k, stride, out);
+void F16PassAvx512(const float* const* q, const uint16_t* c,
+                   const float* scales, int64_t k, int64_t stride,
+                   float* out) {
+  F16PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, scales, k,
+                    stride, out);
 }
 
-/// Blocks per pass for h probes: about eight independent zmm add chains,
-/// so a lone probe is not bound by the add latency. On a 2048-block,
-/// k = 370 fp32 arena a lone probe measured 1.2x faster at eight blocks
-/// per pass than at two.
-constexpr size_t F32PassBlocks(size_t h) {
-  return h == 1 ? 8 : h == 2 ? 4 : h <= 4 ? 2 : 1;
+/// Blocks per pass for h probes. Best of 15 scans of a 1024-block,
+/// k = 370 arena (12 MB) on one pinned core of an AVX-512 VM, in 16-block
+/// groups as the index scans: one probe took 582 / 495 / 459 / 443 us at
+/// 1 / 2 / 4 / 8 blocks per pass; two probes 740 / 698 / 683 us at 1 / 2 /
+/// 4; four 1121 / 1133 / 1083 us at 1 / 2 / 4; eight 2032 / 1946 /
+/// 1969 us at 1 / 2 / 4 (4 spills the 32 zmm registers).
+constexpr size_t F16PassBlocks(size_t h) {
+  return h == 1 ? 8 : h == 2 ? 4 : 2;
 }
 
-using F32PassFn = void (*)(const double* const*, const float*, int64_t,
-                           int64_t, double*);
+using F16PassFn = void (*)(const float* const*, const uint16_t*,
+                           const float*, int64_t, int64_t, float*);
 
 template <size_t... h>
-constexpr std::array<F32PassFn, sizeof...(h)> F32Passes(
+constexpr std::array<F16PassFn, sizeof...(h)> F16Passes(
     std::index_sequence<h...>, bool wide) {
-  return {(wide ? F32PassAvx512<h + 1, F32PassBlocks(h + 1)>
-                : F32PassAvx512<h + 1, 1>)...};
+  return {(wide ? F16PassAvx512<h + 1, F16PassBlocks(h + 1)>
+                : F16PassAvx512<h + 1, 1>)...};
 }
 
-/// kF32Wide[h - 1] / kF32Narrow[h - 1] score h probes against
-/// F32PassBlocks(h) blocks / one block.
-constexpr std::array<F32PassFn, kAvx512TileHeight> kF32Wide =
-    F32Passes(std::make_index_sequence<kAvx512TileHeight>(), true);
-constexpr std::array<F32PassFn, kAvx512TileHeight> kF32Narrow =
-    F32Passes(std::make_index_sequence<kAvx512TileHeight>(), false);
+/// kF16Wide[h - 1] / kF16Narrow[h - 1] score h probes against
+/// F16PassBlocks(h) blocks / one block.
+constexpr std::array<F16PassFn, kAvx512TileHeight> kF16Wide =
+    F16Passes(std::make_index_sequence<kAvx512TileHeight>(), true);
+constexpr std::array<F16PassFn, kAvx512TileHeight> kF16Narrow =
+    F16Passes(std::make_index_sequence<kAvx512TileHeight>(), false);
 
-void SquaredDistanceF32BlocksAvx512(const double* const* q, int64_t nq,
-                                    const float* c, int64_t k, int64_t blocks,
-                                    double* out) {
-  const int64_t stride = blocks * 8;
+void SquaredDistanceF16BlocksAvx512(const float* const* q, int64_t nq,
+                                    const uint16_t* c, const float* scales,
+                                    int64_t k, int64_t blocks, float* out) {
+  const int64_t stride = blocks * 16;
   for (int64_t p = 0; p < nq; p += kAvx512TileHeight) {
     const int64_t h = std::min(kAvx512TileHeight, nq - p);
-    const int64_t per_pass = static_cast<int64_t>(F32PassBlocks(h));
+    const int64_t per_pass = static_cast<int64_t>(F16PassBlocks(h));
     int64_t b = 0;
     for (; b + per_pass <= blocks; b += per_pass) {
-      kF32Wide[h - 1](q + p, c + b * k * 8, k, stride,
-                      out + p * stride + b * 8);
+      kF16Wide[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+                      out + p * stride + b * 16);
     }
     for (; b < blocks; ++b) {
-      kF32Narrow[h - 1](q + p, c + b * k * 8, k, stride,
-                        out + p * stride + b * 8);
+      kF16Narrow[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+                        out + p * stride + b * 16);
     }
   }
 }
@@ -410,7 +437,7 @@ const KernelOps& Avx512Kernels() {
       ScaleAvx512,
       SquaredDistanceBlockAvx512,
       SquaredDistanceTileAvx512,
-      SquaredDistanceF32BlocksAvx512,
+      SquaredDistanceF16BlocksAvx512,
       DotBlockAvx512,
   };
   return kOps;

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -106,8 +107,20 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.scale, nullptr);
   EXPECT_NE(active.squared_distance_block, nullptr);
   EXPECT_NE(active.squared_distance_tile, nullptr);
-  EXPECT_NE(active.squared_distance_f32_blocks, nullptr);
+  EXPECT_NE(active.squared_distance_f16_blocks, nullptr);
   EXPECT_NE(active.dot_block, nullptr);
+  // Every table this build + CPU can run carries the fp16 filter kernel,
+  // and the avx2 one, which widens halves with F16C, is offered only
+  // where CPUID reports it.
+  EXPECT_NE(scalar.squared_distance_f16_blocks, nullptr);
+  for (const KernelOps* table : VectorTables()) {
+    EXPECT_NE(table->squared_distance_f16_blocks, nullptr) << table->name;
+  }
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (KernelsByName("avx2") != nullptr) {
+    EXPECT_TRUE(__builtin_cpu_supports("f16c"));
+  }
+#endif
 }
 
 TEST(KernelDispatchTest, TestOverridePinsAndRestores) {
@@ -408,83 +421,218 @@ TEST(KernelBitExactnessTest, SquaredDistanceTileMatchesPerProbeBlocks) {
   }
 }
 
-/// Floats for the fp32 filter kernel: ExtremeVector rounded to float (its
-/// 1e300s overflow to +-inf, its 1e-300s flush to +-0), with +-0.0f,
-/// float subnormals and +-FLT_MAX mixed in.
-std::vector<float> ExtremeFloats(int64_t n, uint64_t salt) {
-  const std::vector<double> v = ExtremeVector(n, salt);
-  std::vector<float> f(v.begin(), v.end());
+/// Halves for the fp16 filter kernel: random normals of both signs with
+/// +-0, half subnormals, +-65504, +-inf and NaN mixed in.
+std::vector<uint16_t> ExtremeHalves(int64_t n, uint64_t salt) {
+  Rng rng(DeriveSeed(kTestSeed, salt));
+  const uint16_t kSpecial[] = {0x0000, 0x8000, 0x0001, 0x83FF, 0x0200,
+                               0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7E00,
+                               0xFD01};
+  std::vector<uint16_t> h(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    if (i % 13 == 1) f[static_cast<size_t>(i)] = -0.0f;
+    const uint64_t pick = rng.UniformInt(24);
+    h[static_cast<size_t>(i)] =
+        pick < std::size(kSpecial)
+            ? kSpecial[pick]
+            : static_cast<uint16_t>(rng.UniformInt(0x7C00) |
+                                    (rng.UniformInt(2) << 15));
+  }
+  return h;
+}
+
+/// fp32 probes: Gaussians at exponents 2^-20..2^20 with +-0.0f, float
+/// subnormals and magnitudes whose squares overflow mixed in.
+std::vector<float> ExtremeFloats(int64_t n, uint64_t salt) {
+  Rng rng(DeriveSeed(kTestSeed, salt));
+  std::vector<float> f(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    float& x = f[static_cast<size_t>(i)];
+    x = static_cast<float>(rng.Gaussian() *
+                           std::ldexp(1.0, static_cast<int>(
+                                               rng.UniformInt(41)) - 20));
+    if (i % 13 == 1) x = -0.0f;
     if (i % 13 == 4) {
-      f[static_cast<size_t>(i)] = std::numeric_limits<float>::denorm_min() *
-                                  static_cast<float>(1 + i % 50);
+      x = std::numeric_limits<float>::denorm_min() *
+          static_cast<float>(1 + i % 50);
     }
-    if (i % 17 == 6) {
-      f[static_cast<size_t>(i)] =
-          (i % 2 == 0 ? 1.0f : -1.0f) * std::numeric_limits<float>::max();
-    }
+    if (i % 17 == 6) x = (i % 2 == 0 ? 1.0f : -1.0f) * 3e30f;
   }
   return f;
 }
 
-TEST(KernelBitExactnessTest, SquaredDistanceF32BlocksMatchesWidenedBlocks) {
-  // Every table, scalar included, against the fp64 block kernel on the
-  // float blocks widened to double — the entry's contract — across probe
+/// The fp16 kernel's output bytes for probes `rows` against `blocks`
+/// blocks of halves `c` with lane scales `scales`.
+std::vector<float> F16Distances(const KernelOps& table,
+                                const std::vector<const float*>& rows,
+                                const std::vector<uint16_t>& c,
+                                const std::vector<float>& scales, int64_t k,
+                                int64_t blocks) {
+  std::vector<float> out(rows.size() * static_cast<size_t>(blocks) *
+                             kF16BlockLanes,
+                         -1.0f);
+  table.squared_distance_f16_blocks(rows.data(),
+                                    static_cast<int64_t>(rows.size()),
+                                    c.data(), scales.data(), k, blocks,
+                                    out.data());
+  return out;
+}
+
+bool FloatBytesEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// FloatBytesEqual, except that any two NaNs match: a lane that sums two
+/// NaNs keeps one of them, and which one is the compiler's choice (it
+/// commutes IEEE additions), not part of the kernel contract.
+bool FloatBytesEqualUpToNanPayload(const std::vector<float>& a,
+                                   const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(KernelBitExactnessTest, SquaredDistanceF16BlocksMatchesScalarSpec) {
+  // Every vector table against the scalar spec, bit for bit, across probe
   // counts straddling every tile height, block counts straddling every
-  // multi-block pass, and a last block with lanes 3..7 zero-padded (the
-  // filter arena's partial tail). Probes carry doubles beyond FLT_MAX and
-  // float subnormals, and the blocks +-0.0f, float subnormals, +-FLT_MAX
-  // and +-inf.
-  constexpr int64_t kW = kF32BlockLanes;
+  // multi-block pass (up to 8 blocks; 16 is one index scan group), lane
+  // scales from 2^-40 to 2^100, and a last block
+  // with lanes 5..15 zero-padded (the filter arena's partial tail). The
+  // halves carry +-0, subnormals, +-65504, +-inf and NaN; the probes +-0,
+  // float subnormals and magnitudes whose squares overflow. Every non-NaN
+  // lane must match bit for bit.
+  constexpr int64_t kW = kF16BlockLanes;
   const KernelOps& scalar = ScalarKernels();
-  std::vector<const KernelOps*> tables = VectorTables();
-  tables.insert(tables.begin(), &scalar);
-  for (const KernelOps* table : tables) {
+  for (const KernelOps* table : VectorTables()) {
     for (int64_t k : {int64_t{1}, int64_t{5}, int64_t{370}}) {
-      for (int64_t blocks : {1, 2, 3, 5}) {
-        const uint64_t salt = static_cast<uint64_t>(k * 8 + blocks);
-        std::vector<float> c = ExtremeFloats(blocks * k * kW, 701 + salt);
-        float* tail = c.data() + (blocks - 1) * k * kW;
-        for (int64_t j = 0; j < k; ++j) {
-          for (int64_t t = 3; t < kW; ++t) tail[j * kW + t] = 0.0f;
+      for (int64_t blocks : {1, 2, 3, 5, 9, 16}) {
+        const uint64_t salt = static_cast<uint64_t>(k * 32 + blocks);
+        std::vector<uint16_t> c = ExtremeHalves(blocks * k * kW, 701 + salt);
+        std::vector<float> scales(static_cast<size_t>(blocks * kW));
+        for (int64_t i = 0; i < blocks * kW; ++i) {
+          scales[static_cast<size_t>(i)] =
+              std::ldexp(1.0f, static_cast<int>((i * 37 + blocks) % 141) - 40);
+        }
+        uint16_t* tail = c.data() + (blocks - 1) * k * kW;
+        for (int64_t t = 5; t < kW; ++t) {
+          for (int64_t j = 0; j < k; ++j) tail[j * kW + t] = 0;
+          scales[static_cast<size_t>((blocks - 1) * kW + t)] = 0.0f;
         }
         for (int64_t nq : {1, 2, 3, 8, 9}) {
-          std::vector<std::vector<double>> probes;
-          std::vector<const double*> rows;
+          std::vector<std::vector<float>> probes;
+          std::vector<const float*> rows;
           for (int64_t p = 0; p < nq; ++p) {
-            std::vector<double> probe =
-                ExtremeVector(k, 809 + salt * 16 + static_cast<uint64_t>(p));
-            for (int64_t j = 0; j < k; ++j) {
-              if (j % 5 == 2) probe[static_cast<size_t>(j)] = 3.5e38;
-              if (j % 5 == 4) probe[static_cast<size_t>(j)] = 0x1p-140;
-            }
-            probes.push_back(std::move(probe));
+            probes.push_back(
+                ExtremeFloats(k, 809 + salt * 16 + static_cast<uint64_t>(p)));
           }
-          for (const std::vector<double>& probe : probes) {
+          for (const std::vector<float>& probe : probes) {
             rows.push_back(probe.data());
           }
-          const size_t cells = static_cast<size_t>(nq * blocks * kW);
-          std::vector<double> expect(cells, -1.0);
-          std::vector<double> got(cells, -1.0);
-          for (int64_t b = 0; b < blocks; ++b) {
-            const std::vector<double> widened(c.begin() + b * k * kW,
-                                              c.begin() + (b + 1) * k * kW);
-            for (int64_t p = 0; p < nq; ++p) {
-              scalar.squared_distance_block(
-                  rows[static_cast<size_t>(p)], widened.data(), k, kW,
-                  expect.data() + (p * blocks + b) * kW);
-            }
-          }
-          table->squared_distance_f32_blocks(rows.data(), nq, c.data(), k,
-                                             blocks, got.data());
-          EXPECT_TRUE(BytesEqual(expect, got))
-              << table->name << " squared_distance_f32_blocks k=" << k
+          EXPECT_TRUE(FloatBytesEqualUpToNanPayload(
+              F16Distances(scalar, rows, c, scales, k, blocks),
+              F16Distances(*table, rows, c, scales, k, blocks)))
+              << table->name << " squared_distance_f16_blocks k=" << k
               << " blocks=" << blocks << " nq=" << nq;
         }
       }
     }
   }
+}
+
+/// The value of half `h` from its fields alone, independent of the
+/// library's decoder: NaN for a NaN pattern.
+double ReferenceHalf(uint16_t h) {
+  const int exponent = (h >> 10) & 0x1F;
+  const int mantissa = h & 0x3FF;
+  const double sign = (h & 0x8000) != 0 ? -1.0 : 1.0;
+  if (exponent == 31) return mantissa == 0 ? sign * INFINITY : NAN;
+  if (exponent == 0) return sign * std::ldexp(mantissa, -24);
+  return sign * std::ldexp(1024 + mantissa, exponent - 25);
+}
+
+TEST(KernelBitExactnessTest, F16KernelDecodesEveryHalfExactly) {
+  // All 65,536 half patterns as one lane each (k = 1, scale 1), scored by
+  // every table against probes 0 and 1 and compared with the fp32 formula
+  // on an independently decoded value: x^2 is exact (11 significant bits)
+  // and pins |x|, and (1 - x)^2 then pins the sign of every nonzero x.
+  // NaN patterns must score NaN with the scalar table's exact bits.
+  constexpr int64_t kPatterns = 65536;
+  constexpr int64_t kBlocks = kPatterns / kF16BlockLanes;
+  std::vector<uint16_t> c(kPatterns);
+  for (int64_t h = 0; h < kPatterns; ++h) {
+    c[static_cast<size_t>(h)] = static_cast<uint16_t>(h);
+  }
+  const std::vector<float> scales(kPatterns, 1.0f);
+  const float zero = 0.0f;
+  const float one = 1.0f;
+  const std::vector<const float*> rows = {&zero, &one};
+  const std::vector<float> spec =
+      F16Distances(ScalarKernels(), rows, c, scales, 1, kBlocks);
+  std::vector<const KernelOps*> tables = VectorTables();
+  tables.insert(tables.begin(), &ScalarKernels());
+  for (const KernelOps* table : tables) {
+    const std::vector<float> got =
+        F16Distances(*table, rows, c, scales, 1, kBlocks);
+    EXPECT_TRUE(FloatBytesEqual(spec, got)) << table->name;
+    int64_t wrong = 0;
+    for (int64_t h = 0; h < kPatterns; ++h) {
+      const auto x = static_cast<float>(ReferenceHalf(static_cast<uint16_t>(h)));
+      const float square = got[static_cast<size_t>(h)];
+      const float shifted = got[static_cast<size_t>(kPatterns + h)];
+      const bool ok = std::isnan(x) ? std::isnan(square) && std::isnan(shifted)
+                                    : square == x * x &&
+                                          shifted == (1.0f - x) * (1.0f - x);
+      if (!ok && ++wrong <= 5) {
+        ADD_FAILURE() << table->name << " decodes half 0x" << std::hex << h
+                      << " wrongly";
+      }
+    }
+    EXPECT_EQ(wrong, 0) << table->name;
+  }
+}
+
+TEST(HalfConversionTest, RoundsToNearestEvenAndWidensExactly) {
+  for (int64_t h = 0; h < 65536; ++h) {
+    const auto half = static_cast<uint16_t>(h);
+    const double x = ReferenceHalf(half);
+    const float widened = HalfToFloat(half);
+    if (std::isnan(x)) {
+      // Quieted, sign and payload kept: F16C's widening.
+      uint32_t bits;
+      std::memcpy(&bits, &widened, sizeof(bits));
+      EXPECT_EQ(bits, (static_cast<uint32_t>(h & 0x8000) << 16) | 0x7FC00000u |
+                          (static_cast<uint32_t>(h & 0x3FF) << 13))
+          << h;
+      EXPECT_TRUE(std::isnan(ReferenceHalf(HalfFromDouble(widened)))) << h;
+      continue;
+    }
+    ASSERT_EQ(static_cast<double>(widened), x) << h;
+    ASSERT_EQ(std::signbit(widened), std::signbit(x)) << h;
+    ASSERT_EQ(HalfFromDouble(x), half) << h;  // every half round-trips
+    if ((h & 0x7FFF) >= 0x7BFF) continue;     // no finite successor
+    // Between this half and the next one up in magnitude: the midpoint
+    // ties to the even one, anything off it goes to the nearer one.
+    const double next = ReferenceHalf(static_cast<uint16_t>(h + 1));
+    const double mid = (x + next) / 2;
+    const auto even = static_cast<uint16_t>((h & 1) == 0 ? h : h + 1);
+    EXPECT_EQ(HalfFromDouble(mid), even) << h;
+    EXPECT_EQ(HalfFromDouble(std::nextafter(mid, x)), half) << h;
+    EXPECT_EQ(HalfFromDouble(std::nextafter(mid, next)), h + 1) << h;
+  }
+  // The edges: overflow from the 65504/inf midpoint on, underflow to zero
+  // at and below 2^-25 (a tie with the even zero), NaN stays NaN.
+  EXPECT_EQ(HalfFromDouble(std::nextafter(65520.0, 0.0)), 0x7BFF);
+  EXPECT_EQ(HalfFromDouble(65520.0), 0x7C00);
+  EXPECT_EQ(HalfFromDouble(-1e300), 0xFC00);
+  EXPECT_EQ(HalfFromDouble(0x1p-25), 0x0000);
+  EXPECT_EQ(HalfFromDouble(-0x1p-25), 0x8000);
+  EXPECT_EQ(HalfFromDouble(std::nextafter(0x1p-25, 1.0)), 0x0001);
+  EXPECT_EQ(HalfFromDouble(1e-300), 0x0000);
+  EXPECT_TRUE(std::isnan(HalfToFloat(HalfFromDouble(NAN))));
 }
 
 TEST(KernelBitExactnessTest, DotBlock) {

@@ -9,10 +9,11 @@
 // arenas rebuilt by Deserialize / FromPartitions and segments attached,
 // detached and grown around each other. All comparisons
 // are memcmp over serialized results; EXPECT_DOUBLE_EQ would hide exactly
-// the reassociation/FMA bugs this layer can have. The scans are an fp32
+// the reassociation/FMA bugs this layer can have. The scans are an fp16
 // filter plus an exact fp64 re-rank, so the suite also checks the filter's
-// bounds row by row on random and adversarial corpora, and that the
-// adversarial corpora still scan byte-identically.
+// bounds row by row on random and adversarial corpora, that the
+// adversarial corpora still scan byte-identically, and that the filter
+// stays selective on a clustered corpus.
 
 #include <gtest/gtest.h>
 
@@ -487,7 +488,7 @@ TEST(ScanEngineTest, NormCachingLeavesEstimatorOutputsUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// The fp32 filter: its bounds hold on every row, and corpora built to
+// The fp16 filter: its bounds hold on every row, and corpora built to
 // break them still scan byte-identically to the per-entry reference.
 
 /// Asserts lo <= EstimateSquaredDistance(query, row) <= hi on every row.
@@ -510,13 +511,30 @@ std::vector<double> ScaledGaussian(int64_t k, double scale, Rng* rng) {
   return v;
 }
 
+/// Integers in [-2047, 2047]: exact in fp16 under any row scale that keeps
+/// the row's largest magnitude in the top binade, and exact in float, so
+/// a bound between two such vectors rests on the fp32 and fp64 rounding
+/// terms alone (the sums of squares reach ~1.5e9, far past float's 2^24).
+std::vector<double> SmallIntegers(int64_t k, Rng* rng) {
+  std::vector<double> v(static_cast<size_t>(k));
+  for (double& x : v) {
+    x = static_cast<double>(static_cast<int64_t>(rng->UniformInt(4095)) - 2047);
+  }
+  return v;
+}
+
 /// Rows built to break the filter bound, under `like`'s metadata (so they
 /// are mutually compatible): Gaussian rows at norm scales from 1e-50
-/// (below float's subnormals) to 1e30; rows with coordinates at +-FLT_MAX,
-/// at the next double above it (which still rounds to FLT_MAX), at the
-/// rounding midpoint above it and at 2 FLT_MAX (both round to inf); rows
-/// of -0.0; and five exact copies of `dup` under different ids, spread
-/// across the corpus.
+/// (below float's subnormals) to 1e30 (adv-0..279, 40 per scale); rows
+/// with coordinates at +-FLT_MAX, at the next double above it (which
+/// still rounds to FLT_MAX), at the rounding midpoint above it and at
+/// 2 FLT_MAX (both round to inf) (adv-280..299); rows of -0.0
+/// (adv-300..304); rows only a per-row scale brings into fp16's range
+/// (adv-305..348): Gaussians at 1e5, beyond fp16's 65504, and Gaussians
+/// at 1 and 1e-10 with a single coordinate at 1e5, +-1e10 or 1 that sets
+/// their row's scale far above the rest; rows the arena stores exactly
+/// (adv-349..358, SmallIntegers); and five exact copies of `dup` under
+/// different ids, spread across the corpus.
 std::vector<std::pair<std::string, PrivateSketch>> AdversarialCorpus(
     const PrivateSketch& like, const std::vector<double>& dup, Rng* rng) {
   const int64_t k = static_cast<int64_t>(like.values().size());
@@ -542,6 +560,17 @@ std::vector<std::pair<std::string, PrivateSketch>> AdversarialCorpus(
     for (int64_t j = i % 2; j < k; j += 2) v[static_cast<size_t>(j)] = -0.0;
     rows.push_back(std::move(v));
   }
+  for (int i = 0; i < 20; ++i) rows.push_back(ScaledGaussian(k, 1e5, rng));
+  for (const double scale : {1.0, 1e-10}) {
+    for (const double spike : {1e5, 1e10, -1e10, 1.0}) {
+      for (int i = 0; i < 3; ++i) {
+        std::vector<double> v = ScaledGaussian(k, scale, rng);
+        v[static_cast<size_t>(i * 7 % k)] = spike;
+        rows.push_back(std::move(v));
+      }
+    }
+  }
+  for (int i = 0; i < 10; ++i) rows.push_back(SmallIntegers(k, rng));
   std::vector<std::pair<std::string, PrivateSketch>> corpus;
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i % 60 == 7) {
@@ -582,6 +611,13 @@ TEST(ScanEngineTest, FilterBoundsHoldOnRandomAndAdversarialCorpora) {
   probes.emplace_back(dup, like.metadata());
   probes.emplace_back(std::vector<double>(static_cast<size_t>(k), FLT_MAX),
                       like.metadata());
+  probes.emplace_back(SmallIntegers(k, &rng), like.metadata());
+  // Against the -0.0 row the kernel's fp32 sum of this probe is exactly 1:
+  // each later term 2^-24 is absorbed, so the sum falls short by
+  // (k - 1) 2^-24, about all of the gamma_{k+2} term it must be covered by.
+  std::vector<double> absorbed(static_cast<size_t>(k), 0x1p-12);
+  absorbed[0] = 1.0;
+  probes.emplace_back(std::move(absorbed), like.metadata());
   for (const KernelOps* table : AllTables()) {
     KernelOverride pin(table);
     for (const PrivateSketch& probe : probes) {
@@ -590,51 +626,42 @@ TEST(ScanEngineTest, FilterBoundsHoldOnRandomAndAdversarialCorpora) {
       ExpectBoundsHold(adversarial, probe);
     }
   }
-  // Rows float cannot hold are never bounded, and so never filtered out.
+  // A row is unbounded, and so never filtered out, exactly when its fp32
+  // filter sum against this probe overflows: the 1e30-scale rows
+  // (adv-240..279), whose squared differences pass FLT_MAX, and the
+  // +-FLT_MAX-class rows (adv-280..299). Every other row, the per-row
+  // scaled ones included, gets a finite bound.
   const auto bounds = adversarial.FilterBounds(probes.front()).value();
   const std::vector<std::string> ids = adversarial.ids();
-  int64_t unbounded = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
-    if (std::isinf(bounds[i].lo)) {
-      ++unbounded;
+    const bool overflows =
+        ids[i].rfind("adv-", 0) == 0 && std::stoi(ids[i].substr(4)) >= 240 &&
+        std::stoi(ids[i].substr(4)) < 300;
+    if (overflows) {
       EXPECT_EQ(bounds[i].lo, -INFINITY) << ids[i];
       EXPECT_EQ(bounds[i].hi, INFINITY) << ids[i];
+    } else {
+      EXPECT_TRUE(std::isfinite(bounds[i].lo)) << ids[i];
+      EXPECT_TRUE(std::isfinite(bounds[i].hi)) << ids[i];
     }
   }
-  EXPECT_EQ(unbounded, 10);  // the midpoint and 2 FLT_MAX rows
 }
 
-TEST(ScanEngineTest, AdversarialCorporaMatchPerEntryReference) {
-  // NN at top_n straddling the tied duplicates, a range radius equal to a
-  // stored distance, and a batch of eight probes, over an owned segment
-  // and an attached one, in every table at 1/2/7 threads.
-  const int64_t d = 24;
-  const int64_t k = 96;
-  const PrivateSketch like = MakeSketcherOrDie(d, Config(k)).Sketch(
-      std::vector<double>(static_cast<size_t>(d), 1.0), 1);
-  Rng rng(DeriveSeed(kTestSeed, 4343));
-  const std::vector<double> dup = ScaledGaussian(k, 1.0, &rng);
-  const std::vector<std::pair<std::string, PrivateSketch>> corpus =
-      AdversarialCorpus(like, dup, &rng);
+/// The memcmp suite for a corpus built to stress the filter: NN at top_n
+/// straddling tied rows, a range radius equal to a stored distance, and a
+/// batch of all eight probes, over an owned segment holding the first 3/5
+/// of `corpus` and an attached one holding the rest, in every table at
+/// 1/2/7 threads, against the per-entry reference.
+void ExpectScansMatchReference(
+    const std::vector<std::pair<std::string, PrivateSketch>>& corpus,
+    const std::vector<PrivateSketch>& probes) {
+  ASSERT_EQ(probes.size(), 8u);
   const size_t split = corpus.size() * 3 / 5;
   SketchIndex index;
   ASSERT_TRUE(index.AddBatch({corpus.begin(), corpus.begin() + split}).ok());
   SketchIndex attached;
   ASSERT_TRUE(attached.AddBatch({corpus.begin() + split, corpus.end()}).ok());
   ASSERT_TRUE(index.AttachSegment(std::move(attached)).ok());
-
-  std::vector<PrivateSketch> probes;
-  for (const double scale : {1.0, 1e-50, 1e-30, 1e30}) {
-    probes.emplace_back(ScaledGaussian(k, scale, &rng), like.metadata());
-  }
-  probes.emplace_back(dup, like.metadata());  // five tied nearest rows
-  probes.push_back(*index.Find("adv-280"));  // a +-FLT_MAX row
-  probes.push_back(*index.Find("adv-295"));  // a +-2 FLT_MAX row
-  probes.emplace_back(std::vector<double>(static_cast<size_t>(k), -0.0),
-                      like.metadata());
-  ASSERT_EQ(probes.size(), 8u);
-  ASSERT_EQ(probes[5].values()[0], FLT_MAX);
-  ASSERT_EQ(probes[6].values()[0], 2.0 * FLT_MAX);
   std::vector<std::vector<SketchIndex::Neighbor>> ref_scans;
   std::vector<double> radii;
   for (const PrivateSketch& probe : probes) {
@@ -677,6 +704,120 @@ TEST(ScanEngineTest, AdversarialCorporaMatchPerEntryReference) {
       }
     }
   }
+}
+
+const PrivateSketch& Row(
+    const std::vector<std::pair<std::string, PrivateSketch>>& corpus,
+    const std::string& id) {
+  for (const auto& item : corpus) {
+    if (item.first == id) return item.second;
+  }
+  ADD_FAILURE() << "no row " << id;
+  return corpus.front().second;
+}
+
+TEST(ScanEngineTest, AdversarialCorporaMatchPerEntryReference) {
+  const int64_t d = 24;
+  const int64_t k = 96;
+  const PrivateSketch like = MakeSketcherOrDie(d, Config(k)).Sketch(
+      std::vector<double>(static_cast<size_t>(d), 1.0), 1);
+  Rng rng(DeriveSeed(kTestSeed, 4343));
+  const std::vector<double> dup = ScaledGaussian(k, 1.0, &rng);
+  const std::vector<std::pair<std::string, PrivateSketch>> corpus =
+      AdversarialCorpus(like, dup, &rng);
+  std::vector<PrivateSketch> probes;
+  for (const double scale : {1.0, 1e-50, 1e-30, 1e30}) {
+    probes.emplace_back(ScaledGaussian(k, scale, &rng), like.metadata());
+  }
+  probes.emplace_back(dup, like.metadata());  // five tied nearest rows
+  probes.push_back(Row(corpus, "adv-280"));   // a +-FLT_MAX row
+  probes.push_back(Row(corpus, "adv-295"));   // a +-2 FLT_MAX row
+  probes.emplace_back(std::vector<double>(static_cast<size_t>(k), -0.0),
+                      like.metadata());
+  ASSERT_EQ(probes[5].values()[0], FLT_MAX);
+  ASSERT_EQ(probes[6].values()[0], 2.0 * FLT_MAX);
+  ExpectScansMatchReference(corpus, probes);
+}
+
+TEST(ScanEngineTest, CommonOffsetCorpusKeepsBoundsAndMatchesReference) {
+  // Every row and probe shares one offset whose norm is ~1e4 times the
+  // neighbor distances: the regime where a bound that grows with the
+  // norms stops filtering, and where fp16 rounds away most of each
+  // neighbor difference. Bounds must hold on every row and the scans
+  // must still match the reference byte for byte.
+  const int64_t d = 24;
+  const int64_t k = 96;
+  const PrivateSketch like = MakeSketcherOrDie(d, Config(k)).Sketch(
+      std::vector<double>(static_cast<size_t>(d), 1.0), 1);
+  Rng rng(DeriveSeed(kTestSeed, 4545));
+  // ||offset|| ~ 1e4; neighbors differ by ~1 (per-coordinate 1/sqrt(k)).
+  const std::vector<double> offset =
+      ScaledGaussian(k, 1e4 / std::sqrt(static_cast<double>(k)), &rng);
+  const auto near_offset = [&](double spread) {
+    std::vector<double> v = ScaledGaussian(k, spread, &rng);
+    for (int64_t j = 0; j < k; ++j) {
+      v[static_cast<size_t>(j)] += offset[static_cast<size_t>(j)];
+    }
+    return PrivateSketch(v, like.metadata());
+  };
+  const double unit = 1.0 / std::sqrt(static_cast<double>(k));
+  std::vector<std::pair<std::string, PrivateSketch>> corpus;
+  for (int64_t i = 0; i < 300; ++i) {
+    corpus.emplace_back("off-" + std::to_string(i),
+                        near_offset(unit * (1.0 + static_cast<double>(i % 5))));
+  }
+  corpus.emplace_back("off-exact", PrivateSketch(offset, like.metadata()));
+  std::vector<PrivateSketch> probes;
+  for (int i = 0; i < 6; ++i) probes.push_back(near_offset(unit));
+  probes.emplace_back(offset, like.metadata());
+  probes.push_back(Row(corpus, "off-17"));
+
+  SketchIndex whole;
+  ASSERT_TRUE(whole.AddBatch(corpus).ok());
+  for (const KernelOps* table : AllTables()) {
+    KernelOverride pin(table);
+    SCOPED_TRACE(table->name);
+    for (const PrivateSketch& probe : probes) ExpectBoundsHold(whole, probe);
+  }
+  ExpectScansMatchReference(corpus, probes);
+}
+
+TEST(ScanEngineTest, FilterStaysSelectiveOnClusteredSketches) {
+  // A loose bound keeps every answer correct, so only the re-rank count
+  // shows it. On a query_scan-shaped corpus (clustered d = 1024 inputs,
+  // clusters of 16, the CLI's default sketcher) a one-chunk top-10 scan
+  // must re-rank at most 1.5 x top_n rows per probe.
+  const int64_t d = 1024;
+  const int64_t n = 4096;
+  const int64_t num_probes = 16;
+  const int64_t kTopN = 10;
+  Rng rng(DeriveSeed(kTestSeed, 4646));
+  const ClusteredData data =
+      MakeClusters(n + num_probes, d, n / 16, 5.5, 1.0, &rng);
+  SketcherConfig config;
+  config.alpha = 0.2;
+  config.beta = 0.05;
+  config.epsilon = 1.0;
+  config.projection_seed = 1;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, config);
+  std::vector<std::pair<std::string, PrivateSketch>> corpus;
+  for (int64_t i = 0; i < n; ++i) {
+    corpus.emplace_back(
+        "c-" + std::to_string(i),
+        sketcher.Sketch(data.points[static_cast<size_t>(i)],
+                        static_cast<uint64_t>(1 + i)));
+  }
+  SketchIndex index;
+  ASSERT_TRUE(index.AddBatch(std::move(corpus)).ok());
+  for (int64_t p = 0; p < num_probes; ++p) {
+    const PrivateSketch probe = sketcher.Sketch(
+        data.points[static_cast<size_t>(n + p)], static_cast<uint64_t>(9000 + p));
+    ASSERT_TRUE(index.NearestNeighbors(probe, kTopN).ok());
+  }
+  const SketchIndex::ScanCounts counts = index.scan_counts();
+  EXPECT_EQ(counts.rows_scanned, n * num_probes);
+  EXPECT_LE(static_cast<double>(counts.rows_reranked) / num_probes,
+            1.5 * static_cast<double>(kTopN));
 }
 
 TEST(ScanEngineTest, ScanCountsTrackFilterWork) {
