@@ -17,9 +17,9 @@ namespace dpjl {
 /// order — while never materializing more than `limit` items.
 ///
 /// Shape: a max-heap of the kept items, so the current worst survivor is
-/// one compare away. The index scan's fp16 filter keeps one selector of
-/// per-row upper bounds and checks each row's lower bound against its
-/// Worst() before keeping the row for the exact re-rank; see
+/// one compare away. The index scan's int8 filter keeps one selector of
+/// per-row upper bounds per chunk and checks each row's lower bound
+/// against its Worst() before keeping the row for the exact re-rank; see
 /// SketchIndex::ScanChunks.
 ///
 /// Not thread-safe; use one selector per scan task.

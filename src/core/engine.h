@@ -207,7 +207,7 @@ class [[nodiscard]] EngineFuture {
 struct EngineStats {
   RequestQueue::Stats queue;
   int64_t index_size = 0;
-  /// (probe, row) pairs the query scans' fp16 filter scored, and those it
+  /// (probe, row) pairs the query scans' int8 filter scored, and those it
   /// re-ranked exactly (SketchIndex::scan_counts): their ratio is the
   /// filter's selectivity.
   SketchIndex::ScanCounts scans;

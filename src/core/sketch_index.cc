@@ -1,6 +1,7 @@
 #include "src/core/sketch_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -53,8 +54,15 @@ int64_t ScanGrain(int64_t blocks, const ThreadPool* pool) {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Blocks per filter kernel call: a multiple of every table's widest
-/// multi-block pass, and small enough that a batch's distances stay in L1.
+/// multi-block pass, and small enough that a batch's dot products stay in
+/// L1.
 constexpr int64_t kFilterGroupBlocks = 16;
+
+/// Rows between refreshes of a group's cut while its threshold falls.
+constexpr int64_t kCutRefresh = 16;
+
+/// Bytes per int8 filter quad (kI8BlockLanes rows of kI8QuadWidth bytes).
+constexpr int64_t kQuadBytes = kI8BlockLanes * kI8QuadWidth;
 
 /// Relative slack on every filter bound; it covers the rounding of the
 /// bounds' own arithmetic (a few units of 2^-53 per step).
@@ -70,87 +78,212 @@ double Gamma(int64_t n, double u) {
 /// 1 / (1 - gamma), +inf for an infinite gamma.
 double Grow(double gamma) { return gamma < 1.0 ? 1.0 / (1.0 - gamma) : kInf; }
 
-/// The exponent s for which the row's largest magnitude `max_abs` times
-/// 2^-s rounds into fp16's top binade [2^15, 65504], clamped so that 2^s
-/// stays a normal float.
-int FilterExponent(double max_abs) {
-  if (!(max_abs > 0.0)) return -126;
-  int s = std::ilogb(max_abs);
-  if (s < std::numeric_limits<int>::max()) {
-    s -= 15;
-    // [65520, 65536) would round up to inf: move down one binade.
-    if (std::ldexp(max_abs, -s) >= 65520.0) ++s;
-  }
-  return std::clamp(s, -126, 127);
-}
-
 /// Upper bound on ||v - v'|| from an fp64 sum, in any order, of the k
 /// squared differences of their coordinates (each a subtraction, a square
 /// and at most k additions: gamma_{k+2} plus k underflows): the measured
-/// rounding error of a row or probe as the filter kernel sees it.
+/// rounding error of a row or probe as the filter sees it.
 double RoundingError(double sum_squares, int64_t k) {
   return std::sqrt((sum_squares + static_cast<double>(k) * 0x1p-1074) *
                    Grow(Gamma(k + 2, 0x1p-53))) *
          kBoundSlack;
 }
 
-/// The rigorous error bound of the fp16 filter. For a probe q and a stored
-/// row x of k fp64 coordinates, the kernel scores q^ = float(q) against
-/// x~ = float(half) * 2^s (the row as the arena stores it) in fp32, while
-/// the exact re-rank computes the fp64 sum d of (q_j - x_j)^2. With
-/// e_q >= ||q - q^|| and e_r >= ||x - x~||, both measured when q^ and x~
-/// are made (RoundingError), and u32 = 2^-24:
-///  1. The kernel's sum D^ of k non-negative terms, each a subtraction,
-///     a square (absolute 2^-150 on underflow) and an addition, satisfies
-///     |D^ - S| <= gamma_{k+2}(u32) S + k 2^-149 for S = ||q^ - x~||^2.
-///  2. ||q - x|| lies within e_q + e_r of sqrt(S) (triangle inequality),
-///     and sqrt(S +- k 2^-149) within sqrt(k 2^-149) of sqrt(S).
+/// Rows whose largest magnitude is below this keep a zero code: their
+/// scale would reach the subnormal range, where scale * x_int stops being
+/// exact.
+constexpr double kMinCodedMagnitude = 0x1p-1000;
+
+/// The int8 code of a row or probe x of k coordinates: x_int = round(x / s)
+/// in [-127, 127] with s = max|x| / 127 (its low 8 significand bits
+/// cleared, so s * x_int is exact), the exact integers sum(x_int) and
+/// sum(x_int^2), and the measured e >= ||x - s x_int||. Any rounding rule
+/// would do, since e is measured. A coordinate that is not finite makes e
+/// +inf, so the filter never excludes the row.
+struct Int8Code {
+  double scale = 0.0;
+  int64_t sum = 0;
+  int64_t norm = 0;
+  double error = 0.0;
+};
+
+/// Codes x into out[(j / 4) * quad_stride + j % 4] for coordinate j (the
+/// caller zero-fills the rest of the last quad). Portable scalar code, so
+/// a stored code never depends on the CPU that made it.
+Int8Code QuantizeInt8(const double* x, int64_t k, int64_t quad_stride,
+                      int8_t* out) {
+  constexpr int64_t kQ = kI8QuadWidth;
+  // Every reduction below runs as four independent chains, one per
+  // position in a quad: as one chain, each would wait on the latency of
+  // its max or add.
+  double max_abs[kQ] = {0.0, 0.0, 0.0, 0.0};
+  const int64_t whole = k - k % kQ;
+  for (int64_t j = 0; j < whole; j += kQ) {
+    for (int64_t i = 0; i < kQ; ++i) {
+      max_abs[i] = std::max(max_abs[i], std::fabs(x[j + i]));
+    }
+  }
+  for (int64_t j = whole; j < k; ++j) {
+    max_abs[0] = std::max(max_abs[0], std::fabs(x[j]));
+  }
+  const double largest = std::max(std::max(max_abs[0], max_abs[1]),
+                                  std::max(max_abs[2], max_abs[3]));
+  Int8Code code;
+  if (!(largest <= DBL_MAX)) {
+    code.error = kInf;
+    return code;
+  }
+  double scale = 0.0;
+  if (largest >= kMinCodedMagnitude) {
+    uint64_t bits;
+    scale = largest / 127.0;
+    std::memcpy(&bits, &scale, sizeof(bits));
+    bits &= ~uint64_t{0xFF};
+    std::memcpy(&scale, &bits, sizeof(bits));
+  }
+  const double inverse = scale > 0.0 ? 1.0 / scale : 0.0;
+  // One accumulator chain of sum(x_int), sum(x_int^2) and the squared
+  // rounding error per position in a quad.
+  struct Chain {
+    int64_t sum = 0;
+    int64_t norm = 0;
+    double error = 0.0;
+  };
+  Chain c0, c1, c2, c3;
+  // Clamps x / s to [-127, 127] (a NaN coordinate codes as -127) and rounds
+  // it to an integer by adding 1.5 * 2^52, whose significand then ends in
+  // the integer.
+  const auto quantize = [scale, inverse](double xj, int8_t* dst, Chain* chain) {
+    const double clamped = std::max(-127.0, std::min(xj * inverse, 127.0));
+    const double shifted = clamped + 0x1.8p52;
+    int64_t bits;
+    std::memcpy(&bits, &shifted, sizeof(bits));
+    const int64_t v = bits - 0x4338000000000000;
+    *dst = static_cast<int8_t>(v);
+    chain->sum += v;
+    chain->norm += v * v;
+    const double diff = xj - scale * (shifted - 0x1.8p52);
+    chain->error += diff * diff;
+  };
+  for (int64_t j = 0; j < whole; j += kQ) {
+    int8_t* quad = out + (j / kQ) * quad_stride;
+    quantize(x[j], quad, &c0);
+    quantize(x[j + 1], quad + 1, &c1);
+    quantize(x[j + 2], quad + 2, &c2);
+    quantize(x[j + 3], quad + 3, &c3);
+  }
+  for (int64_t j = whole; j < k; ++j) {
+    quantize(x[j], out + (j / kQ) * quad_stride + j % kQ, &c0);
+  }
+  code.scale = scale;
+  code.sum = (c0.sum + c1.sum) + (c2.sum + c3.sum);
+  code.norm = (c0.norm + c1.norm) + (c2.norm + c3.norm);
+  code.error =
+      RoundingError((c0.error + c1.error) + (c2.error + c3.error), k);
+  if (!std::isfinite(code.error)) code.error = kInf;
+  return code;
+}
+
+/// s^2 * sum(x_int^2) in fp64, the norm term of the filter distance.
+double CodeNorm(const Int8Code& code) {
+  return (code.scale * code.scale) * static_cast<double>(code.norm);
+}
+
+/// A probe as the filter kernel sees it: its code as unsigned bytes
+/// u = q_int + 128 (zero-padded to whole quads as 128), with the terms of
+/// the filter distance that depend on the probe alone.
+struct CodedProbe {
+  std::vector<uint8_t> bytes;
+  double norm;   // s_q^2 * Q
+  double cross;  // 2 s_q
+  double error;  // e_q
+
+  explicit CodedProbe(const std::vector<double>& exact) {
+    const auto k = static_cast<int64_t>(exact.size());
+    const int64_t width = (k + kI8QuadWidth - 1) / kI8QuadWidth * kI8QuadWidth;
+    std::vector<int8_t> code(static_cast<size_t>(width), 0);
+    const Int8Code probe =
+        QuantizeInt8(exact.data(), k, kI8QuadWidth, code.data());
+    bytes.reserve(code.size());
+    for (const int8_t v : code) bytes.push_back(static_cast<uint8_t>(v + 128));
+    norm = CodeNorm(probe);
+    cross = 2.0 * probe.scale;
+    error = probe.error;
+  }
+};
+
+/// The filter distance of one (probe, row) pair: the fp64 value of
+/// D = s_q^2 Q + s_r^2 X - 2 s_q s_r I = ||s_q q_int - s_r x_int||^2, and
+/// `norms`, its rounded s_q^2 Q + s_r^2 X, which sizes its rounding error.
+struct FilterDistance {
+  double norms;
+  double squared;
+};
+
+/// The filter distance from the kernel's dot product raw = sum(u x_int),
+/// with I = raw - 128 sum(x_int).
+FilterDistance Filtered(const CodedProbe& probe, double row_scale,
+                        double row_norm, int64_t row_sum, int64_t raw) {
+  const double norms = probe.norm + row_norm;
+  return {norms, norms - (probe.cross * row_scale) *
+                             static_cast<double>(raw - 128 * row_sum)};
+}
+
+/// The rigorous error bound of the int8 filter. For a probe q and a
+/// stored row x of k fp64 coordinates, the filter computes D^, the fp64
+/// FilterDistance of their codes, while the exact re-rank computes the
+/// fp64 sum d of (q_j - x_j)^2. With e_q >= ||q - s_q q_int|| and
+/// e_r >= ||x - s_r x_int||, both measured when the codes are made:
+///  1. Q, X and I are exact integers, and |2 s_q s_r I| <= s_q^2 Q +
+///     s_r^2 X by Cauchy-Schwarz, so D^'s eight roundings put it within
+///     2 gamma_8(2^-53) * norms of D, plus at most 2^-1074 per unit of
+///     Q + X + |I| (<= 3 * 127^2 k) for products that underflow.
+///  2. ||q - x|| lies within e_q + e_r of sqrt(D) (triangle inequality).
 ///  3. d lies within gamma_{k+2}(2^-53) relative plus k 2^-1074 of
 ///     ||q - x||^2.
 /// Each lower piece is divided and each upper piece multiplied by
 /// kBoundSlack before it is combined, so the roundings of this arithmetic
 /// stay inside a 2^-20 margin. The bound scales with the distance, not
-/// with the norms. It assumes no fp32 sum overflows: a D^, e_q or e_r that
-/// is not finite (an overflowed sum, a coordinate beyond the half or float
-/// range, a NaN) widens it to (-inf, +inf).
+/// with the norms. Every step is a monotone operation, so the computed
+/// lower bound never decreases in D^ and never increases in norms or the
+/// error.
 class FilterBound {
  public:
   explicit FilterBound(int64_t k)
-      : shrink32_(std::sqrt(1.0 / (1.0 + Gamma(k + 2, 0x1p-24))) /
-                  kBoundSlack),
-        grow32_(std::sqrt(Grow(Gamma(k + 2, 0x1p-24))) * kBoundSlack),
-        floor32_(std::sqrt(static_cast<double>(k) * 0x1p-149) * kBoundSlack),
+      : gamma_(2.0 * Gamma(8, 0x1p-53)),
+        floor_((3.0 * 127 * 127 * static_cast<double>(k) + 4.0) * 0x1p-1074),
         gamma64_(Gamma(k + 2, 0x1p-53)),
         underflow64_(static_cast<double>(k) * 0x1p-1074) {}
 
-  /// Bounds lo <= d <= hi on the exact re-rank sum from the kernel's fp32
-  /// sum and error = e_q + e_r; non-finite when nothing is proven.
-  SketchIndex::EstimateBounds Distance(float filtered, double error) const {
-    if (!std::isfinite(filtered) || !std::isfinite(error)) {
-      return {-kInf, kInf};
-    }
-    const double root = std::sqrt(static_cast<double>(filtered));
+  /// Bounds lo <= d <= hi on the exact re-rank sum from a finite filter
+  /// distance and error = e_q + e_r (hi may overflow to +inf).
+  SketchIndex::EstimateBounds Distance(const FilterDistance& filtered,
+                                       double error) const {
+    const double margin = filtered.norms * gamma_ + floor_;
     const double slack_error = error * kBoundSlack;
-    const double near =
-        std::max(0.0, (root - floor32_) * shrink32_ - slack_error);
-    const double far = (root + floor32_) * grow32_ + slack_error;
+    const double near = std::max(
+        0.0, std::sqrt(std::max(0.0, filtered.squared - margin)) /
+                     kBoundSlack -
+                 slack_error);
+    const double far =
+        std::sqrt(std::max(0.0, filtered.squared + margin)) * kBoundSlack +
+        slack_error;
     return {near * near * (1.0 - gamma64_) / kBoundSlack - underflow64_,
             far * far * (1.0 + gamma64_) * kBoundSlack + underflow64_};
   }
 
-  /// The kernel sum at which Distance(sum, error).lo reaches `d_lo`:
-  /// Distance inverted in exact arithmetic, so only approximately.
-  double SumFor(double d_lo, double error) const {
+  /// The filter distance at which Distance(.., error).lo reaches `d_lo`
+  /// for a pair with this `norms`: Distance inverted in exact arithmetic,
+  /// so only approximately.
+  double SquaredFor(double d_lo, double norms, double error) const {
     const double near = std::sqrt(
         std::max(0.0, (d_lo + underflow64_) * kBoundSlack / (1.0 - gamma64_)));
-    const double root = (near + error * kBoundSlack) / shrink32_ + floor32_;
-    return root * root;
+    const double root = (near + error * kBoundSlack) * kBoundSlack;
+    return root * root + norms * gamma_ + floor_;
   }
 
  private:
-  double shrink32_;
-  double grow32_;
-  double floor32_;
+  double gamma_;
+  double floor_;
   double gamma64_;
   double underflow64_;
 };
@@ -158,93 +291,61 @@ class FilterBound {
 /// Bounds lo <= estimate <= hi on a row's exact estimate
 /// (d - probe_center) - row_center from its filter distance and the probe
 /// and row rounding errors: the epilogue is monotone in d, so it maps d's
-/// bounds to the estimate's. A bound that is not finite proves nothing and
-/// widens to (-inf, +inf), so the row is always kept and never tightens a
-/// threshold.
+/// bounds to the estimate's. A filter distance, error or center that is
+/// not finite proves nothing and widens the bound to (-inf, +inf), so the
+/// row is always kept and never tightens a threshold.
 SketchIndex::EstimateBounds BoundEstimate(const FilterBound& bound,
-                                          float filtered, double probe_error,
+                                          const FilterDistance& filtered,
+                                          double probe_error,
                                           double probe_center,
                                           double row_error,
                                           double row_center) {
-  const SketchIndex::EstimateBounds d =
-      bound.Distance(filtered, probe_error + row_error);
+  const double error = probe_error + row_error;
+  if (!std::isfinite(filtered.squared) || !std::isfinite(filtered.norms) ||
+      !std::isfinite(error)) {
+    return {-kInf, kInf};
+  }
+  const SketchIndex::EstimateBounds d = bound.Distance(filtered, error);
   const double lo = d.lo - probe_center - row_center;
   const double hi = d.hi - probe_center - row_center;
-  if (!std::isfinite(lo) || !std::isfinite(hi)) return {-kInf, kInf};
+  if (!std::isfinite(lo) || std::isnan(hi)) return {-kInf, kInf};
   return {lo, hi};
 }
 
-/// The smallest kernel sum from which BoundEstimate's lo provably exceeds
-/// `threshold` for every row whose error is at most `row_error` and whose
-/// center is at most `row_center`, or +inf. The computed lo never
-/// decreases in the sum (every step rounds a monotone operation) and
-/// never increases in the error or center, so confirming one candidate
-/// with BoundEstimate itself covers every finite sum above it. The
-/// candidate inverts the bound and is nudged up when rounding left it
-/// just short.
-float RejectFrom(const FilterBound& bound, double threshold,
-                 double probe_error, double probe_center, double row_error,
-                 double row_center) {
-  double sum = bound.SumFor(threshold + probe_center + row_center,
-                            probe_error + row_error);
-  for (int attempt = 0; attempt < 3 && sum < FLT_MAX; ++attempt) {
-    const auto cut = static_cast<float>(sum);
-    if (BoundEstimate(bound, cut, probe_error, probe_center, row_error,
-                      row_center)
+/// The smallest filter distance from which BoundEstimate's lo provably
+/// exceeds `threshold` for every row within `limits`, or +inf. The
+/// computed lo never decreases in the distance and never increases in the
+/// norms, error or center, so confirming one candidate with BoundEstimate
+/// itself covers every finite distance above it. The candidate inverts
+/// the bound and is nudged up when rounding left it just short.
+template <typename Limits>
+double RejectFrom(const FilterBound& bound, double threshold,
+                  const CodedProbe& probe, double probe_center,
+                  const Limits& limits) {
+  if (!std::isfinite(limits.error)) return kInf;
+  FilterDistance at{probe.norm + limits.norm, 0.0};
+  at.squared = bound.SquaredFor(threshold + probe_center + limits.center,
+                                at.norms, probe.error + limits.error);
+  for (int attempt = 0; attempt < 3 && at.squared <= DBL_MAX; ++attempt) {
+    if (BoundEstimate(bound, at, probe.error, probe_center, limits.error,
+                      limits.center)
             .lo > threshold) {
-      return cut;
+      return at.squared;
     }
-    sum *= 1.0 + 0x1p-10;
+    at.squared *= 1.0 + 0x1p-10;
   }
-  return std::numeric_limits<float>::infinity();
+  return kInf;
 }
-
-/// The largest row error and noise center of rows [begin, end) of a
-/// segment's filter arrays; +inf when any is not finite, so that no cut
-/// derived from them drops a row the bound cannot handle.
-struct RowLimits {
-  double error = 0.0;
-  double center = -kInf;
-
-  RowLimits(const std::vector<double>& errors,
-            const std::vector<double>& centers, int64_t begin, int64_t end) {
-    for (auto r = static_cast<size_t>(begin); r < static_cast<size_t>(end);
-         ++r) {
-      if (!std::isfinite(errors[r]) || !std::isfinite(centers[r])) {
-        error = kInf;
-        return;
-      }
-      error = std::max(error, errors[r]);
-      center = std::max(center, centers[r]);
-    }
-  }
-};
-
-/// A probe as the filter kernel sees it: its coordinates rounded to float,
-/// and the measured bound on ||q - q^||.
-struct RoundedProbe {
-  std::vector<float> values;
-  double error;
-
-  explicit RoundedProbe(const std::vector<double>& exact)
-      : values(exact.begin(), exact.end()) {
-    double sum_squares = 0.0;
-    for (size_t j = 0; j < exact.size(); ++j) {
-      const double diff = exact[j] - static_cast<double>(values[j]);
-      sum_squares += diff * diff;
-    }
-    error = RoundingError(sum_squares, static_cast<int64_t>(exact.size()));
-  }
-};
 
 /// One probe's filter state within one scan chunk. Rows are offered with
 /// bounds lo <= exact estimate <= hi; a row is kept unless lo exceeds the
-/// threshold. With top_n > 0 (nearest neighbors) the threshold is the
-/// top_n-th smallest upper bound kept so far, +inf until there are top_n:
-/// that many rows have estimates at or below it, so no row above it can
-/// reach the top_n. A rejected row's hi is at least its lo, so it could
-/// not have lowered the threshold. With top_n == 0 (range) the threshold
-/// is the radius.
+/// running threshold. With top_n > 0 (nearest neighbors) that is the
+/// top_n-th smallest upper bound offered so far, +inf until there are
+/// top_n: that many rows have estimates at or below it, so no row above
+/// it can reach the top_n. A rejected row's hi is at least its lo, so it
+/// could not have lowered the threshold, and the kept upper bounds are
+/// the chunk's top_n smallest. With top_n == 0 (range) the threshold is
+/// the radius.
 template <typename Row>
 class ChunkFilter {
  public:
@@ -265,12 +366,16 @@ class ChunkFilter {
   /// Rows whose lo exceeds this are rejected; it only ever decreases.
   double threshold() const { return threshold_; }
 
-  /// The kept rows, in offer order, whose lo is within the final
-  /// threshold — a superset of the rows that can reach the answer.
-  std::vector<Row> Survivors() const {
+  /// The chunk's top_n smallest upper bounds; leaves the selector empty.
+  std::vector<double> TakeUppers() { return uppers_.TakeSorted(); }
+
+  /// The kept rows, in offer order, whose lo is within `threshold`, which
+  /// must not exceed threshold(): then they are every row of the chunk
+  /// whose lo is within it.
+  std::vector<Row> Survivors(double threshold) const {
     std::vector<Row> rows;
     for (const auto& [row, lo] : kept_) {
-      if (!(lo > threshold_)) rows.push_back(row);
+      if (!(lo > threshold)) rows.push_back(row);
     }
     return rows;
   }
@@ -377,57 +482,53 @@ Status SketchIndex::Add(std::string id, PrivateSketch sketch) {
 }
 
 void SketchIndex::Segment::Append(std::string id, PrivateSketch sketch) {
-  constexpr int64_t kW = kF16BlockLanes;
   const std::vector<double>& v = sketch.values();
   const int64_t row = size();
-  if (row == 0) dim = static_cast<int64_t>(v.size());
+  if (row == 0) {
+    dim = static_cast<int64_t>(v.size());
+    quads = (dim + kI8QuadWidth - 1) / kI8QuadWidth;
+  }
   DPJL_CHECK(static_cast<int64_t>(v.size()) == dim,
              "segment append requires a compatibility-checked sketch");
-  const int64_t lane = row % kW;
+  const int64_t lane = row % kI8BlockLanes;
   if (lane == 0) {
-    // New tail block, zero-padded: unfilled lanes scan as the zero vector
+    // New tail block, zero-padded: unfilled lanes score as the zero row
     // and their garbage distances are discarded by the width bound.
-    filter.resize(filter.size() + static_cast<size_t>(dim * kW), 0);
-    filter_scales.resize(filter_scales.size() + kW, 0.0f);
+    filter.resize(filter.size() + static_cast<size_t>(quads * kQuadBytes), 0);
+    block_limits.emplace_back();
   }
-  // Both reductions below run as four independent chains: as one chain,
-  // each would wait on the latency of its max or add.
-  const double* x = v.data();
-  double max_abs[4] = {0.0, 0.0, 0.0, 0.0};
-  int64_t j = 0;
-  for (; j + 4 <= dim; j += 4) {
-    for (int64_t t = 0; t < 4; ++t) {
-      max_abs[t] = std::max(max_abs[t], std::fabs(x[j + t]));
-    }
-  }
-  for (; j < dim; ++j) max_abs[0] = std::max(max_abs[0], std::fabs(x[j]));
-  const int exponent =
-      FilterExponent(std::max(std::max(max_abs[0], max_abs[1]),
-                              std::max(max_abs[2], max_abs[3])));
-  const float scale = std::ldexp(1.0f, exponent);
-  const double inverse = std::ldexp(1.0, -exponent);
-  // Round once, then measure ||x - x~|| against exactly the values the
-  // kernel reconstructs (float(half) * scale in fp32), so the bound holds
-  // whatever the rounding.
-  uint16_t* column = filter.data() + (row / kW) * dim * kW + lane;
-  double sums[4] = {0.0, 0.0, 0.0, 0.0};
-  const auto quantize = [&](int64_t i, double* sum) {
-    const uint16_t half = HalfFromDouble(x[i] * inverse);
-    column[i * kW] = half;
-    const double diff = x[i] - static_cast<double>(HalfToFloat(half) * scale);
-    *sum += diff * diff;
-  };
-  for (j = 0; j + 4 <= dim; j += 4) {
-    for (int64_t t = 0; t < 4; ++t) quantize(j + t, &sums[t]);
-  }
-  for (; j < dim; ++j) quantize(j, &sums[0]);
-  const double sum_squares = (sums[0] + sums[1]) + (sums[2] + sums[3]);
-  filter_scales[static_cast<size_t>(row)] = scale;
-  filter_errors.push_back(RoundingError(sum_squares, dim));
+  const Int8Code code = QuantizeInt8(
+      v.data(), dim, kQuadBytes,
+      filter.data() + (row / kI8BlockLanes) * quads * kQuadBytes +
+          lane * kI8QuadWidth);
+  filter_scales.push_back(code.scale);
+  filter_sums.push_back(code.sum);
+  filter_norms.push_back(CodeNorm(code));
+  filter_errors.push_back(code.error);
   noise_centers.push_back(sketch.metadata().noise_center);
+  block_limits.back().Add(filter_errors.back(), noise_centers.back(),
+                          filter_norms.back());
   rows.emplace(id, row);
   ids.push_back(std::move(id));
   sketches.push_back(std::move(sketch));
+}
+
+void SketchIndex::Segment::Limits::Add(double row_error, double row_center,
+                                       double row_norm) {
+  if (!std::isfinite(row_error) || !std::isfinite(row_center) ||
+      !std::isfinite(row_norm)) {
+    error = kInf;
+    return;
+  }
+  error = std::max(error, row_error);
+  center = std::max(center, row_center);
+  norm = std::max(norm, row_norm);
+}
+
+void SketchIndex::Segment::Limits::Merge(const Limits& other) {
+  error = std::max(error, other.error);
+  center = std::max(center, other.center);
+  norm = std::max(norm, other.norm);
 }
 
 Status SketchIndex::AddBatch(
@@ -456,7 +557,6 @@ Status SketchIndex::AddBatch(
   }
   // Validated: commit the whole batch (no fallible step below).
   Segment& segment = owned();
-  segment.ids.reserve(segment.ids.size() + items.size());
   for (auto& item : items) {
     segment.Append(std::move(item.first), std::move(item.second));
   }
@@ -511,26 +611,73 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
   const int64_t dim =
       num_queries == 0 ? 0 : static_cast<int64_t>(queries[0].values().size());
   const FilterBound bound(dim);
-  std::vector<RoundedProbe> rounded;
-  std::vector<const float*> probes;
-  rounded.reserve(static_cast<size_t>(num_queries));
+  std::vector<CodedProbe> coded;
+  std::vector<const uint8_t*> probes;
+  coded.reserve(static_cast<size_t>(num_queries));
   probes.reserve(static_cast<size_t>(num_queries));
   std::vector<std::vector<Sink>> sinks(static_cast<size_t>(num_queries));
   for (int64_t p = 0; p < num_queries; ++p) {
-    rounded.emplace_back(queries[p].values());
-    probes.push_back(rounded.back().values.data());
+    coded.emplace_back(queries[p].values());
+    probes.push_back(coded.back().bytes.data());
     for (int64_t c = 0; c < chunks; ++c) {
       sinks[static_cast<size_t>(p)].push_back(make_sink());
     }
   }
+  // filters[chunk * num_queries + probe].
   using Filter = ChunkFilter<std::pair<const Segment*, int64_t>>;
-  ThreadPool::Run(pool, 0, blocks, grain, [&](int64_t begin, int64_t end) {
-    const size_t chunk = static_cast<size_t>(begin / grain);
+  std::vector<Filter> filters(static_cast<size_t>(chunks * num_queries),
+                              Filter(top_n, radius));
+  // Exact re-rank of a chunk's rows whose lo is within thresholds[probe]:
+  // their fp64 rows, packed kSketchBlockWidth at a time into a column
+  // block, through EstimateBlock — each lane bit-identical to the per-pair
+  // estimator by the kernel contract.
+  const auto rerank = [&](int64_t chunk, const std::vector<double>& thresholds) {
     const KernelOps& ops = Kernels();
-    std::vector<Filter> filters(static_cast<size_t>(num_queries),
-                                Filter(top_n, radius));
-    std::vector<float> dist(static_cast<size_t>(num_queries) *
-                            kFilterGroupBlocks * kF16BlockLanes);
+    std::vector<double> block(static_cast<size_t>(dim * kSketchBlockWidth));
+    double centers[kSketchBlockWidth];
+    double dist[kSketchBlockWidth];
+    int64_t reranked = 0;
+    for (int64_t p = 0; p < num_queries; ++p) {
+      Sink& sink = sinks[static_cast<size_t>(p)][static_cast<size_t>(chunk)];
+      const double* probe = queries[p].values().data();
+      const double probe_center = queries[p].metadata().noise_center;
+      const std::vector<std::pair<const Segment*, int64_t>> survivors =
+          filters[static_cast<size_t>(chunk * num_queries + p)].Survivors(
+              thresholds[static_cast<size_t>(p)]);
+      const auto count = static_cast<int64_t>(survivors.size());
+      for (int64_t i = 0; i < count; i += kSketchBlockWidth) {
+        const int64_t width = std::min(kSketchBlockWidth, count - i);
+        for (int64_t t = 0; t < width; ++t) {
+          const auto& [segment, row] = survivors[static_cast<size_t>(i + t)];
+          const double* values =
+              segment->sketches[static_cast<size_t>(row)].values().data();
+          for (int64_t j = 0; j < dim; ++j) {
+            block[static_cast<size_t>(j * kSketchBlockWidth + t)] = values[j];
+          }
+          centers[t] = segment->noise_centers[static_cast<size_t>(row)];
+        }
+        EstimateBlock(ops, &probe, &probe_center, 1, dim, block.data(),
+                      centers, width, dist);
+        for (int64_t t = 0; t < width; ++t) {
+          const auto& [segment, row] = survivors[static_cast<size_t>(i + t)];
+          visit(sink, *segment, row, dist[t]);
+        }
+      }
+      reranked += count;
+    }
+    rows_reranked_.Add(reranked);
+  };
+  const std::vector<double> radii(static_cast<size_t>(num_queries), radius);
+  // Phase 1, per chunk: score every row against every probe and keep the
+  // rows whose lo is within the chunk's running threshold. A range scan
+  // knows its final threshold and re-ranks right away.
+  ThreadPool::Run(pool, 0, blocks, grain, [&](int64_t begin, int64_t end) {
+    const int64_t chunk = begin / grain;
+    Filter* chunk_filters = filters.data() + chunk * num_queries;
+    const KernelOps& ops = Kernels();
+    std::vector<int64_t> dots(static_cast<size_t>(num_queries) *
+                              kFilterGroupBlocks * kI8BlockLanes);
+    std::array<int32_t, kFilterGroupBlocks * kI8BlockLanes> candidates;
     int64_t scanned = 0;
     int64_t first = 0;  // global number of the segment's first block
     for (const Segment& segment : segments_) {
@@ -538,31 +685,54 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
       for (int64_t b = std::max(begin, first); b < last;
            b += kFilterGroupBlocks) {
         const int64_t group = std::min(kFilterGroupBlocks, last - b);
-        const int64_t base = (b - first) * kF16BlockLanes;
+        const int64_t base = (b - first) * kI8BlockLanes;
         const int64_t width =
-            std::min(group * kF16BlockLanes, segment.size() - base);
+            std::min(group * kI8BlockLanes, segment.size() - base);
         // One load of each block serves every probe.
-        ops.squared_distance_f16_blocks(
-            probes.data(), num_queries, segment.FilterBlock(b - first),
-            segment.ScaleBlock(b - first), segment.dim, group, dist.data());
-        const RowLimits limits(segment.filter_errors, segment.noise_centers,
-                               base, base + width);
+        ops.dot_u8s8_blocks(probes.data(), num_queries,
+                            segment.FilterBlock(b - first), segment.quads,
+                            group, dots.data());
+        Segment::Limits limits;
+        for (int64_t i = b - first; i < b - first + group; ++i) {
+          limits.Merge(segment.block_limits[static_cast<size_t>(i)]);
+        }
         for (int64_t p = 0; p < num_queries; ++p) {
-          Filter& filter = filters[static_cast<size_t>(p)];
-          const float* filtered = dist.data() + p * group * kF16BlockLanes;
-          const double probe_error = rounded[static_cast<size_t>(p)].error;
+          Filter& filter = chunk_filters[p];
+          const CodedProbe& probe = coded[static_cast<size_t>(p)];
+          const int64_t* raw = dots.data() + p * group * kI8BlockLanes;
           const double probe_center = queries[p].metadata().noise_center;
-          // Most rows are dropped by one comparison: a finite sum at or
-          // above the cut proves lo > threshold without evaluating the
-          // bound, and Offer would reject such a row anyway.
-          const float cut =
-              RejectFrom(bound, filter.threshold(), probe_error, probe_center,
-                         limits.error, limits.center);
+          // Most rows are dropped by one comparison: a finite distance at
+          // or above the cut proves lo > threshold without evaluating the
+          // bound, and Offer would reject such a row anyway. A call-free
+          // pass collects the rest; the cut is refreshed among them every
+          // kCutRefresh rows while Offer keeps lowering the threshold (the
+          // first group starts with none).
+          double cut_for = filter.threshold();
+          double cut = RejectFrom(bound, cut_for, probe, probe_center, limits);
+          const double* scales = segment.filter_scales.data() + base;
+          const double* norms = segment.filter_norms.data() + base;
+          const int64_t* sums = segment.filter_sums.data() + base;
+          int64_t count = 0;
           for (int64_t t = 0; t < width; ++t) {
-            if (filtered[t] >= cut && filtered[t] <= FLT_MAX) continue;
-            const size_t row = static_cast<size_t>(base + t);
+            const double squared =
+                Filtered(probe, scales[t], norms[t], sums[t], raw[t]).squared;
+            candidates[static_cast<size_t>(count)] = static_cast<int32_t>(t);
+            count += !(squared >= cut && squared <= DBL_MAX);
+          }
+          for (int64_t i = 0; i < count; ++i) {
+            if (i % kCutRefresh == 0 && filter.threshold() < cut_for) {
+              cut_for = filter.threshold();
+              cut = RejectFrom(bound, cut_for, probe, probe_center, limits);
+            }
+            const int64_t t = candidates[static_cast<size_t>(i)];
+            const FilterDistance filtered =
+                Filtered(probe, scales[t], norms[t], sums[t], raw[t]);
+            if (filtered.squared >= cut && filtered.squared <= DBL_MAX) {
+              continue;
+            }
+            const auto row = static_cast<size_t>(base + t);
             filter.Offer({&segment, base + t},
-                         BoundEstimate(bound, filtered[t], probe_error,
+                         BoundEstimate(bound, filtered, probe.error,
                                        probe_center, segment.filter_errors[row],
                                        segment.noise_centers[row]));
           }
@@ -571,29 +741,30 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
       }
       first += segment.num_blocks();
     }
-    // Exact re-rank: the survivors' fp64 rows through the block kernel at
-    // width 1, bit-identical to the per-pair estimator by the kernel
-    // contract.
-    int64_t reranked = 0;
+    rows_scanned_.Add(scanned * num_queries);
+    if (top_n == 0) rerank(chunk, radii);
+  });
+  if (top_n > 0) {
+    // Phase 2: one threshold per probe across all chunks, the top_n-th
+    // smallest upper bound of the whole scan (the union of every chunk's
+    // top_n smallest), then the exact re-rank of every row whose lo is
+    // within it. Neither depends on where chunk boundaries fall.
+    std::vector<double> thresholds(static_cast<size_t>(num_queries), kInf);
     for (int64_t p = 0; p < num_queries; ++p) {
-      Sink& sink = sinks[static_cast<size_t>(p)][chunk];
-      const PrivateSketch& query = queries[p];
-      for (const auto& [segment, row] :
-           filters[static_cast<size_t>(p)].Survivors()) {
-        double distance = 0.0;
-        ops.squared_distance_block(
-            query.values().data(),
-            segment->sketches[static_cast<size_t>(row)].values().data(), dim,
-            1, &distance);
-        visit(sink, *segment, row,
-              distance - query.metadata().noise_center -
-                  segment->noise_centers[static_cast<size_t>(row)]);
-        ++reranked;
+      std::vector<double> uppers;
+      for (int64_t c = 0; c < chunks; ++c) {
+        const std::vector<double> part =
+            filters[static_cast<size_t>(c * num_queries + p)].TakeUppers();
+        uppers.insert(uppers.end(), part.begin(), part.end());
+      }
+      if (static_cast<int64_t>(uppers.size()) >= top_n) {
+        const auto nth = uppers.begin() + (top_n - 1);
+        std::nth_element(uppers.begin(), nth, uppers.end());
+        thresholds[static_cast<size_t>(p)] = *nth;
       }
     }
-    rows_scanned_.Add(scanned * num_queries);
-    rows_reranked_.Add(reranked);
-  });
+    for (int64_t c = 0; c < chunks; ++c) rerank(c, thresholds);
+  }
   return sinks;
 }
 
@@ -601,24 +772,26 @@ Result<std::vector<SketchIndex::EstimateBounds>> SketchIndex::FilterBounds(
     const PrivateSketch& query) const {
   DPJL_RETURN_IF_ERROR(CheckQueryCompatible(query));
   const FilterBound bound(static_cast<int64_t>(query.values().size()));
-  const RoundedProbe probe(query.values());
-  const float* values = probe.values.data();
+  const CodedProbe probe(query.values());
+  const uint8_t* bytes = probe.bytes.data();
   std::vector<EstimateBounds> bounds;
   bounds.reserve(static_cast<size_t>(size()));
-  float dist[kF16BlockLanes];
+  int64_t dots[kI8BlockLanes];
   for (const Segment& segment : segments_) {
     for (int64_t b = 0; b < segment.num_blocks(); ++b) {
-      Kernels().squared_distance_f16_blocks(&values, 1, segment.FilterBlock(b),
-                                            segment.ScaleBlock(b), segment.dim,
-                                            1, dist);
-      const int64_t base = b * kF16BlockLanes;
+      Kernels().dot_u8s8_blocks(&bytes, 1, segment.FilterBlock(b),
+                                segment.quads, 1, dots);
+      const int64_t base = b * kI8BlockLanes;
       for (int64_t t = 0;
-           t < std::min<int64_t>(kF16BlockLanes, segment.size() - base); ++t) {
-        const size_t row = static_cast<size_t>(base + t);
-        bounds.push_back(BoundEstimate(bound, dist[t], probe.error,
-                                       query.metadata().noise_center,
-                                       segment.filter_errors[row],
-                                       segment.noise_centers[row]));
+           t < std::min<int64_t>(kI8BlockLanes, segment.size() - base); ++t) {
+        const auto row = static_cast<size_t>(base + t);
+        bounds.push_back(BoundEstimate(
+            bound,
+            Filtered(probe, segment.filter_scales[row],
+                     segment.filter_norms[row], segment.filter_sums[row],
+                     dots[t]),
+            probe.error, query.metadata().noise_center,
+            segment.filter_errors[row], segment.noise_centers[row]));
       }
     }
   }

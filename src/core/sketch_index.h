@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -27,36 +28,43 @@ namespace dpjl {
 /// Storage is one insertion-ordered store made of *segments*. Each segment
 /// holds an id table (row order = insertion order) with one id -> row map,
 /// the canonical fp64 PrivateSketch objects Find() points into — the exact
-/// store — and an fp16 *filter arena*: a contiguous, lane-interleaved
-/// (kF16BlockLanes-wide, the kernels.h column-block layout) copy of the
-/// rows' values, each row scaled by its own power of two and rounded to
-/// half precision, plus parallel arrays of those scales, of each row's
-/// measured rounding error and of noise centers. Segment 0 holds the
+/// store — and an int8 *filter arena*: a contiguous copy of the rows'
+/// values, each row divided by its own scale (max|x| / 127) and rounded to
+/// int8, in kI8BlockLanes-row blocks of 4-coordinate quads (the
+/// dot_u8s8_blocks layout), plus parallel arrays of those scales, of each
+/// row's code sums, norm term and measured rounding error, and of noise
+/// centers. Segment 0 holds the
 /// owned, growable rows; AttachSegment adopts another index as a further
 /// read-only segment (the engine's partitioned serving), and DetachSegment
 /// drops it again. Every insertion funnels through one append point, so
 /// Deserialize/FromPartitions rebuild the arena for free.
 ///
-/// Queries are a filter and an exact re-rank. The filter streams the fp16
-/// arena (a quarter of the bytes of the values) block by block with the
-/// multi-probe kernel, which scores each candidate's rounded values
-/// against every probe of a batch, rounded to float, in fp32. A rigorous
-/// per-row bound that scales with the distance (the fp32 sum's rounding,
-/// the probe's and the row's measured rounding errors by the triangle
-/// inequality, and the fp64 re-rank's own rounding) turns that score into
+/// Queries are a filter and an exact re-rank. The filter streams the int8
+/// arena (an eighth of the bytes of the values) block by block with the
+/// multi-probe kernel, which takes the exact integer dot product of each
+/// row's code with every probe's code (one unsigned byte per coordinate).
+/// From it and the stored code sums the scan computes, in fp64, the
+/// squared distance D between the two codes scaled back; a rigorous
+/// per-row bound that scales with the distance (D's own rounding, the
+/// probe's and the row's measured rounding errors by the triangle
+/// inequality, and the fp64 re-rank's own rounding) turns D into
 /// lo <= estimate <= hi. The scan is split into chunks of consecutive
-/// blocks that a ThreadPool runs concurrently; a chunk keeps the rows
-/// whose lo does not exceed its running top_n-th smallest hi (or the range
-/// radius) and re-scores exactly those from the fp64 rows with the
-/// per-pair estimator's operation sequence. Each chunk keeps its own
-/// (distance, row) selection per probe; ids are materialized only for the
-/// rows a chunk returns, and MergeNeighbors imposes the deterministic
-/// (distance, id) order. The kernels vectorize across candidate lanes and
-/// probes only and never reassociate a reduction, and no row that can
-/// reach the answer is ever filtered out, so every query result is
-/// byte-identical to the per-entry scalar scan for any chunking, batch,
-/// thread count or dispatch mode, and `ids()` order, query results and the
-/// serialized format depend on insertion order alone.
+/// blocks that a ThreadPool runs concurrently. For nearest neighbors it
+/// has two phases: each chunk keeps the rows whose lo does not exceed its
+/// running top_n-th smallest hi, the probe's one threshold is the top_n-th
+/// smallest hi of the whole scan, and the rows whose lo is within it are
+/// re-scored exactly from the fp64 rows with the per-pair estimator's
+/// operation sequence; a range scan keeps and re-scores the rows within
+/// its radius in one phase. Each chunk keeps its own (distance, row)
+/// selection per probe; ids are materialized only for the rows a chunk
+/// returns, and MergeNeighbors imposes the deterministic (distance, id)
+/// order. The filter's integer sums are exact, the re-rank kernel never
+/// reassociates a reduction, and no row that can reach the answer is ever
+/// filtered out, so every query result — and the set of re-scored rows —
+/// is identical for any chunking, batch, thread count or dispatch mode,
+/// the results byte-identical to the per-entry scalar scan, and `ids()`
+/// order, query results and the serialized format depend on insertion
+/// order alone.
 ///
 /// All stored sketches must be mutually compatible (same public
 /// projection); Add() enforces this. The index stores released artifacts
@@ -221,12 +229,12 @@ class SketchIndex {
   /// one subtraction per row, no value traversal.
   [[nodiscard]] std::vector<double> SquaredNormEstimates() const;
 
-  /// Bounds lo <= EstimateSquaredDistance(query, row) <= hi from the fp16
+  /// Bounds lo <= EstimateSquaredDistance(query, row) <= hi from the int8
   /// filter for every stored row, in ids() order: exactly what the scans
   /// compare against their thresholds. Rows the filter cannot bound (a
-  /// coordinate beyond half range after the row's scale or beyond float
-  /// range, an fp32 filter sum that overflows) get (-inf, +inf). Fails
-  /// like NearestNeighbors for an incompatible query. For tests and
+  /// coordinate of the row or the query that is not finite, a filter
+  /// distance that overflows fp64) get (-inf, +inf). Fails like
+  /// NearestNeighbors for an incompatible query. For tests and
   /// diagnostics.
   struct EstimateBounds {
     double lo;
@@ -237,7 +245,7 @@ class SketchIndex {
 
   /// Cumulative work of the filtered query scans (NearestNeighbors,
   /// NearestNeighborsBatch, RangeQuery) run on this index: (probe, row)
-  /// pairs the fp16 filter scored, and those it passed to the exact fp64
+  /// pairs the int8 filter scored, and those it passed to the exact fp64
   /// re-rank. Both only grow; each scan chunk adds its totals with one
   /// relaxed atomic add, so concurrent readers see advisory values.
   struct ScanCounts {
@@ -251,38 +259,54 @@ class SketchIndex {
  private:
   /// One insertion-ordered run of rows. Row r is `ids[r]`, `sketches[r]`
   /// (the exact fp64 values; a deque, so Find() pointers survive later
-  /// appends) and lane r of the fp16 filter arena: with W = kF16BlockLanes,
-  /// `filter` packs half(x_j * 2^-s_r) of row r's coordinate x_j at
-  /// `filter[(r / W) * dim * W + j * W + (r % W)]` and `filter_scales[r]`
-  /// holds 2^s_r, which puts the row's largest magnitude in fp16's top
-  /// binade (clamped to a normal float); the tail block and its scales are
+  /// appends) and lane r % W of block r / W of the int8 filter arena, with
+  /// W = kI8BlockLanes and quads = ceil(dim / 4): the code x_int of row r's
+  /// coordinate j sits at `filter[(r / W) * quads * 64 + (j / 4) * 64 +
+  /// (r % W) * 4 + j % 4]`, and the last quad and the tail block are
   /// zero-padded (padding lanes compute garbage distances that scans
-  /// discard). `filter_errors[r]` bounds ||x - x~|| for the values x~ =
-  /// float(half) * 2^s_r the kernel reconstructs, measured at append time,
-  /// and `noise_centers[r]` is row r's noise center. A coordinate that the
-  /// scale cannot bring into half range becomes +-inf, which makes the
-  /// row's error infinite, so the filter never excludes it.
+  /// discard). Per row: `filter_scales[r]` is its scale s_r (max|x| / 127
+  /// with its low significand bits cleared, so s_r * x_int is exact),
+  /// `filter_sums[r]` the exact sum(x_int), `filter_norms[r]` the norm term
+  /// s_r^2 * sum(x_int^2) rounded as the bound assumes, `filter_errors[r]`
+  /// the measured bound on ||x - s_r x_int|| (+inf for a coordinate that
+  /// is not finite, so the filter never excludes the row), and
+  /// `noise_centers[r]` its noise center. `block_limits[b]` folds the
+  /// per-row values of block b, so a scan bounds a group of blocks without
+  /// visiting its rows.
   struct Segment {
+    /// The largest row error, noise center and norm term over some rows;
+    /// error +inf when any of them is not finite, so that no cut derived
+    /// from the limits drops a row the bound cannot handle.
+    struct Limits {
+      double error = 0.0;
+      double center = -std::numeric_limits<double>::infinity();
+      double norm = 0.0;
+
+      void Add(double row_error, double row_center, double row_norm);
+      void Merge(const Limits& other);
+    };
+
     int64_t handle = 0;  // 0 for the owned segment
     std::vector<std::string> ids;
     std::unordered_map<std::string, int64_t> rows;
     std::deque<PrivateSketch> sketches;
     int64_t dim = 0;
-    std::vector<uint16_t> filter;
-    std::vector<float> filter_scales;
+    int64_t quads = 0;
+    std::vector<int8_t> filter;
+    std::vector<double> filter_scales;
+    std::vector<int64_t> filter_sums;
+    std::vector<double> filter_norms;
     std::vector<double> filter_errors;
     std::vector<double> noise_centers;
+    std::vector<Limits> block_limits;
 
     int64_t size() const { return static_cast<int64_t>(ids.size()); }
-    /// Filter arena blocks (kF16BlockLanes rows each).
+    /// Filter arena blocks (kI8BlockLanes rows each).
     int64_t num_blocks() const {
-      return (size() + kF16BlockLanes - 1) / kF16BlockLanes;
+      return (size() + kI8BlockLanes - 1) / kI8BlockLanes;
     }
-    const uint16_t* FilterBlock(int64_t block) const {
-      return filter.data() + block * dim * kF16BlockLanes;
-    }
-    const float* ScaleBlock(int64_t block) const {
-      return filter_scales.data() + block * kF16BlockLanes;
+    const int8_t* FilterBlock(int64_t block) const {
+      return filter.data() + block * quads * kI8BlockLanes * kI8QuadWidth;
     }
 
     /// Appends a row assuming the caller already established id
@@ -327,12 +351,15 @@ class SketchIndex {
 
   /// Runs the filtered scan of `queries[0, num_queries)` over every
   /// segment, split into consecutive-block chunks on `pool`: each probe is
-  /// rounded to float once, and each fp16 block is loaded once and scored
-  /// against every probe by the filter kernel. Within a chunk, a row is
-  /// dropped for a probe when its lower bound exceeds the threshold — the
-  /// chunk's running `top_n`-th smallest upper bound when top_n > 0, else
-  /// `radius` — and every other row is re-scored exactly. Returns sinks[probe][chunk]: `visit(sink, segment,
-  /// row, distance)` sees each re-scored row of a chunk with its exact
+  /// coded to bytes once, and each int8 block is loaded once and scored
+  /// against every probe by the filter kernel. With top_n > 0, each chunk
+  /// first keeps the rows whose lower bound is within its running
+  /// `top_n`-th smallest upper bound; then each probe's threshold is the
+  /// `top_n`-th smallest upper bound across all chunks, and exactly the
+  /// rows whose lower bound is within it are re-scored. With top_n == 0
+  /// the threshold is `radius` and each chunk re-scores its rows within it
+  /// at once. Returns sinks[probe][chunk]: `visit(sink, segment, row,
+  /// distance)` sees each re-scored row of a chunk with its exact
   /// estimate, in row order, on one thread. Defined in sketch_index.cc.
   template <typename Sink, typename MakeSink, typename Visit>
   std::vector<std::vector<Sink>> ScanChunks(const PrivateSketch* queries,

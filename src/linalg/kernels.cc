@@ -132,23 +132,21 @@ void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
   }
 }
 
-void SquaredDistanceF16BlocksScalar(const float* const* q, int64_t nq,
-                                    const uint16_t* c, const float* scales,
-                                    int64_t k, int64_t blocks, float* out) {
-  constexpr int64_t kW = kF16BlockLanes;
+void DotU8S8BlocksScalar(const uint8_t* const* q, int64_t nq,
+                         const int8_t* c, int64_t quads, int64_t blocks,
+                         int64_t* out) {
+  constexpr int64_t kW = kI8BlockLanes;
+  constexpr int64_t kQ = kI8QuadWidth;
   for (int64_t p = 0; p < nq; ++p) {
     for (int64_t b = 0; b < blocks; ++b) {
-      const uint16_t* cb = c + b * k * kW;
-      const float* sb = scales + b * kW;
-      float* o = out + (p * blocks + b) * kW;
-      for (int64_t t = 0; t < kW; ++t) o[t] = 0.0f;
-      for (int64_t j = 0; j < k; ++j) {
-        const float qj = q[p][j];
-        const uint16_t* cj = cb + j * kW;
-        for (int64_t t = 0; t < kW; ++t) {
-          const float diff = qj - HalfToFloat(cj[t]) * sb[t];
-          o[t] += diff * diff;
+      const int8_t* cb = c + b * quads * kW * kQ;
+      int64_t* o = out + (p * blocks + b) * kW;
+      for (int64_t t = 0; t < kW; ++t) {
+        int64_t sum = 0;
+        for (int64_t j = 0; j < quads * kQ; ++j) {
+          sum += int64_t{q[p][j]} * cb[(j / kQ) * kW * kQ + t * kQ + j % kQ];
         }
+        o[t] = sum;
       }
     }
   }
@@ -180,15 +178,13 @@ const KernelOps kScalarOps = {
     internal::ScaleScalar,
     internal::SquaredDistanceBlockScalar,
     internal::SquaredDistanceTileScalar,
-    internal::SquaredDistanceF16BlocksScalar,
+    internal::DotU8S8BlocksScalar,
     internal::DotBlockScalar,
 };
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  // The table's fp16 filter kernel widens halves with F16C, a separate
-  // CPUID bit from AVX2.
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
@@ -196,7 +192,11 @@ bool CpuHasAvx2() {
 
 bool CpuHasAvx512() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx512f");
+  // The table's int8 filter kernel needs vpdpbusd (AVX512-VNNI) and the
+  // table is compiled for AVX512-BW, separate CPUID bits from AVX512-F.
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vnni");
 #else
   return false;
 #endif

@@ -1,75 +1,36 @@
 #ifndef DPJL_LINALG_KERNELS_H_
 #define DPJL_LINALG_KERNELS_H_
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 
 namespace dpjl {
 
-/// Lanes per fp16 column block of squared_distance_f16_blocks.
-inline constexpr int64_t kF16BlockLanes = 16;
+/// Rows per int8 filter block of dot_u8s8_blocks.
+inline constexpr int64_t kI8BlockLanes = 16;
 
-/// IEEE binary16 from binary64, rounded to nearest even in one step
-/// (overflow to +-inf, gradual underflow, NaN kept NaN with its sign).
-/// Portable and table-independent, so a stored half never depends on the
-/// CPU that rounded it.
-inline uint16_t HalfFromDouble(double x) {
-  uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  const auto sign = static_cast<uint16_t>((bits >> 48) & 0x8000u);
-  bits &= ~(uint64_t{1} << 63);
-  // Normal halves: rebias the exponent and round the 52-bit significand to
-  // 10 bits (add just under half a unit, plus one more when the kept part
-  // is odd); a carry out of the significand bumps the exponent, up to
-  // 0x7C00 (inf) at 65520.
-  const uint64_t normal =
-      (bits - (uint64_t{1023 - 15} << 52) + 0x1FFFFFFFFFFu +
-       ((bits >> 42) & 1)) >>
-      42;
-  // Subnormal halves: adding 2^28, whose ulp is the half quantum 2^-24,
-  // rounds to that quantum; the sum's low bits are then the half's bits.
-  const double aligned = std::fabs(x) + 0x1p28;
-  uint64_t aligned_bits;
-  std::memcpy(&aligned_bits, &aligned, sizeof(aligned_bits));
-  const uint64_t subnormal = aligned_bits - 0x41B0000000000000u;  // 2^28
-  uint64_t half = bits < 0x3F10000000000000u ? subnormal : normal;  // 2^-14
-  if (bits >= 0x40EFFE0000000000u) {  // 65520, inf and NaN
-    half = bits > 0x7FF0000000000000u ? 0x7E00u : 0x7C00u;
-  }
-  return static_cast<uint16_t>(sign | half);
-}
+/// Consecutive coordinates per quad: a block stores each row's coordinates
+/// 4g..4g+3 as 4 adjacent bytes, and the 16 rows' quads g side by side
+/// (64 bytes).
+inline constexpr int64_t kI8QuadWidth = 4;
 
-/// The exact float value of a binary16: the widening every kernel table
-/// applies (a signaling NaN comes back quieted, as F16C does).
-inline float HalfToFloat(uint16_t h) {
-  const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
-  const uint32_t magnitude = static_cast<uint32_t>(h & 0x7FFFu) << 13;
-  // Zero, subnormal and normal halves: the magnitude bits read as a float
-  // are the value times 2^-112, and the product is exact.
-  float f;
-  std::memcpy(&f, &magnitude, sizeof(f));
-  f *= 0x1p112f;
-  uint32_t bits;
-  std::memcpy(&bits, &f, sizeof(bits));
-  if ((h & 0x7C00u) == 0x7C00u) {  // inf, or NaN with the quiet bit set
-    bits = 0x7F800000u | magnitude | ((h & 0x3FFu) != 0 ? 0x400000u : 0u);
-  }
-  bits |= sign;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
+/// Quads one int32 partial sum of dot_u8s8_blocks may cover: a term
+/// u * x is at most 255 * 127 in magnitude, so 66,311 coordinates (16,577
+/// whole quads) stay within int32. Longer rows are summed in spans of this
+/// many quads, combined in int64.
+inline constexpr int64_t kI8SpanQuads = 16577;
 
 /// Runtime-dispatched inner loops of the sketching hot path.
 ///
-/// Every function table implements the SAME math in the SAME per-element
+/// Every function table implements the SAME math, and its output is
+/// BIT-IDENTICAL across tables — the determinism contract BatchSketcher
+/// exposes publicly — with the scalar table as the executable
+/// specification the vector tables are tested against
+/// (tests/kernel_test.cc). The floating-point entries get there by
 /// operation order: vector implementations parallelize across independent
-/// output elements (matrix rows, interleaved batch lanes, FWHT butterflies)
-/// and never reassociate a reduction, fuse a multiply-add, or flush
-/// denormals. Output is therefore BIT-IDENTICAL across tables — the
-/// determinism contract BatchSketcher exposes publicly — and the scalar
-/// table is the executable specification the vector tables are tested
-/// against (tests/kernel_test.cc).
+/// output elements (matrix rows, interleaved batch lanes, FWHT
+/// butterflies) and never reassociate a reduction, fuse a multiply-add,
+/// or flush denormals. The integer entry (dot_u8s8_blocks) gets there by
+/// arithmetic: its sums are exact, so each table may order them freely.
 ///
 /// Layout convention for the *_block kernels: a "column block" packs
 /// `width` input vectors lane-interleaved, element j of lane t at
@@ -142,24 +103,23 @@ struct KernelOps {
                                 const double* c, int64_t k, int64_t width,
                                 double* out);
 
-  /// Multi-probe squared distance against `blocks` consecutive fp16 column
-  /// blocks of kF16BlockLanes lanes each (block b at c + b * k *
-  /// kF16BlockLanes, its tail lanes zero-padded by the caller), each lane
-  /// with its own fp32 scale (block b's at scales + b * kF16BlockLanes):
-  /// for probe p < nq, block b and lane t, with W = kF16BlockLanes and
-  /// s = scales[b * W + t],
-  ///   out[(p * blocks + b) * W + t] =
-  ///       sum_j (q[p][j] - HalfToFloat(c[b][j * W + t]) * s)^2
-  /// entirely in fp32: widen the half exactly, multiply by the scale, then
-  /// subtract, square and accumulate in ascending j, each one rounding (no
-  /// FMA). The result is bit-identical across tables (a lane that sums two
-  /// NaNs keeps one of them, unspecified which). Vector tables
-  /// interleave several blocks per pass for one probe (independent
-  /// accumulator chains) and tile probes for batches. This is the filter
-  /// pass of the index scan.
-  void (*squared_distance_f16_blocks)(const float* const* q, int64_t nq,
-                                      const uint16_t* c, const float* scales,
-                                      int64_t k, int64_t blocks, float* out);
+  /// Multi-probe integer dot product against `blocks` consecutive int8
+  /// filter blocks, each `quads` quads long (block b at c + b * quads *
+  /// kI8BlockLanes * kI8QuadWidth, coordinate j of lane t at byte
+  /// (j / 4) * 64 + t * 4 + j % 4; the caller zero-pads the last quad and
+  /// the tail lanes). Probe p holds quads * 4 unsigned bytes; row bytes lie
+  /// in [-127, 127]. For probe p < nq, block b and lane t:
+  ///   out[(p * blocks + b) * kI8BlockLanes + t] =
+  ///       sum_{j < 4 * quads} q[p][j] * c[b][j][t]
+  /// exactly: the vector tables sum spans of at most kI8SpanQuads quads in
+  /// int32 and combine the spans in int64 (the scalar table sums in
+  /// int64), so every table returns the same integers in any summation
+  /// order. Vector tables interleave several
+  /// blocks per pass for one probe (independent accumulator chains) and
+  /// tile probes for batches. This is the filter pass of the index scan.
+  void (*dot_u8s8_blocks)(const uint8_t* const* q, int64_t nq,
+                          const int8_t* c, int64_t quads, int64_t blocks,
+                          int64_t* out);
 
   /// Multi-candidate dot product against one column block: for each lane t,
   /// out[t] = sum_j q[j] * c[j*width + t], same ordering discipline as
@@ -173,7 +133,8 @@ struct KernelOps {
 ///   2. DPJL_KERNELS=scalar|avx2|avx512 -> that table when this build and
 ///      CPU support it (silently falls through to auto-detection otherwise);
 ///   3. otherwise the best set CPUID reports: avx512 > avx2 > scalar
-///      (avx2 also needs F16C, which its fp16 filter kernel uses).
+///      (avx512 also needs AVX512-BW and AVX512-VNNI, whose vpdpbusd
+///      scores the int8 filter).
 /// The selection is immutable afterwards (concurrent readers are safe).
 const KernelOps& Kernels();
 

@@ -1,13 +1,13 @@
-// AVX2 kernel table. Compiled with -mavx2 -mf16c -ffp-contract=off (F16C
-// widens the fp16 filter arena; no -mfma: the scalar reference performs
-// multiply-then-add with two roundings, and a fused kernel would not be
-// bit-identical to it).
+// AVX2 kernel table. Compiled with -mavx2 -ffp-contract=off (no -mfma: the
+// scalar reference performs multiply-then-add with two roundings, and a
+// fused kernel would not be bit-identical to it).
 //
 // Bit-exactness strategy, shared with kernels_avx512.cc: vectorize only
 // across independent output elements — matrix rows, interleaved batch
 // lanes, FWHT butterflies — so every lane executes exactly the scalar
 // reference's operation sequence. Reductions (CSR row gathers over a single
-// vector) stay scalar; a vector partial-sum would reassociate.
+// vector) stay scalar; a vector partial-sum would reassociate. The int8
+// filter's integer dot products are exact, so they reassociate freely.
 
 #include "src/linalg/kernels_x86.h"
 
@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <utility>
 
 namespace dpjl::internal {
@@ -353,119 +354,127 @@ void SquaredDistanceTileAvx2(const double* const* q, int64_t nq,
   }
 }
 
-static_assert(kF16BlockLanes == 16, "two ymm per fp16 block row");
+static_assert(kI8BlockLanes == 16 && kI8QuadWidth == 4,
+              "four ymm of int16 per int8 block quad");
 
-/// One j step of one probe against both halves of a 16-lane fp16 block
-/// row (already widened and scaled): subtract, square, accumulate, each
-/// one fp32 rounding.
-inline void F16Step(float qj, __m256 c0, __m256 c1, __m256* lo, __m256* hi) {
-  const __m256 q = _mm256_set1_ps(qj);
-  const __m256 d0 = _mm256_sub_ps(q, c0);
-  const __m256 d1 = _mm256_sub_ps(q, c1);
-  *lo = _mm256_add_ps(*lo, _mm256_mul_ps(d0, d0));
-  *hi = _mm256_add_ps(*hi, _mm256_mul_ps(d1, d1));
+/// Probes per DotU8S8 pass: two ymm accumulators per (probe, block) and
+/// four widened block rows keep four probes within the 16 ymm registers.
+constexpr int64_t kAvx2DotTileHeight = 4;
+
+/// Quad g of one probe as four int16 values repeated across a ymm, the
+/// operand vpmaddwd pairs with each lane's four widened row bytes.
+inline __m256i ProbeQuad(const uint8_t* q, int64_t g) {
+  int32_t bytes;
+  std::memcpy(&bytes, q + g * 4, sizeof(bytes));
+  return _mm256_broadcastq_epi64(
+      _mm_cvtepu8_epi16(_mm_cvtsi32_si128(bytes)));
 }
 
-/// Widens the eight halves at `c` to floats (exact) and multiplies each
-/// by its lane's scale.
-inline __m256 ScaledHalves(const uint16_t* c, __m256 scale) {
-  return _mm256_mul_ps(
-      _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(c))),
-      scale);
+/// One quad of one probe against one block row widened to int16 (x[i]
+/// holds lanes 4i..4i+3): vpmaddwd sums each lane's coordinate pairs
+/// (|u * x| <= 255 * 127, so no pair saturates), and vphaddd folds the
+/// pairs into per-lane sums, in lane order [0, 1, 4, 5 | 2, 3, 6, 7] of
+/// each 8-lane half.
+inline void DotStep(__m256i u, const __m256i* x, __m256i* lo, __m256i* hi) {
+  const __m256i m0 = _mm256_madd_epi16(x[0], u);
+  const __m256i m1 = _mm256_madd_epi16(x[1], u);
+  const __m256i m2 = _mm256_madd_epi16(x[2], u);
+  const __m256i m3 = _mm256_madd_epi16(x[3], u);
+  *lo = _mm256_add_epi32(*lo, _mm256_hadd_epi32(m0, m1));
+  *hi = _mm256_add_epi32(*hi, _mm256_hadd_epi32(m2, m3));
 }
 
-/// Loads the lane scales of fp16 blocks [0, sizeof...(b)) (block stride 16)
-/// as two ymm halves per block.
-template <size_t... b>
-inline void LoadF16Scales(std::index_sequence<b...>, const float* scales,
-                          __m256* s0, __m256* s1) {
-  ((s0[b] = _mm256_loadu_ps(scales + b * 16),
-    s1[b] = _mm256_loadu_ps(scales + b * 16 + 8)),
-   ...);
-}
-
-/// Row j of fp16 blocks [0, sizeof...(b)) (block stride k * 16), widened
-/// and scaled, as two ymm halves per block.
-template <size_t... b>
-inline void LoadF16Rows(std::index_sequence<b...>, const uint16_t* c,
-                        int64_t k, int64_t j, const __m256* s0,
-                        const __m256* s1, __m256* c0, __m256* c1) {
-  ((c0[b] = ScaledHalves(c + (static_cast<int64_t>(b) * k + j) * 16, s0[b]),
-    c1[b] = ScaledHalves(c + (static_cast<int64_t>(b) * k + j) * 16 + 8,
-                         s1[b])),
-   ...);
-}
-
-/// Scores H probes against B consecutive fp16 blocks in one pass: the
-/// flattened accumulator pair i serves probe i / B and block i % B, and
-/// each advances in ascending j exactly as the scalar spec does. Out row p
-/// starts at out + p * stride.
-template <size_t H, size_t B, size_t... i>
-void F16PassImpl(std::index_sequence<i...>, const float* const* q,
-                 const uint16_t* c, const float* scales, int64_t k,
-                 int64_t stride, float* out) {
-  __m256 s0[B];
-  __m256 s1[B];
-  LoadF16Scales(std::make_index_sequence<B>(), scales, s0, s1);
-  __m256 lo[H * B];
-  __m256 hi[H * B];
-  ((lo[i] = _mm256_setzero_ps(), hi[i] = _mm256_setzero_ps()), ...);
-  for (int64_t j = 0; j < k; ++j) {
-    __m256 c0[B];
-    __m256 c1[B];
-    LoadF16Rows(std::make_index_sequence<B>(), c, k, j, s0, s1, c0, c1);
-    (F16Step(q[i / B][j], c0[i % B], c1[i % B], &lo[i], &hi[i]), ...);
+/// Widens the eight int32 lane sums of `acc` (DotStep's lane order) to
+/// int64 in lane order and stores them at `out`, or adds them to it.
+inline void FlushLanes(__m256i acc, bool add, int64_t* out) {
+  const __m256i ordered = _mm256_permute4x64_epi64(acc, 0xD8);
+  __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(ordered));
+  __m256i hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(ordered, 1));
+  auto* o = reinterpret_cast<__m256i*>(out);
+  if (add) {
+    lo = _mm256_add_epi64(lo, _mm256_loadu_si256(o));
+    hi = _mm256_add_epi64(hi, _mm256_loadu_si256(o + 1));
   }
-  ((_mm256_storeu_ps(out + (i / B) * stride + (i % B) * 16, lo[i]),
-    _mm256_storeu_ps(out + (i / B) * stride + (i % B) * 16 + 8, hi[i])),
-   ...);
+  _mm256_storeu_si256(o, lo);
+  _mm256_storeu_si256(o + 1, hi);
+}
+
+/// Scores H probes against B consecutive int8 blocks in one pass: the
+/// flattened accumulator pair i serves probe i / B and block i % B, and
+/// each span of at most kI8SpanQuads quads is summed in int32, then
+/// widened into out. Out row p starts at out + p * stride.
+template <size_t H, size_t B, size_t... i>
+void DotPassImpl(std::index_sequence<i...>, const uint8_t* const* q,
+                 const int8_t* c, int64_t quads, int64_t stride,
+                 int64_t* out) {
+  int64_t g0 = 0;
+  do {
+    const int64_t g1 = std::min(quads, g0 + kI8SpanQuads);
+    __m256i lo[H * B];
+    __m256i hi[H * B];
+    ((lo[i] = _mm256_setzero_si256(), hi[i] = _mm256_setzero_si256()), ...);
+    for (int64_t g = g0; g < g1; ++g) {
+      __m256i x[B][4];
+      for (size_t b = 0; b < B; ++b) {
+        const int8_t* row = c + (static_cast<int64_t>(b) * quads + g) * 64;
+        for (int r = 0; r < 4; ++r) {
+          x[b][r] = _mm256_cvtepi8_epi16(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + r * 16)));
+        }
+      }
+      __m256i u[H];
+      for (size_t p = 0; p < H; ++p) u[p] = ProbeQuad(q[p], g);
+      (DotStep(u[i / B], x[i % B], &lo[i], &hi[i]), ...);
+    }
+    ((FlushLanes(lo[i], g0 > 0, out + (i / B) * stride + (i % B) * 16),
+      FlushLanes(hi[i], g0 > 0, out + (i / B) * stride + (i % B) * 16 + 8)),
+     ...);
+    g0 = g1;
+  } while (g0 < quads);
 }
 
 template <size_t H, size_t B>
-void F16PassAvx2(const float* const* q, const uint16_t* c,
-                 const float* scales, int64_t k, int64_t stride, float* out) {
-  F16PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, scales, k,
-                    stride, out);
+void DotPassAvx2(const uint8_t* const* q, const int8_t* c, int64_t quads,
+                 int64_t stride, int64_t* out) {
+  DotPassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, quads, stride,
+                    out);
 }
 
-/// Blocks per pass for h probes. On a 1024-block, k = 370 arena (12 MB),
-/// one pinned core, a lone probe took 601 / 594 / 518 us at 1 / 2 / 4
-/// blocks per pass (4 keeps eight add chains in flight and reads the
-/// scales from L1); eight probes at one block per pass took 2862 us
-/// against 3085 us in two tiles of four.
-constexpr size_t F16PassBlocks(size_t h) { return h == 1 ? 4 : 1; }
+/// Blocks per pass for h probes: a lone probe runs two blocks, four
+/// independent accumulator chains.
+constexpr size_t DotPassBlocks(size_t h) { return h == 1 ? 2 : 1; }
 
-using F16PassFn = void (*)(const float* const*, const uint16_t*,
-                           const float*, int64_t, int64_t, float*);
+using DotPassFn = void (*)(const uint8_t* const*, const int8_t*, int64_t,
+                           int64_t, int64_t*);
 
 template <size_t... h>
-constexpr std::array<F16PassFn, sizeof...(h)> F16Passes(
+constexpr std::array<DotPassFn, sizeof...(h)> DotPasses(
     std::index_sequence<h...>, bool wide) {
-  return {(wide ? F16PassAvx2<h + 1, F16PassBlocks(h + 1)>
-                : F16PassAvx2<h + 1, 1>)...};
+  return {(wide ? DotPassAvx2<h + 1, DotPassBlocks(h + 1)>
+                : DotPassAvx2<h + 1, 1>)...};
 }
 
-/// kF16Wide[h - 1] / kF16Narrow[h - 1] score h probes against
-/// F16PassBlocks(h) blocks / one block.
-constexpr std::array<F16PassFn, kAvx2TileHeight> kF16Wide =
-    F16Passes(std::make_index_sequence<kAvx2TileHeight>(), true);
-constexpr std::array<F16PassFn, kAvx2TileHeight> kF16Narrow =
-    F16Passes(std::make_index_sequence<kAvx2TileHeight>(), false);
+/// kDotWide[h - 1] / kDotNarrow[h - 1] score h probes against
+/// DotPassBlocks(h) blocks / one block.
+constexpr std::array<DotPassFn, kAvx2DotTileHeight> kDotWide =
+    DotPasses(std::make_index_sequence<kAvx2DotTileHeight>(), true);
+constexpr std::array<DotPassFn, kAvx2DotTileHeight> kDotNarrow =
+    DotPasses(std::make_index_sequence<kAvx2DotTileHeight>(), false);
 
-void SquaredDistanceF16BlocksAvx2(const float* const* q, int64_t nq,
-                                  const uint16_t* c, const float* scales,
-                                  int64_t k, int64_t blocks, float* out) {
+void DotU8S8BlocksAvx2(const uint8_t* const* q, int64_t nq, const int8_t* c,
+                       int64_t quads, int64_t blocks, int64_t* out) {
   const int64_t stride = blocks * 16;
-  for (int64_t p = 0; p < nq; p += kAvx2TileHeight) {
-    const int64_t h = std::min(kAvx2TileHeight, nq - p);
-    const int64_t per_pass = static_cast<int64_t>(F16PassBlocks(h));
+  const int64_t block_bytes = quads * 64;
+  for (int64_t p = 0; p < nq; p += kAvx2DotTileHeight) {
+    const int64_t h = std::min(kAvx2DotTileHeight, nq - p);
+    const int64_t per_pass = static_cast<int64_t>(DotPassBlocks(h));
     int64_t b = 0;
     for (; b + per_pass <= blocks; b += per_pass) {
-      kF16Wide[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+      kDotWide[h - 1](q + p, c + b * block_bytes, quads, stride,
                       out + p * stride + b * 16);
     }
     for (; b < blocks; ++b) {
-      kF16Narrow[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+      kDotNarrow[h - 1](q + p, c + b * block_bytes, quads, stride,
                         out + p * stride + b * 16);
     }
   }
@@ -523,7 +532,7 @@ const KernelOps& Avx2Kernels() {
       ScaleAvx2,
       SquaredDistanceBlockAvx2,
       SquaredDistanceTileAvx2,
-      SquaredDistanceF16BlocksAvx2,
+      DotU8S8BlocksAvx2,
       DotBlockAvx2,
   };
   return kOps;

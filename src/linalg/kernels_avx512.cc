@@ -1,13 +1,15 @@
-// AVX-512 kernel table. Compiled with -mavx512f -ffp-contract=off; same
-// bit-exactness discipline as kernels_avx2.cc (no FMA, no reassociation,
-// masked stores leave untouched lanes bit-identical).
+// AVX-512 kernel table. Compiled with -mavx512f -mavx512bw -mavx512vnni
+// -ffp-contract=off; same bit-exactness discipline as kernels_avx2.cc (no
+// FMA, no reassociation of floating-point sums, masked stores leave
+// untouched lanes bit-identical).
 //
 // Only the kernels where 512-bit vectors actually pay are widened here:
 // the FWHT stages with len >= 8, the width==8 block kernels, where one
-// zmm register holds a full batch micro-block row, and the fp16 filter
-// pass, where one zmm holds a 16-lane block row widened to float. Everything else
-// delegates to the AVX2 implementations (which this build also compiles,
-// since avx512f-capable hardware always has avx2).
+// zmm register holds a full batch micro-block row, and the int8 filter
+// pass, where one zmm holds a quad of a 16-lane block and one vpdpbusd
+// scores it. Everything else delegates to the AVX2 implementations (which
+// this build also compiles, since avx512f-capable hardware always has
+// avx2).
 
 #include "src/linalg/kernels_x86.h"
 
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <utility>
 
 namespace dpjl::internal {
@@ -295,104 +298,110 @@ void SquaredDistanceTileAvx512(const double* const* q, int64_t nq,
   }
 }
 
-static_assert(kF16BlockLanes == 16, "one zmm per fp16 block row");
+static_assert(kI8BlockLanes == 16 && kI8QuadWidth == 4,
+              "one zmm per int8 block quad");
 
-/// One j step of one probe against a 16-lane fp16 block row (already
-/// widened and scaled): subtract, square, accumulate, each one fp32
-/// rounding.
-inline __m512 F16Step(__m512 acc, float qj, __m512 cj) {
-  const __m512 d = _mm512_sub_ps(_mm512_set1_ps(qj), cj);
-  return _mm512_add_ps(acc, _mm512_mul_ps(d, d));
-}
-
-/// Loads the lane scales of fp16 blocks [0, sizeof...(b)).
+/// Row quad g of int8 blocks [0, sizeof...(b)) (block stride quads * 64):
+/// one zmm per block.
 template <size_t... b>
-inline void LoadF16Scales(std::index_sequence<b...>, const float* scales,
-                          __m512* s) {
-  ((s[b] = _mm512_loadu_ps(scales + b * 16)), ...);
-}
-
-/// Row j of fp16 blocks [0, sizeof...(b)) (block stride k * 16), widened
-/// (exact) and multiplied by each lane's scale: one zmm per block.
-template <size_t... b>
-inline void LoadF16Rows(std::index_sequence<b...>, const uint16_t* c,
-                        int64_t k, int64_t j, const __m512* s, __m512* rows) {
-  ((rows[b] = _mm512_mul_ps(
-        _mm512_cvtph_ps(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-            c + (static_cast<int64_t>(b) * k + j) * 16))),
-        s[b])),
+inline void LoadQuads(std::index_sequence<b...>, const int8_t* c,
+                      int64_t quads, int64_t g, __m512i* rows) {
+  ((rows[b] = _mm512_loadu_si512(c + (static_cast<int64_t>(b) * quads + g) * 64)),
    ...);
 }
 
-/// Scores H probes against B consecutive fp16 blocks in one pass: the
-/// flattened accumulator i serves probe i / B and block i % B, and each
-/// advances in ascending j exactly as the scalar spec does. Out row p
-/// starts at out + p * stride.
-template <size_t H, size_t B, size_t... i>
-void F16PassImpl(std::index_sequence<i...>, const float* const* q,
-                 const uint16_t* c, const float* scales, int64_t k,
-                 int64_t stride, float* out) {
-  __m512 s[B];
-  LoadF16Scales(std::make_index_sequence<B>(), scales, s);
-  __m512 acc[H * B];
-  ((acc[i] = _mm512_setzero_ps()), ...);
-  for (int64_t j = 0; j < k; ++j) {
-    __m512 rows[B];
-    LoadF16Rows(std::make_index_sequence<B>(), c, k, j, s, rows);
-    ((acc[i] = F16Step(acc[i], q[i / B][j], rows[i % B])), ...);
+/// Widens the sixteen int32 lane sums of `acc` to int64 and stores them at
+/// `out`, or adds them to it. (The zero-masked forms: GCC's unmasked ones
+/// pass an undefined vector that GCC 12 flags as uninitialized.)
+inline void FlushLanes(__m512i acc, bool add, int64_t* out) {
+  __m512i lo = _mm512_maskz_cvtepi32_epi64(
+      0xFF, _mm512_maskz_extracti64x4_epi64(0xF, acc, 0));
+  __m512i hi = _mm512_maskz_cvtepi32_epi64(
+      0xFF, _mm512_maskz_extracti64x4_epi64(0xF, acc, 1));
+  if (add) {
+    lo = _mm512_add_epi64(lo, _mm512_loadu_si512(out));
+    hi = _mm512_add_epi64(hi, _mm512_loadu_si512(out + 8));
   }
-  (_mm512_storeu_ps(out + (i / B) * stride + (i % B) * 16, acc[i]), ...);
+  _mm512_storeu_si512(out, lo);
+  _mm512_storeu_si512(out + 8, hi);
+}
+
+/// Scores H probes against B consecutive int8 blocks in one pass: the
+/// flattened accumulator i serves probe i / B and block i % B, and gains
+/// one vpdpbusd per quad (the probe's four unsigned bytes broadcast against
+/// each lane's four signed ones). Each span of at most kI8SpanQuads quads
+/// is summed in int32, then widened into out. Out row p starts at
+/// out + p * stride.
+template <size_t H, size_t B, size_t... i>
+void DotPassImpl(std::index_sequence<i...>, const uint8_t* const* q,
+                 const int8_t* c, int64_t quads, int64_t stride,
+                 int64_t* out) {
+  int64_t g0 = 0;
+  do {
+    const int64_t g1 = std::min(quads, g0 + kI8SpanQuads);
+    __m512i acc[H * B];
+    ((acc[i] = _mm512_setzero_si512()), ...);
+    for (int64_t g = g0; g < g1; ++g) {
+      __m512i rows[B];
+      LoadQuads(std::make_index_sequence<B>(), c, quads, g, rows);
+      __m512i u[H];
+      for (size_t p = 0; p < H; ++p) {
+        int32_t bytes;
+        std::memcpy(&bytes, q[p] + g * 4, sizeof(bytes));
+        u[p] = _mm512_set1_epi32(bytes);
+      }
+      ((acc[i] = _mm512_dpbusd_epi32(acc[i], u[i / B], rows[i % B])), ...);
+    }
+    (FlushLanes(acc[i], g0 > 0, out + (i / B) * stride + (i % B) * 16), ...);
+    g0 = g1;
+  } while (g0 < quads);
 }
 
 template <size_t H, size_t B>
-void F16PassAvx512(const float* const* q, const uint16_t* c,
-                   const float* scales, int64_t k, int64_t stride,
-                   float* out) {
-  F16PassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, scales, k,
-                    stride, out);
+void DotPassAvx512(const uint8_t* const* q, const int8_t* c, int64_t quads,
+                   int64_t stride, int64_t* out) {
+  DotPassImpl<H, B>(std::make_index_sequence<H * B>(), q, c, quads, stride,
+                    out);
 }
 
-/// Blocks per pass for h probes. Best of 15 scans of a 1024-block,
-/// k = 370 arena (12 MB) on one pinned core of an AVX-512 VM, in 16-block
-/// groups as the index scans: one probe took 582 / 495 / 459 / 443 us at
-/// 1 / 2 / 4 / 8 blocks per pass; two probes 740 / 698 / 683 us at 1 / 2 /
-/// 4; four 1121 / 1133 / 1083 us at 1 / 2 / 4; eight 2032 / 1946 /
-/// 1969 us at 1 / 2 / 4 (4 spills the 32 zmm registers).
-constexpr size_t F16PassBlocks(size_t h) {
+/// Blocks per pass for h probes: enough independent vpdpbusd chains to
+/// cover its latency, within the 32 zmm registers.
+constexpr size_t DotPassBlocks(size_t h) {
   return h == 1 ? 8 : h == 2 ? 4 : 2;
 }
 
-using F16PassFn = void (*)(const float* const*, const uint16_t*,
-                           const float*, int64_t, int64_t, float*);
+using DotPassFn = void (*)(const uint8_t* const*, const int8_t*, int64_t,
+                           int64_t, int64_t*);
 
 template <size_t... h>
-constexpr std::array<F16PassFn, sizeof...(h)> F16Passes(
+constexpr std::array<DotPassFn, sizeof...(h)> DotPasses(
     std::index_sequence<h...>, bool wide) {
-  return {(wide ? F16PassAvx512<h + 1, F16PassBlocks(h + 1)>
-                : F16PassAvx512<h + 1, 1>)...};
+  return {(wide ? DotPassAvx512<h + 1, DotPassBlocks(h + 1)>
+                : DotPassAvx512<h + 1, 1>)...};
 }
 
-/// kF16Wide[h - 1] / kF16Narrow[h - 1] score h probes against
-/// F16PassBlocks(h) blocks / one block.
-constexpr std::array<F16PassFn, kAvx512TileHeight> kF16Wide =
-    F16Passes(std::make_index_sequence<kAvx512TileHeight>(), true);
-constexpr std::array<F16PassFn, kAvx512TileHeight> kF16Narrow =
-    F16Passes(std::make_index_sequence<kAvx512TileHeight>(), false);
+/// kDotWide[h - 1] / kDotNarrow[h - 1] score h probes against
+/// DotPassBlocks(h) blocks / one block.
+constexpr std::array<DotPassFn, kAvx512TileHeight> kDotWide =
+    DotPasses(std::make_index_sequence<kAvx512TileHeight>(), true);
+constexpr std::array<DotPassFn, kAvx512TileHeight> kDotNarrow =
+    DotPasses(std::make_index_sequence<kAvx512TileHeight>(), false);
 
-void SquaredDistanceF16BlocksAvx512(const float* const* q, int64_t nq,
-                                    const uint16_t* c, const float* scales,
-                                    int64_t k, int64_t blocks, float* out) {
+void DotU8S8BlocksAvx512(const uint8_t* const* q, int64_t nq,
+                         const int8_t* c, int64_t quads, int64_t blocks,
+                         int64_t* out) {
   const int64_t stride = blocks * 16;
+  const int64_t block_bytes = quads * 64;
   for (int64_t p = 0; p < nq; p += kAvx512TileHeight) {
     const int64_t h = std::min(kAvx512TileHeight, nq - p);
-    const int64_t per_pass = static_cast<int64_t>(F16PassBlocks(h));
+    const int64_t per_pass = static_cast<int64_t>(DotPassBlocks(h));
     int64_t b = 0;
     for (; b + per_pass <= blocks; b += per_pass) {
-      kF16Wide[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+      kDotWide[h - 1](q + p, c + b * block_bytes, quads, stride,
                       out + p * stride + b * 16);
     }
     for (; b < blocks; ++b) {
-      kF16Narrow[h - 1](q + p, c + b * k * 16, scales + b * 16, k, stride,
+      kDotNarrow[h - 1](q + p, c + b * block_bytes, quads, stride,
                         out + p * stride + b * 16);
     }
   }
@@ -437,7 +446,7 @@ const KernelOps& Avx512Kernels() {
       ScaleAvx512,
       SquaredDistanceBlockAvx512,
       SquaredDistanceTileAvx512,
-      SquaredDistanceF16BlocksAvx512,
+      DotU8S8BlocksAvx512,
       DotBlockAvx512,
   };
   return kOps;

@@ -34,9 +34,9 @@ void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
 void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
                                const double* c, int64_t k, int64_t width,
                                double* out);
-void SquaredDistanceF16BlocksScalar(const float* const* q, int64_t nq,
-                                    const uint16_t* c, const float* scales,
-                                    int64_t k, int64_t blocks, float* out);
+void DotU8S8BlocksScalar(const uint8_t* const* q, int64_t nq,
+                         const int8_t* c, int64_t quads, int64_t blocks,
+                         int64_t* out);
 void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
                     double* out);
 

@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -107,18 +106,23 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.scale, nullptr);
   EXPECT_NE(active.squared_distance_block, nullptr);
   EXPECT_NE(active.squared_distance_tile, nullptr);
-  EXPECT_NE(active.squared_distance_f16_blocks, nullptr);
+  EXPECT_NE(active.dot_u8s8_blocks, nullptr);
   EXPECT_NE(active.dot_block, nullptr);
-  // Every table this build + CPU can run carries the fp16 filter kernel,
-  // and the avx2 one, which widens halves with F16C, is offered only
-  // where CPUID reports it.
-  EXPECT_NE(scalar.squared_distance_f16_blocks, nullptr);
+  // Every table this build + CPU can run carries the int8 filter kernel,
+  // and the avx512 one, whose vpdpbusd needs AVX512-VNNI and which is
+  // compiled for AVX512-BW, is offered only where CPUID reports both.
+  EXPECT_NE(scalar.dot_u8s8_blocks, nullptr);
   for (const KernelOps* table : VectorTables()) {
-    EXPECT_NE(table->squared_distance_f16_blocks, nullptr) << table->name;
+    EXPECT_NE(table->dot_u8s8_blocks, nullptr) << table->name;
   }
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (KernelsByName("avx2") != nullptr) {
-    EXPECT_TRUE(__builtin_cpu_supports("f16c"));
+    EXPECT_TRUE(__builtin_cpu_supports("avx2"));
+  }
+  if (KernelsByName("avx512") != nullptr) {
+    EXPECT_TRUE(__builtin_cpu_supports("avx512f"));
+    EXPECT_TRUE(__builtin_cpu_supports("avx512bw"));
+    EXPECT_TRUE(__builtin_cpu_supports("avx512vnni"));
   }
 #endif
 }
@@ -421,121 +425,100 @@ TEST(KernelBitExactnessTest, SquaredDistanceTileMatchesPerProbeBlocks) {
   }
 }
 
-/// Halves for the fp16 filter kernel: random normals of both signs with
-/// +-0, half subnormals, +-65504, +-inf and NaN mixed in.
-std::vector<uint16_t> ExtremeHalves(int64_t n, uint64_t salt) {
-  Rng rng(DeriveSeed(kTestSeed, salt));
-  const uint16_t kSpecial[] = {0x0000, 0x8000, 0x0001, 0x83FF, 0x0200,
-                               0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x7E00,
-                               0xFD01};
-  std::vector<uint16_t> h(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const uint64_t pick = rng.UniformInt(24);
-    h[static_cast<size_t>(i)] =
-        pick < std::size(kSpecial)
-            ? kSpecial[pick]
-            : static_cast<uint16_t>(rng.UniformInt(0x7C00) |
-                                    (rng.UniformInt(2) << 15));
-  }
-  return h;
-}
-
-/// fp32 probes: Gaussians at exponents 2^-20..2^20 with +-0.0f, float
-/// subnormals and magnitudes whose squares overflow mixed in.
-std::vector<float> ExtremeFloats(int64_t n, uint64_t salt) {
-  Rng rng(DeriveSeed(kTestSeed, salt));
-  std::vector<float> f(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    float& x = f[static_cast<size_t>(i)];
-    x = static_cast<float>(rng.Gaussian() *
-                           std::ldexp(1.0, static_cast<int>(
-                                               rng.UniformInt(41)) - 20));
-    if (i % 13 == 1) x = -0.0f;
-    if (i % 13 == 4) {
-      x = std::numeric_limits<float>::denorm_min() *
-          static_cast<float>(1 + i % 50);
+/// A row-major int8 matrix of rows x k codes packed into the filter
+/// layout of dot_u8s8_blocks: 16-row blocks of 4-coordinate quads, the
+/// last quad and the tail rows zero-padded.
+std::vector<int8_t> PackQuads(const std::vector<int8_t>& rows, int64_t k,
+                              int64_t blocks) {
+  const int64_t quads = (k + 3) / 4;
+  std::vector<int8_t> packed(static_cast<size_t>(blocks * quads * 64), 0);
+  for (int64_t r = 0; r * k < static_cast<int64_t>(rows.size()); ++r) {
+    for (int64_t j = 0; j < k; ++j) {
+      packed[static_cast<size_t>((r / 16) * quads * 64 + (j / 4) * 64 +
+                                 (r % 16) * 4 + j % 4)] =
+          rows[static_cast<size_t>(r * k + j)];
     }
-    if (i % 17 == 6) x = (i % 2 == 0 ? 1.0f : -1.0f) * 3e30f;
   }
-  return f;
+  return packed;
 }
 
-/// The fp16 kernel's output bytes for probes `rows` against `blocks`
-/// blocks of halves `c` with lane scales `scales`.
-std::vector<float> F16Distances(const KernelOps& table,
-                                const std::vector<const float*>& rows,
-                                const std::vector<uint16_t>& c,
-                                const std::vector<float>& scales, int64_t k,
-                                int64_t blocks) {
-  std::vector<float> out(rows.size() * static_cast<size_t>(blocks) *
-                             kF16BlockLanes,
-                         -1.0f);
-  table.squared_distance_f16_blocks(rows.data(),
-                                    static_cast<int64_t>(rows.size()),
-                                    c.data(), scales.data(), k, blocks,
-                                    out.data());
+/// dot_u8s8_blocks' output for `probes` (quads * 4 bytes each) against
+/// `packed`.
+std::vector<int64_t> DotU8S8(const KernelOps& table,
+                             const std::vector<std::vector<uint8_t>>& probes,
+                             const std::vector<int8_t>& packed, int64_t quads,
+                             int64_t blocks) {
+  std::vector<const uint8_t*> q;
+  for (const std::vector<uint8_t>& probe : probes) q.push_back(probe.data());
+  std::vector<int64_t> out(probes.size() * static_cast<size_t>(blocks) * 16,
+                           -1);
+  table.dot_u8s8_blocks(q.data(), static_cast<int64_t>(q.size()),
+                        packed.data(), quads, blocks, out.data());
   return out;
 }
 
-bool FloatBytesEqual(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-/// FloatBytesEqual, except that any two NaNs match: a lane that sums two
-/// NaNs keeps one of them, and which one is the compiler's choice (it
-/// commutes IEEE additions), not part of the kernel contract.
-bool FloatBytesEqualUpToNanPayload(const std::vector<float>& a,
-                                   const std::vector<float>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
-    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+/// The same dot products from the unpacked rows, one int64 sum per
+/// (probe, row) over the k live coordinates; padding rows score 0.
+std::vector<int64_t> NaiveDotU8S8(
+    const std::vector<std::vector<uint8_t>>& probes,
+    const std::vector<int8_t>& rows, int64_t k, int64_t blocks) {
+  const int64_t live = static_cast<int64_t>(rows.size()) / k;
+  std::vector<int64_t> out(probes.size() * static_cast<size_t>(blocks) * 16,
+                           0);
+  for (size_t p = 0; p < probes.size(); ++p) {
+    for (int64_t r = 0; r < live; ++r) {
+      int64_t sum = 0;
+      for (int64_t j = 0; j < k; ++j) {
+        sum += int64_t{probes[p][static_cast<size_t>(j)]} *
+               rows[static_cast<size_t>(r * k + j)];
+      }
+      out[p * static_cast<size_t>(blocks) * 16 + static_cast<size_t>(r)] = sum;
+    }
   }
-  return true;
+  return out;
 }
 
-TEST(KernelBitExactnessTest, SquaredDistanceF16BlocksMatchesScalarSpec) {
-  // Every vector table against the scalar spec, bit for bit, across probe
-  // counts straddling every tile height, block counts straddling every
-  // multi-block pass (up to 8 blocks; 16 is one index scan group), lane
-  // scales from 2^-40 to 2^100, and a last block
-  // with lanes 5..15 zero-padded (the filter arena's partial tail). The
-  // halves carry +-0, subnormals, +-65504, +-inf and NaN; the probes +-0,
-  // float subnormals and magnitudes whose squares overflow. Every non-NaN
-  // lane must match bit for bit.
-  constexpr int64_t kW = kF16BlockLanes;
-  const KernelOps& scalar = ScalarKernels();
-  for (const KernelOps* table : VectorTables()) {
-    for (int64_t k : {int64_t{1}, int64_t{5}, int64_t{370}}) {
-      for (int64_t blocks : {1, 2, 3, 5, 9, 16}) {
-        const uint64_t salt = static_cast<uint64_t>(k * 32 + blocks);
-        std::vector<uint16_t> c = ExtremeHalves(blocks * k * kW, 701 + salt);
-        std::vector<float> scales(static_cast<size_t>(blocks * kW));
-        for (int64_t i = 0; i < blocks * kW; ++i) {
-          scales[static_cast<size_t>(i)] =
-              std::ldexp(1.0f, static_cast<int>((i * 37 + blocks) % 141) - 40);
-        }
-        uint16_t* tail = c.data() + (blocks - 1) * k * kW;
-        for (int64_t t = 5; t < kW; ++t) {
-          for (int64_t j = 0; j < k; ++j) tail[j * kW + t] = 0;
-          scales[static_cast<size_t>((blocks - 1) * kW + t)] = 0.0f;
-        }
-        for (int64_t nq : {1, 2, 3, 8, 9}) {
-          std::vector<std::vector<float>> probes;
-          std::vector<const float*> rows;
-          for (int64_t p = 0; p < nq; ++p) {
-            probes.push_back(
-                ExtremeFloats(k, 809 + salt * 16 + static_cast<uint64_t>(p)));
+TEST(KernelBitExactnessTest, DotU8S8BlocksMatchInt64Reference) {
+  // Every table, the scalar one included, against a naive int64 reference,
+  // across probe counts straddling every tile height, block counts
+  // straddling every multi-block pass (16 is one index scan group), k on
+  // and off whole quads (the probe's padding bytes are arbitrary and must
+  // meet zero row bytes), and a last block with only 5 of its 16 rows
+  // live. Probe bytes include 1 and 255, row bytes +-127 and 0.
+  std::vector<const KernelOps*> tables = VectorTables();
+  tables.insert(tables.begin(), &ScalarKernels());
+  for (const int64_t k : {1, 2, 3, 4, 5, 370}) {
+    const int64_t quads = (k + 3) / 4;
+    for (const int64_t blocks : {1, 2, 3, 5, 9, 16}) {
+      Rng rng(DeriveSeed(kTestSeed, static_cast<uint64_t>(k * 32 + blocks)));
+      const int64_t live = (blocks - 1) * 16 + 5;
+      std::vector<int8_t> rows(static_cast<size_t>(live * k));
+      for (int8_t& x : rows) {
+        const uint64_t pick = rng.UniformInt(8);
+        x = pick == 0   ? int8_t{127}
+            : pick == 1 ? int8_t{-127}
+            : pick == 2 ? int8_t{0}
+                        : static_cast<int8_t>(
+                              static_cast<int64_t>(rng.UniformInt(255)) - 127);
+      }
+      const std::vector<int8_t> packed = PackQuads(rows, k, blocks);
+      for (const int64_t nq : {1, 2, 3, 8, 9}) {
+        std::vector<std::vector<uint8_t>> probes;
+        for (int64_t p = 0; p < nq; ++p) {
+          std::vector<uint8_t> probe(static_cast<size_t>(quads * 4));
+          for (uint8_t& u : probe) {
+            const uint64_t pick = rng.UniformInt(6);
+            u = pick == 0   ? uint8_t{1}
+                : pick == 1 ? uint8_t{255}
+                            : static_cast<uint8_t>(rng.UniformInt(256));
           }
-          for (const std::vector<float>& probe : probes) {
-            rows.push_back(probe.data());
-          }
-          EXPECT_TRUE(FloatBytesEqualUpToNanPayload(
-              F16Distances(scalar, rows, c, scales, k, blocks),
-              F16Distances(*table, rows, c, scales, k, blocks)))
-              << table->name << " squared_distance_f16_blocks k=" << k
+          probes.push_back(std::move(probe));
+        }
+        const std::vector<int64_t> expect =
+            NaiveDotU8S8(probes, rows, k, blocks);
+        for (const KernelOps* table : tables) {
+          EXPECT_EQ(DotU8S8(*table, probes, packed, quads, blocks), expect)
+              << table->name << " dot_u8s8_blocks k=" << k
               << " blocks=" << blocks << " nq=" << nq;
         }
       }
@@ -543,96 +526,41 @@ TEST(KernelBitExactnessTest, SquaredDistanceF16BlocksMatchesScalarSpec) {
   }
 }
 
-/// The value of half `h` from its fields alone, independent of the
-/// library's decoder: NaN for a NaN pattern.
-double ReferenceHalf(uint16_t h) {
-  const int exponent = (h >> 10) & 0x1F;
-  const int mantissa = h & 0x3FF;
-  const double sign = (h & 0x8000) != 0 ? -1.0 : 1.0;
-  if (exponent == 31) return mantissa == 0 ? sign * INFINITY : NAN;
-  if (exponent == 0) return sign * std::ldexp(mantissa, -24);
-  return sign * std::ldexp(1024 + mantissa, exponent - 25);
-}
-
-TEST(KernelBitExactnessTest, F16KernelDecodesEveryHalfExactly) {
-  // All 65,536 half patterns as one lane each (k = 1, scale 1), scored by
-  // every table against probes 0 and 1 and compared with the fp32 formula
-  // on an independently decoded value: x^2 is exact (11 significant bits)
-  // and pins |x|, and (1 - x)^2 then pins the sign of every nonzero x.
-  // NaN patterns must score NaN with the scalar table's exact bits.
-  constexpr int64_t kPatterns = 65536;
-  constexpr int64_t kBlocks = kPatterns / kF16BlockLanes;
-  std::vector<uint16_t> c(kPatterns);
-  for (int64_t h = 0; h < kPatterns; ++h) {
-    c[static_cast<size_t>(h)] = static_cast<uint16_t>(h);
+TEST(KernelBitExactnessTest, DotU8S8BlocksSumPastTheInt32Span) {
+  // One quad past kI8SpanQuads: all-255 probes against rows of all +127
+  // and all -127 sum to +-2,147,514,120, just beyond int32, so a table
+  // that kept one int32 sum would wrap. Rows of mixed signs check the
+  // span boundary with sums inside int32 too.
+  const int64_t quads = kI8SpanQuads + 1;
+  const int64_t k = quads * 4;
+  ASSERT_GT(255 * 127 * k, int64_t{INT32_MAX});
+  const int64_t blocks = 2;
+  const int64_t live = 16 + 5;
+  Rng rng(DeriveSeed(kTestSeed, 909));
+  std::vector<int8_t> rows(static_cast<size_t>(live * k));
+  for (int64_t r = 0; r < live; ++r) {
+    for (int64_t j = 0; j < k; ++j) {
+      rows[static_cast<size_t>(r * k + j)] =
+          r == 0   ? int8_t{127}
+          : r == 1 ? int8_t{-127}
+                   : static_cast<int8_t>(
+                         static_cast<int64_t>(rng.UniformInt(255)) - 127);
+    }
   }
-  const std::vector<float> scales(kPatterns, 1.0f);
-  const float zero = 0.0f;
-  const float one = 1.0f;
-  const std::vector<const float*> rows = {&zero, &one};
-  const std::vector<float> spec =
-      F16Distances(ScalarKernels(), rows, c, scales, 1, kBlocks);
+  const std::vector<int8_t> packed = PackQuads(rows, k, blocks);
+  std::vector<std::vector<uint8_t>> probes = {
+      std::vector<uint8_t>(static_cast<size_t>(k), 255),
+      std::vector<uint8_t>(static_cast<size_t>(k))};
+  for (uint8_t& u : probes[1]) u = static_cast<uint8_t>(rng.UniformInt(256));
+  const std::vector<int64_t> expect = NaiveDotU8S8(probes, rows, k, blocks);
+  ASSERT_EQ(expect[0], 255 * 127 * k);
+  ASSERT_EQ(expect[1], -255 * 127 * k);
   std::vector<const KernelOps*> tables = VectorTables();
   tables.insert(tables.begin(), &ScalarKernels());
   for (const KernelOps* table : tables) {
-    const std::vector<float> got =
-        F16Distances(*table, rows, c, scales, 1, kBlocks);
-    EXPECT_TRUE(FloatBytesEqual(spec, got)) << table->name;
-    int64_t wrong = 0;
-    for (int64_t h = 0; h < kPatterns; ++h) {
-      const auto x = static_cast<float>(ReferenceHalf(static_cast<uint16_t>(h)));
-      const float square = got[static_cast<size_t>(h)];
-      const float shifted = got[static_cast<size_t>(kPatterns + h)];
-      const bool ok = std::isnan(x) ? std::isnan(square) && std::isnan(shifted)
-                                    : square == x * x &&
-                                          shifted == (1.0f - x) * (1.0f - x);
-      if (!ok && ++wrong <= 5) {
-        ADD_FAILURE() << table->name << " decodes half 0x" << std::hex << h
-                      << " wrongly";
-      }
-    }
-    EXPECT_EQ(wrong, 0) << table->name;
+    EXPECT_EQ(DotU8S8(*table, probes, packed, quads, blocks), expect)
+        << table->name;
   }
-}
-
-TEST(HalfConversionTest, RoundsToNearestEvenAndWidensExactly) {
-  for (int64_t h = 0; h < 65536; ++h) {
-    const auto half = static_cast<uint16_t>(h);
-    const double x = ReferenceHalf(half);
-    const float widened = HalfToFloat(half);
-    if (std::isnan(x)) {
-      // Quieted, sign and payload kept: F16C's widening.
-      uint32_t bits;
-      std::memcpy(&bits, &widened, sizeof(bits));
-      EXPECT_EQ(bits, (static_cast<uint32_t>(h & 0x8000) << 16) | 0x7FC00000u |
-                          (static_cast<uint32_t>(h & 0x3FF) << 13))
-          << h;
-      EXPECT_TRUE(std::isnan(ReferenceHalf(HalfFromDouble(widened)))) << h;
-      continue;
-    }
-    ASSERT_EQ(static_cast<double>(widened), x) << h;
-    ASSERT_EQ(std::signbit(widened), std::signbit(x)) << h;
-    ASSERT_EQ(HalfFromDouble(x), half) << h;  // every half round-trips
-    if ((h & 0x7FFF) >= 0x7BFF) continue;     // no finite successor
-    // Between this half and the next one up in magnitude: the midpoint
-    // ties to the even one, anything off it goes to the nearer one.
-    const double next = ReferenceHalf(static_cast<uint16_t>(h + 1));
-    const double mid = (x + next) / 2;
-    const auto even = static_cast<uint16_t>((h & 1) == 0 ? h : h + 1);
-    EXPECT_EQ(HalfFromDouble(mid), even) << h;
-    EXPECT_EQ(HalfFromDouble(std::nextafter(mid, x)), half) << h;
-    EXPECT_EQ(HalfFromDouble(std::nextafter(mid, next)), h + 1) << h;
-  }
-  // The edges: overflow from the 65504/inf midpoint on, underflow to zero
-  // at and below 2^-25 (a tie with the even zero), NaN stays NaN.
-  EXPECT_EQ(HalfFromDouble(std::nextafter(65520.0, 0.0)), 0x7BFF);
-  EXPECT_EQ(HalfFromDouble(65520.0), 0x7C00);
-  EXPECT_EQ(HalfFromDouble(-1e300), 0xFC00);
-  EXPECT_EQ(HalfFromDouble(0x1p-25), 0x0000);
-  EXPECT_EQ(HalfFromDouble(-0x1p-25), 0x8000);
-  EXPECT_EQ(HalfFromDouble(std::nextafter(0x1p-25, 1.0)), 0x0001);
-  EXPECT_EQ(HalfFromDouble(1e-300), 0x0000);
-  EXPECT_TRUE(std::isnan(HalfToFloat(HalfFromDouble(NAN))));
 }
 
 TEST(KernelBitExactnessTest, DotBlock) {

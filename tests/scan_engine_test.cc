@@ -9,11 +9,11 @@
 // arenas rebuilt by Deserialize / FromPartitions and segments attached,
 // detached and grown around each other. All comparisons
 // are memcmp over serialized results; EXPECT_DOUBLE_EQ would hide exactly
-// the reassociation/FMA bugs this layer can have. The scans are an fp16
+// the reassociation/FMA bugs this layer can have. The scans are an int8
 // filter plus an exact fp64 re-rank, so the suite also checks the filter's
 // bounds row by row on random and adversarial corpora, that the
 // adversarial corpora still scan byte-identically, and that the filter
-// stays selective on a clustered corpus.
+// stays selective on a clustered corpus, in one chunk and in many.
 
 #include <gtest/gtest.h>
 
@@ -488,7 +488,7 @@ TEST(ScanEngineTest, NormCachingLeavesEstimatorOutputsUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// The fp16 filter: its bounds hold on every row, and corpora built to
+// The int8 filter: its bounds hold on every row, and corpora built to
 // break them still scan byte-identically to the per-entry reference.
 
 /// Asserts lo <= EstimateSquaredDistance(query, row) <= hi on every row.
@@ -511,10 +511,9 @@ std::vector<double> ScaledGaussian(int64_t k, double scale, Rng* rng) {
   return v;
 }
 
-/// Integers in [-2047, 2047]: exact in fp16 under any row scale that keeps
-/// the row's largest magnitude in the top binade, and exact in float, so
-/// a bound between two such vectors rests on the fp32 and fp64 rounding
-/// terms alone (the sums of squares reach ~1.5e9, far past float's 2^24).
+/// Integers in [-2047, 2047]: exact in fp64, so the re-rank between two
+/// such vectors is exact while their int8 codes round every coordinate
+/// (the sums of squares reach ~1.5e9).
 std::vector<double> SmallIntegers(int64_t k, Rng* rng) {
   std::vector<double> v(static_cast<size_t>(k));
   for (double& x : v) {
@@ -528,13 +527,12 @@ std::vector<double> SmallIntegers(int64_t k, Rng* rng) {
 /// (below float's subnormals) to 1e30 (adv-0..279, 40 per scale); rows
 /// with coordinates at +-FLT_MAX, at the next double above it (which
 /// still rounds to FLT_MAX), at the rounding midpoint above it and at
-/// 2 FLT_MAX (both round to inf) (adv-280..299); rows of -0.0
-/// (adv-300..304); rows only a per-row scale brings into fp16's range
-/// (adv-305..348): Gaussians at 1e5, beyond fp16's 65504, and Gaussians
-/// at 1 and 1e-10 with a single coordinate at 1e5, +-1e10 or 1 that sets
-/// their row's scale far above the rest; rows the arena stores exactly
-/// (adv-349..358, SmallIntegers); and five exact copies of `dup` under
-/// different ids, spread across the corpus.
+/// 2 FLT_MAX (both round to inf as floats) (adv-280..299); rows of -0.0
+/// (adv-300..304); rows whose per-row scale matters (adv-305..348):
+/// Gaussians at 1e5, and Gaussians at 1 and 1e-10 with a single
+/// coordinate at 1e5, +-1e10 or 1 that sets their row's scale far above
+/// the rest; integer rows (adv-349..358, SmallIntegers); and five exact
+/// copies of `dup` under different ids, spread across the corpus.
 std::vector<std::pair<std::string, PrivateSketch>> AdversarialCorpus(
     const PrivateSketch& like, const std::vector<double>& dup, Rng* rng) {
   const int64_t k = static_cast<int64_t>(like.values().size());
@@ -612,12 +610,15 @@ TEST(ScanEngineTest, FilterBoundsHoldOnRandomAndAdversarialCorpora) {
   probes.emplace_back(std::vector<double>(static_cast<size_t>(k), FLT_MAX),
                       like.metadata());
   probes.emplace_back(SmallIntegers(k, &rng), like.metadata());
-  // Against the -0.0 row the kernel's fp32 sum of this probe is exactly 1:
-  // each later term 2^-24 is absorbed, so the sum falls short by
-  // (k - 1) 2^-24, about all of the gamma_{k+2} term it must be covered by.
+  // A probe whose code keeps only its first coordinate: the rest, at
+  // 2^-12 against a scale of 1/127, all code to 0, so their whole norm
+  // lives in the measured probe error.
   std::vector<double> absorbed(static_cast<size_t>(k), 0x1p-12);
   absorbed[0] = 1.0;
   probes.emplace_back(std::move(absorbed), like.metadata());
+  // A probe below the smallest coded magnitude: its code is all zeros and
+  // its error is its whole norm.
+  probes.emplace_back(ScaledGaussian(k, 1e-305, &rng), like.metadata());
   for (const KernelOps* table : AllTables()) {
     KernelOverride pin(table);
     for (const PrivateSketch& probe : probes) {
@@ -626,18 +627,37 @@ TEST(ScanEngineTest, FilterBoundsHoldOnRandomAndAdversarialCorpora) {
       ExpectBoundsHold(adversarial, probe);
     }
   }
-  // A row is unbounded, and so never filtered out, exactly when its fp32
-  // filter sum against this probe overflows: the 1e30-scale rows
-  // (adv-240..279), whose squared differences pass FLT_MAX, and the
-  // +-FLT_MAX-class rows (adv-280..299). Every other row, the per-row
-  // scaled ones included, gets a finite bound.
+  // A row is unbounded, and so never filtered out, exactly when it has a
+  // coordinate that is not finite or its squared rounding error overflows
+  // fp64. Every row of both corpora — norms from 1e-50 to 1e30 and
+  // coordinates beyond +-FLT_MAX included — gets a finite bound against
+  // every probe; appended rows holding +inf, -inf or NaN, or coordinates
+  // near 1e200, get (-inf, +inf).
+  for (const PrivateSketch& probe : probes) {
+    for (const SketchIndex* index : {&random, &adversarial}) {
+      const std::vector<SketchIndex::EstimateBounds> all =
+          index->FilterBounds(probe).value();
+      for (const SketchIndex::EstimateBounds& b : all) {
+        EXPECT_TRUE(std::isfinite(b.lo) && std::isfinite(b.hi));
+      }
+    }
+  }
+  std::vector<std::pair<std::string, PrivateSketch>> nonfinite;
+  for (const double bad : {INFINITY, -INFINITY, NAN}) {
+    std::vector<double> v = ScaledGaussian(k, 1.0, &rng);
+    v[static_cast<size_t>(nonfinite.size() * 5)] = bad;
+    nonfinite.emplace_back("nonfinite-" + std::to_string(nonfinite.size()),
+                           PrivateSketch(v, like.metadata()));
+  }
+  nonfinite.emplace_back(
+      "nonfinite-" + std::to_string(nonfinite.size()),
+      PrivateSketch(ScaledGaussian(k, 1e200, &rng), like.metadata()));
+  ASSERT_TRUE(adversarial.AddBatch(std::move(nonfinite)).ok());
   const auto bounds = adversarial.FilterBounds(probes.front()).value();
   const std::vector<std::string> ids = adversarial.ids();
+  ASSERT_EQ(bounds.size(), ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    const bool overflows =
-        ids[i].rfind("adv-", 0) == 0 && std::stoi(ids[i].substr(4)) >= 240 &&
-        std::stoi(ids[i].substr(4)) < 300;
-    if (overflows) {
+    if (ids[i].rfind("nonfinite-", 0) == 0) {
       EXPECT_EQ(bounds[i].lo, -INFINITY) << ids[i];
       EXPECT_EQ(bounds[i].hi, INFINITY) << ids[i];
     } else {
@@ -742,8 +762,8 @@ TEST(ScanEngineTest, AdversarialCorporaMatchPerEntryReference) {
 TEST(ScanEngineTest, CommonOffsetCorpusKeepsBoundsAndMatchesReference) {
   // Every row and probe shares one offset whose norm is ~1e4 times the
   // neighbor distances: the regime where a bound that grows with the
-  // norms stops filtering, and where fp16 rounds away most of each
-  // neighbor difference. Bounds must hold on every row and the scans
+  // norms stops filtering, and where the int8 code rounds away most of
+  // each neighbor difference. Bounds must hold on every row and the scans
   // must still match the reference byte for byte.
   const int64_t d = 24;
   const int64_t k = 96;
@@ -782,15 +802,16 @@ TEST(ScanEngineTest, CommonOffsetCorpusKeepsBoundsAndMatchesReference) {
   ExpectScansMatchReference(corpus, probes);
 }
 
-TEST(ScanEngineTest, FilterStaysSelectiveOnClusteredSketches) {
-  // A loose bound keeps every answer correct, so only the re-rank count
-  // shows it. On a query_scan-shaped corpus (clustered d = 1024 inputs,
-  // clusters of 16, the CLI's default sketcher) a one-chunk top-10 scan
-  // must re-rank at most 1.5 x top_n rows per probe.
+/// A query_scan-shaped corpus: n clustered d = 1024 inputs (clusters of
+/// 16) sketched by the CLI's default sketcher, and `num_probes` probes
+/// drawn from the same clusters.
+struct ClusteredCorpus {
+  SketchIndex index;
+  std::vector<PrivateSketch> probes;
+};
+
+ClusteredCorpus MakeClusteredCorpus(int64_t n, int64_t num_probes) {
   const int64_t d = 1024;
-  const int64_t n = 4096;
-  const int64_t num_probes = 16;
-  const int64_t kTopN = 10;
   Rng rng(DeriveSeed(kTestSeed, 4646));
   const ClusteredData data =
       MakeClusters(n + num_probes, d, n / 16, 5.5, 1.0, &rng);
@@ -800,24 +821,81 @@ TEST(ScanEngineTest, FilterStaysSelectiveOnClusteredSketches) {
   config.epsilon = 1.0;
   config.projection_seed = 1;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, config);
-  std::vector<std::pair<std::string, PrivateSketch>> corpus;
+  std::vector<std::pair<std::string, PrivateSketch>> rows;
   for (int64_t i = 0; i < n; ++i) {
-    corpus.emplace_back(
+    rows.emplace_back(
         "c-" + std::to_string(i),
         sketcher.Sketch(data.points[static_cast<size_t>(i)],
                         static_cast<uint64_t>(1 + i)));
   }
-  SketchIndex index;
-  ASSERT_TRUE(index.AddBatch(std::move(corpus)).ok());
+  ClusteredCorpus corpus;
+  EXPECT_TRUE(corpus.index.AddBatch(std::move(rows)).ok());
   for (int64_t p = 0; p < num_probes; ++p) {
-    const PrivateSketch probe = sketcher.Sketch(
-        data.points[static_cast<size_t>(n + p)], static_cast<uint64_t>(9000 + p));
-    ASSERT_TRUE(index.NearestNeighbors(probe, kTopN).ok());
+    corpus.probes.push_back(
+        sketcher.Sketch(data.points[static_cast<size_t>(n + p)],
+                        static_cast<uint64_t>(9000 + p)));
   }
-  const SketchIndex::ScanCounts counts = index.scan_counts();
+  return corpus;
+}
+
+TEST(ScanEngineTest, FilterStaysSelectiveOnClusteredSketches) {
+  // A loose bound keeps every answer correct, so only the re-rank count
+  // shows it. On a query_scan-shaped corpus a one-chunk top-10 scan must
+  // re-rank at most 1.5 x top_n rows per probe.
+  const int64_t n = 4096;
+  const int64_t num_probes = 16;
+  const int64_t kTopN = 10;
+  const ClusteredCorpus corpus = MakeClusteredCorpus(n, num_probes);
+  for (const PrivateSketch& probe : corpus.probes) {
+    ASSERT_TRUE(corpus.index.NearestNeighbors(probe, kTopN).ok());
+  }
+  const SketchIndex::ScanCounts counts = corpus.index.scan_counts();
   EXPECT_EQ(counts.rows_scanned, n * num_probes);
   EXPECT_LE(static_cast<double>(counts.rows_reranked) / num_probes,
             1.5 * static_cast<double>(kTopN));
+}
+
+TEST(ScanEngineTest, FilterStaysSelectiveAcrossChunks) {
+  // The same guard when a pool splits the scan into many chunks. Every
+  // chunk's rows are filtered against one threshold per probe, the
+  // top_n-th smallest upper bound of the whole scan, so the re-ranked rows
+  // are exactly those whose lower bound is within it — a count FilterBounds
+  // predicts — for single probes and for a batch, whatever the pool.
+  const int64_t n = 4096;
+  const int64_t num_probes = 16;
+  const int64_t kTopN = 10;
+  const ClusteredCorpus corpus = MakeClusteredCorpus(n, num_probes);
+  int64_t expected = 0;
+  for (const PrivateSketch& probe : corpus.probes) {
+    const std::vector<SketchIndex::EstimateBounds> bounds =
+        corpus.index.FilterBounds(probe).value();
+    std::vector<double> uppers;
+    for (const SketchIndex::EstimateBounds& b : bounds) uppers.push_back(b.hi);
+    std::nth_element(uppers.begin(), uppers.begin() + (kTopN - 1),
+                     uppers.end());
+    const double threshold = uppers[static_cast<size_t>(kTopN - 1)];
+    for (const SketchIndex::EstimateBounds& b : bounds) {
+      expected += b.lo <= threshold ? 1 : 0;
+    }
+  }
+  EXPECT_LE(static_cast<double>(expected) / num_probes,
+            1.5 * static_cast<double>(kTopN));
+  ThreadPool pool2(2), pool7(7);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool7}) {
+    SCOPED_TRACE(pool == nullptr ? 1 : pool->num_threads());
+    SketchIndex::ScanCounts before = corpus.index.scan_counts();
+    for (const PrivateSketch& probe : corpus.probes) {
+      ASSERT_TRUE(corpus.index.NearestNeighbors(probe, kTopN, pool).ok());
+    }
+    SketchIndex::ScanCounts after = corpus.index.scan_counts();
+    EXPECT_EQ(after.rows_scanned - before.rows_scanned, n * num_probes);
+    EXPECT_EQ(after.rows_reranked - before.rows_reranked, expected);
+    before = after;
+    ASSERT_TRUE(
+        corpus.index.NearestNeighborsBatch(corpus.probes, kTopN, pool).ok());
+    after = corpus.index.scan_counts();
+    EXPECT_EQ(after.rows_reranked - before.rows_reranked, expected);
+  }
 }
 
 TEST(ScanEngineTest, ScanCountsTrackFilterWork) {
