@@ -2,30 +2,20 @@
 #define DPJL_COMMON_TIMER_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace dpjl {
 
 /// Monotonic wall-clock stopwatch used by the benchmark harnesses.
 ///
 /// Starts running on construction. `ElapsedSeconds()` may be called any
-/// number of times; `Restart()` resets the origin.
+/// number of times.
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Resets the origin to now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds since construction or the last Restart().
+  /// Seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  /// Nanoseconds since construction or the last Restart().
-  int64_t ElapsedNanos() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start_)
-        .count();
   }
 
  private:

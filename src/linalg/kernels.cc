@@ -152,16 +152,6 @@ void DotU8S8BlocksScalar(const uint8_t* const* q, int64_t nq,
   }
 }
 
-void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out) {
-  for (int64_t t = 0; t < width; ++t) out[t] = 0.0;
-  for (int64_t j = 0; j < k; ++j) {
-    const double qj = q[j];
-    const double* cj = c + j * width;
-    for (int64_t t = 0; t < width; ++t) out[t] += qj * cj[t];
-  }
-}
-
 }  // namespace internal
 
 namespace {
@@ -179,7 +169,6 @@ const KernelOps kScalarOps = {
     internal::SquaredDistanceBlockScalar,
     internal::SquaredDistanceTileScalar,
     internal::DotU8S8BlocksScalar,
-    internal::DotBlockScalar,
 };
 
 bool CpuHasAvx2() {

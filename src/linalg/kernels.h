@@ -120,12 +120,6 @@ struct KernelOps {
   void (*dot_u8s8_blocks)(const uint8_t* const* q, int64_t nq,
                           const int8_t* c, int64_t quads, int64_t blocks,
                           int64_t* out);
-
-  /// Multi-candidate dot product against one column block: for each lane t,
-  /// out[t] = sum_j q[j] * c[j*width + t], same ordering discipline as
-  /// squared_distance_block (multiply-then-add, two roundings, ascending j).
-  void (*dot_block)(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out);
 };
 
 /// The table every hot path dispatches through, selected once on first use:

@@ -493,23 +493,6 @@ void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
   SquaredDistanceBlockScalar(q, c, k, width, out);
 }
 
-void DotBlockAvx2(const double* q, const double* c, int64_t k, int64_t width,
-                  double* out) {
-  if (width == 8) {
-    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-    for (int64_t j = 0; j < k; ++j) {
-      const double* cj = c + j * 8;
-      const __m256d qj = _mm256_set1_pd(q[j]);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(qj, _mm256_loadu_pd(cj)));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(qj, _mm256_loadu_pd(cj + 4)));
-    }
-    _mm256_storeu_pd(out, a0);
-    _mm256_storeu_pd(out + 4, a1);
-    return;
-  }
-  DotBlockScalar(q, c, k, width, out);
-}
-
 void ScaleAvx2(double* v, int64_t n, double a) {
   const __m256d va = _mm256_set1_pd(a);
   int64_t i = 0;
@@ -533,7 +516,6 @@ const KernelOps& Avx2Kernels() {
       SquaredDistanceBlockAvx2,
       SquaredDistanceTileAvx2,
       DotU8S8BlocksAvx2,
-      DotBlockAvx2,
   };
   return kOps;
 }

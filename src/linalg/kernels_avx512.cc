@@ -407,20 +407,6 @@ void DotU8S8BlocksAvx512(const uint8_t* const* q, int64_t nq,
   }
 }
 
-void DotBlockAvx512(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out) {
-  if (width != 8) {
-    DotBlockAvx2(q, c, k, width, out);
-    return;
-  }
-  __m512d acc = _mm512_setzero_pd();
-  for (int64_t j = 0; j < k; ++j) {
-    acc = _mm512_add_pd(
-        acc, _mm512_mul_pd(_mm512_set1_pd(q[j]), _mm512_loadu_pd(c + j * 8)));
-  }
-  _mm512_storeu_pd(out, acc);
-}
-
 void ScaleAvx512(double* v, int64_t n, double a) {
   const __m512d va = _mm512_set1_pd(a);
   int64_t i = 0;
@@ -447,7 +433,6 @@ const KernelOps& Avx512Kernels() {
       SquaredDistanceBlockAvx512,
       SquaredDistanceTileAvx512,
       DotU8S8BlocksAvx512,
-      DotBlockAvx512,
   };
   return kOps;
 }

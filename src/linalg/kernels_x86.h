@@ -37,8 +37,6 @@ void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
 void DotU8S8BlocksScalar(const uint8_t* const* q, int64_t nq,
                          const int8_t* c, int64_t quads, int64_t blocks,
                          int64_t* out);
-void DotBlockScalar(const double* q, const double* c, int64_t k, int64_t width,
-                    double* out);
 
 #ifdef DPJL_HAVE_AVX2_KERNELS
 const KernelOps& Avx2Kernels();
@@ -62,8 +60,6 @@ void SjltColumnBlockAvx2(const double* x, int64_t width, double scale,
 void ScaleAvx2(double* v, int64_t n, double a);
 void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
                               int64_t width, double* out);
-void DotBlockAvx2(const double* q, const double* c, int64_t k, int64_t width,
-                  double* out);
 #endif
 
 #ifdef DPJL_HAVE_AVX512_KERNELS

@@ -107,7 +107,6 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.squared_distance_block, nullptr);
   EXPECT_NE(active.squared_distance_tile, nullptr);
   EXPECT_NE(active.dot_u8s8_blocks, nullptr);
-  EXPECT_NE(active.dot_block, nullptr);
   // Every table this build + CPU can run carries the int8 filter kernel,
   // and the avx512 one, whose vpdpbusd needs AVX512-VNNI and which is
   // compiled for AVX512-BW, is offered only where CPUID reports both.
@@ -560,27 +559,6 @@ TEST(KernelBitExactnessTest, DotU8S8BlocksSumPastTheInt32Span) {
   for (const KernelOps* table : tables) {
     EXPECT_EQ(DotU8S8(*table, probes, packed, quads, blocks), expect)
         << table->name;
-  }
-}
-
-TEST(KernelBitExactnessTest, DotBlock) {
-  const KernelOps& scalar = ScalarKernels();
-  for (const KernelOps* table : VectorTables()) {
-    for (int64_t k : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{13},
-                      int64_t{96}}) {
-      for (int64_t width = 1; width <= 8; ++width) {
-        const std::vector<double> q =
-            TestVector(k, 811 + static_cast<uint64_t>(k * 8 + width));
-        const std::vector<double> block = TestVector(
-            k * width, 877 + static_cast<uint64_t>(k * 8 + width));
-        std::vector<double> expect(static_cast<size_t>(width), -1.0);
-        std::vector<double> got(static_cast<size_t>(width), -1.0);
-        scalar.dot_block(q.data(), block.data(), k, width, expect.data());
-        table->dot_block(q.data(), block.data(), k, width, got.data());
-        EXPECT_TRUE(BytesEqual(expect, got))
-            << table->name << " dot_block k=" << k << " width=" << width;
-      }
-    }
   }
 }
 
