@@ -1,10 +1,14 @@
 #ifndef DPJL_COMMON_ANNOTATED_MUTEX_H_
 #define DPJL_COMMON_ANNOTATED_MUTEX_H_
 
+#include <pthread.h>
+
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
-#include <shared_mutex>
+
+#include "src/common/check.h"
 
 /// Clang thread-safety-annotated synchronization wrappers.
 ///
@@ -16,16 +20,16 @@
 /// field without the lock, calling a `*Locked` helper unlocked, releasing
 /// a lock on one path but not another. On GCC — which has no thread-safety
 /// analysis — every annotation macro expands to nothing and the wrappers
-/// are zero-cost veneers over the std primitives, so the GCC build is
-/// byte-for-byte the code it always was.
+/// are thin veneers over the std primitives (a glibc `pthread_rwlock_t`
+/// for SharedMutex, which std::shared_mutex cannot make writer-preferring).
 ///
 /// The attribute macro set mirrors the de-facto standard spelling
 /// (abseil's thread_annotations.h / the Clang ThreadSafetyAnalysis docs),
 /// so the annotations read the same here as in every other annotated
 /// codebase. `tools/dpjl_lint.py` closes the loop: a bare `std::mutex` /
-/// `std::shared_mutex` / `std::condition_variable` anywhere outside this
-/// header is a lint error, so new code cannot quietly opt out of the
-/// analysis.
+/// `std::shared_mutex` / `std::condition_variable` (or a raw `pthread_`
+/// mutex, rwlock or condition variable) anywhere outside this header is a
+/// lint error, so new code cannot quietly opt out of the analysis.
 
 #if defined(__clang__) && (!defined(SWIG))
 #define DPJL_TS_ATTRIBUTE__(x) __attribute__((x))
@@ -82,21 +86,43 @@ class CAPABILITY("mutex") Mutex {
   std::mutex raw_;
 };
 
-/// std::shared_mutex with the Clang `capability` attribute: one writer or
-/// many readers. Lock it through `WriterLock` / `ReaderLock`.
+/// Writer-preferring reader/writer lock with the Clang `capability`
+/// attribute: one writer or many readers. Lock it through `WriterLock` /
+/// `ReaderLock`.
+///
+/// A writer that is waiting holds back new readers and waits only for the
+/// readers already inside. `std::shared_mutex` on glibc prefers readers,
+/// so there a stream of overlapping readers keeps a writer out for as
+/// long as the stream lasts (seconds under a few looping query threads).
+/// The price of writer preference: a thread must never take the read side
+/// while it already holds it, because the second acquisition blocks
+/// behind a queued writer that is itself waiting for the first.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
-  SharedMutex() = default;
+  SharedMutex() {
+    pthread_rwlockattr_t attr;
+    Check(pthread_rwlockattr_init(&attr));
+    Check(pthread_rwlockattr_setkind_np(
+        &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP));
+    Check(pthread_rwlock_init(&raw_, &attr));
+    pthread_rwlockattr_destroy(&attr);
+  }
+  ~SharedMutex() { pthread_rwlock_destroy(&raw_); }
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void Lock() ACQUIRE() { raw_.lock(); }
-  void Unlock() RELEASE() { raw_.unlock(); }
-  void LockShared() ACQUIRE_SHARED() { raw_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { raw_.unlock_shared(); }
+  void Lock() ACQUIRE() { Check(pthread_rwlock_wrlock(&raw_)); }
+  void Unlock() RELEASE() { Check(pthread_rwlock_unlock(&raw_)); }
+  void LockShared() ACQUIRE_SHARED() { Check(pthread_rwlock_rdlock(&raw_)); }
+  void UnlockShared() RELEASE_SHARED() { Check(pthread_rwlock_unlock(&raw_)); }
 
  private:
-  std::shared_mutex raw_;
+  /// A failing rwlock call (EDEADLK: the caller already holds the write
+  /// side) is a lock-discipline bug or an exhausted resource, never
+  /// something to carry on past.
+  static void Check(int error) { DPJL_CHECK(error == 0, std::strerror(error)); }
+
+  pthread_rwlock_t raw_;
 };
 
 /// RAII exclusive lock over `Mutex` — the annotated std::lock_guard.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -13,9 +14,12 @@ namespace dpjl {
 
 /// A small fixed-size thread pool built around one primitive:
 /// `ParallelFor(begin, end, grain, fn)`. There is no work stealing and no
-/// futures — chunks of the index range are pushed onto a shared queue,
-/// workers (plus the calling thread) drain it, and the call blocks until
-/// every chunk has run.
+/// futures. Each call is one job: its caller and up to `num_threads() - 1`
+/// queued helper tasks claim the job's chunks from a shared counter until
+/// none is left, and the call blocks until every chunk has run. A caller
+/// runs only its own call's chunks, never another call's, so a short call
+/// beside a long one (a query scan beside a SketchBatch) is not held up
+/// by the long call's work.
 ///
 /// Determinism contract: ParallelFor partitions [begin, end) into fixed
 /// consecutive chunks that depend only on (begin, end, grain) — never on
@@ -26,8 +30,8 @@ namespace dpjl {
 /// Thread safety: all public methods are safe to call concurrently from
 /// multiple threads. `fn` must itself be safe to invoke concurrently on
 /// disjoint chunks. Do not call ParallelFor from inside a task running on
-/// this pool (no nested parallelism; it would risk deadlock by occupying a
-/// worker while waiting for workers).
+/// this pool (no nested parallelism: the workers are busy with the outer
+/// call, so the inner one would mostly run serially on its caller).
 class ThreadPool {
  public:
   /// Spawns `num_threads - 1` worker threads; the thread calling
@@ -62,13 +66,15 @@ class ThreadPool {
                   const std::function<void(int64_t, int64_t)>& fn);
 
  private:
+  /// One ParallelFor call's chunks and completion count (thread_pool.cc).
+  struct Job;
+
   void WorkerLoop();
-  /// Pops and runs one queued task. Returns false if the queue was empty.
-  bool RunOneTask();
 
   Mutex mutex_;
-  CondVar task_available_;
-  std::deque<std::function<void()>> tasks_ GUARDED_BY(mutex_);
+  CondVar job_available_;
+  /// One entry per queued helper task; a job appears once per helper.
+  std::deque<std::shared_ptr<Job>> helpers_ GUARDED_BY(mutex_);
   bool stop_ GUARDED_BY(mutex_) = false;
   /// Written by the constructor only; joined by the destructor.
   std::vector<std::thread> workers_;

@@ -36,8 +36,11 @@ struct EngineOptions {
   /// public projection seed).
   SketcherConfig sketcher;
 
-  /// ThreadPool size for batch sketching and chunk-parallel query scans:
-  /// 0 = hardware concurrency, 1 = fully serial (no pool at all).
+  /// Size of the one ThreadPool that SketchBatch and the chunk-parallel
+  /// query scans share: 0 = hardware concurrency, 1 = fully serial (no
+  /// pool at all). A call on the pool runs only its own chunks, never
+  /// another call's, so a query scan beside a SketchBatch finishes in its
+  /// own scan time.
   int threads = 1;
 
   /// Threads draining the async request queue. Each can independently run
@@ -244,9 +247,10 @@ struct EngineStats {
 /// the engine adds scheduling, never different math.
 ///
 /// Thread safety: the whole public API is safe to call concurrently.
-/// `Insert`/`InsertBatch` take the write side of an index lock; queries
-/// take the read side, so lookups proceed concurrently with each other and
-/// serialize only against mutation.
+/// `Insert`/`InsertBatch` take the write side of a writer-preferring index
+/// lock; queries take the read side, so lookups proceed concurrently with
+/// each other and serialize only against mutation. A pending write holds
+/// back new queries and waits only for the in-flight ones.
 ///
 /// Partitioned serving: AttachPartition adopts an independently built
 /// SketchIndex (typically a deserialized partition snapshot, see
@@ -298,13 +302,15 @@ class Engine {
       const std::vector<std::vector<double>>& xs,
       uint64_t base_noise_seed) const;
 
-  /// Inserts into the owned rows (exclusive; concurrent queries wait). Ids
-  /// and compatibility are checked against the whole served corpus,
-  /// attached partitions included.
+  /// Inserts into the owned rows (exclusive: it waits for the queries in
+  /// flight, and queries arriving meanwhile wait for it). Ids and
+  /// compatibility are checked against the whole served corpus, attached
+  /// partitions included.
   Status Insert(std::string id, PrivateSketch sketch);
 
   /// Bulk insertion via SketchIndex::AddBatch: one compatibility check and
-  /// one write-lock acquisition for the whole batch, all-or-nothing.
+  /// one write-lock acquisition for the whole batch, all-or-nothing. Like
+  /// Insert, it waits only for the queries in flight when it is called.
   Status InsertBatch(std::vector<std::pair<std::string, PrivateSketch>> items);
 
   /// Convenience: sketch then insert. Aborts on a serving-only engine.

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -113,6 +115,63 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallsFromDistinctThreads) {
     ASSERT_EQ(a[static_cast<size_t>(i)], 1);
     ASSERT_EQ(b[static_cast<size_t>(i)], 1);
   }
+}
+
+TEST(ThreadPoolTest, CallerRunsOnlyItsOwnChunks) {
+  // Call A's chunks spin until the latch opens. Once the one worker and A's
+  // caller are both inside A, A still has unclaimed chunks; a call B of
+  // empty chunks must return without running any of them.
+  ThreadPool pool(2);
+  std::atomic<bool> latch{true};
+  std::atomic<int> inside_a{0};
+  std::thread caller_a([&] {
+    pool.ParallelFor(0, 4, 1, [&](int64_t, int64_t) {
+      inside_a.fetch_add(1);
+      while (latch.load()) std::this_thread::yield();
+    });
+  });
+  while (inside_a.load() < 2) std::this_thread::yield();
+
+  std::atomic<bool> b_returned{false};
+  std::thread caller_b([&] {
+    pool.ParallelFor(0, 4, 1, [](int64_t, int64_t) {});
+    b_returned.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!b_returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool returned_while_a_blocked = b_returned.load();
+  latch.store(false);
+  caller_b.join();
+  caller_a.join();
+  EXPECT_TRUE(returned_while_a_blocked)
+      << "call B waited on call A's chunks";
+  EXPECT_EQ(inside_a.load(), 4);
+}
+
+TEST(ThreadPoolTest, NoChunkRunsAfterItsCallReturned) {
+  // Each call's fn and output live only for that call. A helper that ran a
+  // chunk after its call returned would touch freed memory (ASan) or race
+  // with the next iteration's writes (TSan), and the counts would be off.
+  ThreadPool pool(3);
+  auto loop = [&pool](int salt) {
+    for (int iter = 0; iter < 2000; ++iter) {
+      std::vector<int> out(6, 0);
+      const std::function<void(int64_t, int64_t)> fn =
+          [&out, salt](int64_t begin, int64_t end) {
+            for (int64_t i = begin; i < end; ++i) {
+              out[static_cast<size_t>(i)] += salt;
+            }
+          };
+      pool.ParallelFor(0, 6, 1, fn);
+      for (int v : out) ASSERT_EQ(v, salt);
+    }
+  };
+  std::thread t1(loop, 1);
+  std::thread t2(loop, 2);
+  t1.join();
+  t2.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -1296,6 +1296,57 @@ TEST(EngineTest, ConcurrentSubmittersAndInsertsAllResolve) {
   EXPECT_EQ(engine->ids().size(), 32u);
 }
 
+TEST(EngineTest, InsertIsNotStarvedByOverlappingReaders) {
+  // Three readers loop NearestNeighbors so that some scan nearly always
+  // holds the read lock. A pending write must hold back new readers and
+  // wait only for the in-flight ones; a reader-preferring lock keeps it
+  // out for as long as the readers run.
+  const int64_t d = 64;
+  std::unique_ptr<Engine> engine = MakeEngineOrDie(d, BaseOptions());
+  Rng rng(kTestSeed);
+  const PrivateSketch row = engine->Sketch(DenseGaussianVector(d, 1.0, &rng), 1);
+  const PrivateSketch probe = engine->Sketch(DenseGaussianVector(d, 1.0, &rng), 2);
+  std::vector<std::pair<std::string, PrivateSketch>> rows;
+  for (int64_t i = 0; i < 16384; ++i) rows.emplace_back("row-" + std::to_string(i), row);
+  ASSERT_TRUE(engine->InsertBatch(std::move(rows)).ok());
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> reading{true};
+  std::atomic<int> started{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      bool first = true;
+      while (reading.load()) {
+        if (!engine->NearestNeighbors(probe, 10).ok()) failures.fetch_add(1);
+        if (first) started.fetch_add(1);
+        first = false;
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+
+  std::promise<Status> inserted;
+  std::future<Status> insert_done = inserted.get_future();
+  std::thread writer([&] {
+    std::vector<std::pair<std::string, PrivateSketch>> batch;
+    batch.emplace_back("late", row);
+    inserted.set_value(engine->InsertBatch(std::move(batch)));
+  });
+  const bool in_time =
+      insert_done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Stop the readers either way, so a starved writer fails here instead of
+  // hanging the suite.
+  reading.store(false);
+  for (std::thread& reader : readers) reader.join();
+  writer.join();
+  EXPECT_TRUE(in_time) << "InsertBatch starved behind looping readers";
+  EXPECT_TRUE(insert_done.get().ok());
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine->index_size(), 16385);
+}
+
 TEST(EngineTest, DestructorDrainsAcceptedRequests) {
   const DirectReference ref = MakeReference(11);
   std::vector<EngineFuture<std::vector<SketchIndex::Neighbor>>> pending;

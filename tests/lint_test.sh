@@ -36,6 +36,13 @@ expect_rule() {
 
 expect_rule raw-entropy "$fixtures/bad_raw_entropy.cc"
 expect_rule bare-mutex "$fixtures/bad_bare_mutex.h"
+# One finding per offending line: the std::lock_guard, the std::mutex
+# member and the raw pthread rwlock member.
+count="$("$python" "$lint" --root "$root" "$fixtures/bad_bare_mutex.h" \
+  2>/dev/null | grep -c ": bare-mutex: ")"
+if [ "$count" -ne 3 ]; then
+  fail "bare-mutex: expected 3 findings in bad_bare_mutex.h, got $count"
+fi
 expect_rule discarded-status "$fixtures/bad_dropped_status.cc"
 expect_rule naked-new "$fixtures/bad_misc.cc"
 expect_rule naked-delete "$fixtures/bad_misc.cc"

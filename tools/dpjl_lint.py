@@ -29,7 +29,9 @@ naked-delete           any ``delete`` expression (``= delete`` declarations
 catch-all              ``catch (...)`` — swallows the error type and, with
                        it, the Status discipline.
 bare-mutex             ``std::mutex`` / ``std::shared_mutex`` /
-                       ``std::condition_variable`` / std lock RAII types
+                       ``std::condition_variable`` / std lock RAII types,
+                       or raw ``pthread_mutex_*`` / ``pthread_rwlock_*`` /
+                       ``pthread_cond_*`` (and their ``*attr_*``) use,
                        outside ``src/common/annotated_mutex.h``. Bare
                        primitives are invisible to ``-Wthread-safety``.
 discarded-status       a ``(void)`` cast with no adjacent comment. The
@@ -89,8 +91,9 @@ LINE_RULES = [
             r"std::(?:mutex|shared_mutex|recursive_mutex|timed_mutex|"
             r"condition_variable(?:_any)?|lock_guard|scoped_lock|"
             r"unique_lock|shared_lock)\b"
+            r"|\bpthread_(?:mutex|rwlock|cond)(?:attr)?_"
         ),
-        "bare std synchronization primitive; use the annotated wrappers "
+        "bare synchronization primitive; use the annotated wrappers "
         "from src/common/annotated_mutex.h",
     ),
 ]
