@@ -36,7 +36,9 @@ Fjlt::Fjlt(int64_t d, int64_t d_pad, int64_t k, double q)
 void Fjlt::BuildP(uint64_t seed) {
   Rng rng(seed);
   const double value_stddev = 1.0 / std::sqrt(q_);
-  row_ptr_.assign(static_cast<size_t>(k_) + 1, 0);
+  std::vector<int64_t> row_ptr(static_cast<size_t>(k_) + 1, 0);
+  std::vector<int32_t> col_idx;
+  std::vector<double> values;
   column_used_.assign(static_cast<size_t>(d_pad_), false);
   // Geometric skip sampling over each row: the gap to the next non-zero is
   // Geometric(q), so construction costs O(nnz) rather than O(d k) coin
@@ -52,12 +54,13 @@ void Fjlt::BuildP(uint64_t seed) {
         col += 1 + static_cast<int64_t>(std::floor(std::log(u) / log1mq));
       }
       if (col >= d_pad_) break;
-      col_idx_.push_back(static_cast<int32_t>(col));
-      values_.push_back(rng.Gaussian(value_stddev));
+      col_idx.push_back(static_cast<int32_t>(col));
+      values.push_back(rng.Gaussian(value_stddev));
       column_used_[static_cast<size_t>(col)] = true;
     }
-    row_ptr_[static_cast<size_t>(i) + 1] = static_cast<int64_t>(values_.size());
+    row_ptr[static_cast<size_t>(i) + 1] = static_cast<int64_t>(values.size());
   }
+  p_ = EllMatrix(k_, row_ptr, col_idx, values);
 }
 
 std::vector<double> Fjlt::Apply(const std::vector<double>& x) const {
@@ -69,8 +72,7 @@ std::vector<double> Fjlt::Apply(const std::vector<double>& x) const {
   // y = P w / sqrt(k).
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k_));
   std::vector<double> y(static_cast<size_t>(k_));
-  Kernels().csr_apply(row_ptr_.data(), col_idx_.data(), values_.data(), k_,
-                      w.data(), inv_sqrt_k, y.data());
+  p_.Apply(w.data(), inv_sqrt_k, y.data());
   return y;
 }
 
@@ -90,8 +92,7 @@ std::vector<double> Fjlt::ApplyWithPostHadamardNoise(const std::vector<double>& 
   }
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k_));
   std::vector<double> y(static_cast<size_t>(k_));
-  Kernels().csr_apply(row_ptr_.data(), col_idx_.data(), values_.data(), k_,
-                      w.data(), inv_sqrt_k, y.data());
+  p_.Apply(w.data(), inv_sqrt_k, y.data());
   return y;
 }
 
@@ -157,8 +158,7 @@ void Fjlt::ApplyBlockImpl(const std::vector<double>* xs, int64_t count,
       }
     }
     // yb = P wb / sqrt(k), then unpack lanes into the per-item outputs.
-    ops.csr_apply_block(row_ptr_.data(), col_idx_.data(), values_.data(), k_,
-                        wb, width, inv_sqrt_k, yb);
+    p_.ApplyBlock(wb, width, inv_sqrt_k, yb);
     for (int64_t t = 0; t < width; ++t) {
       std::vector<double>& y = ys[i0 + t];
       y.resize(static_cast<size_t>(k_));
@@ -169,7 +169,9 @@ void Fjlt::ApplyBlockImpl(const std::vector<double>* xs, int64_t count,
 
 double Fjlt::FrobeniusNormSquaredOfP() const {
   double acc = 0.0;
-  for (double v : values_) acc += v * v;
+  for (int64_t i = 0; i < k_; ++i) {
+    p_.ForEachInRow(i, [&](int32_t, double v) { acc += v * v; });
+  }
   return acc;
 }
 
@@ -181,9 +183,9 @@ void Fjlt::AccumulateColumn(int64_t j, double weight,
   const double scale = weight * diagonal_[j] / std::sqrt(static_cast<double>(k_));
   for (int64_t i = 0; i < k_; ++i) {
     double acc = 0.0;
-    for (int64_t n = row_ptr_[i]; n < row_ptr_[i + 1]; ++n) {
-      acc += values_[n] * HadamardEntry(d_pad_, col_idx_[n], j);
-    }
+    p_.ForEachInRow(i, [&](int32_t c, double v) {
+      acc += v * HadamardEntry(d_pad_, c, j);
+    });
     (*y)[i] += scale * acc;
   }
 }
@@ -199,9 +201,7 @@ Sensitivities Fjlt::ScanSensitivities() const {
   std::vector<double> row(static_cast<size_t>(d_pad_));
   for (int64_t i = 0; i < k_; ++i) {
     std::fill(row.begin(), row.end(), 0.0);
-    for (int64_t n = row_ptr_[i]; n < row_ptr_[i + 1]; ++n) {
-      row[col_idx_[n]] = values_[n];
-    }
+    p_.ForEachInRow(i, [&](int32_t c, double v) { row[c] = v; });
     NormalizedFwhtInPlace(&row);
     for (int64_t j = 0; j < d_pad_; ++j) {
       l1[j] += std::fabs(row[j]);

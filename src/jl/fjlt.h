@@ -7,6 +7,7 @@
 
 #include "src/common/result.h"
 #include "src/jl/transform.h"
+#include "src/linalg/ell_matrix.h"
 #include "src/random/rng.h"
 
 namespace dpjl {
@@ -16,7 +17,7 @@ namespace dpjl {
 ///   * D: random ±1 diagonal,
 ///   * H: normalized Walsh–Hadamard matrix (applied in O(d log d) via FWHT),
 ///   * P: k x d sparse matrix whose entries are N(0, 1/q) with probability q
-///     and 0 otherwise, stored CSR.
+///     and 0 otherwise, stored row by row in sliced ELLPACK (EllMatrix).
 ///
 /// This class implements the *normalized* transform S = Phi / sqrt(k), which
 /// satisfies LPP exactly (Lemma 6), so the generic estimator machinery of
@@ -36,7 +37,7 @@ class Fjlt : public LinearTransform {
   int64_t output_dim() const override { return k_; }
   std::vector<double> Apply(const std::vector<double>& x) const override;
   /// Matrix-form apply: micro-blocks of kSketchBlockWidth inputs share one
-  /// FWHT and one CSR pass. Zero per-item allocations (scratch is reused).
+  /// FWHT and one sparse row pass. Zero per-item allocations (scratch is reused).
   void ApplyBlock(const std::vector<double>* xs, int64_t count,
                   std::vector<double>* ys,
                   std::vector<double>* scratch) const override;
@@ -55,7 +56,7 @@ class Fjlt : public LinearTransform {
 
   double q() const { return q_; }
   int64_t padded_dim() const { return d_pad_; }
-  int64_t nnz() const { return static_cast<int64_t>(values_.size()); }
+  int64_t nnz() const { return p_.nnz(); }
 
   /// Note 7's variant: returns (1/sqrt(k)) P (H D x + eta) with
   /// eta_f = noise_stddev * N(0,1) drawn per *transformed* coordinate.
@@ -97,10 +98,8 @@ class Fjlt : public LinearTransform {
   int64_t k_;
   double q_;
   std::vector<double> diagonal_;  // D: ±1 per input coordinate, size d_pad_
-  // P in CSR over [k_] x [d_pad_].
-  std::vector<int64_t> row_ptr_;
-  std::vector<int32_t> col_idx_;
-  std::vector<double> values_;
+  // P over [k_] x [d_pad_], each row's entries in ascending column order.
+  EllMatrix p_;
   // column_used_[f] == true iff some row of P has a non-zero in column f;
   // only those transformed coordinates need noise in Note 7's variant.
   std::vector<bool> column_used_;

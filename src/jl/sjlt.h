@@ -7,6 +7,7 @@
 
 #include "src/common/result.h"
 #include "src/jl/transform.h"
+#include "src/linalg/ell_matrix.h"
 #include "src/random/kwise_hash.h"
 
 namespace dpjl {
@@ -51,21 +52,29 @@ enum class SjltConstruction {
 /// polynomial family (the paper requires Omega(log(1/beta))-wise); graph
 /// and uniform derive an independent per-column stream.
 ///
-/// Costs: Apply is O(s ||x||_0); AccumulateColumn is O(s) — Theorem 3(4)'s
-/// streaming update; sensitivities are O(1) after Create. A column's s
-/// (row, sign) pairs cost 2s degree-(wise-1) hash evaluations (block) or
-/// an s-draw RNG stream (graph, uniform), far more than the s
-/// multiply-adds that use them, so Create tabulates every column once:
-/// 16 bytes per pair, d*s pairs, built only while d*s <= 2^20 (16 MiB).
-/// Above that bound (huge key spaces such as streaming histograms) each
-/// column's pairs are recomputed on demand by the same code, so the map
-/// is identical either way; only the apply cost differs.
+/// Costs: Apply is O(s ||x||_0) plus O(d + k); AccumulateColumn is O(s) —
+/// Theorem 3(4)'s streaming update; sensitivities are O(1) after Create. A
+/// column's s (row, sign) pairs cost 2s degree-(wise-1) hash evaluations
+/// (block) or an s-draw RNG stream (graph, uniform), far more than the s
+/// multiply-adds that use them, so Create tabulates the pattern once, in
+/// two forms, while d*s <= 2^20 pairs:
+///   * ApplySparse and AccumulateColumn read the column table: 4 bytes per
+///     pair, the row in 31 bits and the sign in one;
+///   * Apply and ApplyBlock read the row table, an EllMatrix of
+///     +-1/sqrt(s) values gathered 8 rows per step by the dispatched
+///     ell_apply kernels: 12 bytes per pair plus 8 per row and the padding
+///     of its 8-row slices.
+/// At d = 1024, k = 370, s = 37 the two take 16.3 bytes per pair. Above the
+/// bound (huge key spaces such as streaming histograms) there are no
+/// tables: each column's pairs are recomputed on demand by the same code
+/// and every path scatters column by column, so the map is identical
+/// either way; only the apply cost differs.
 class Sjlt : public LinearTransform {
  public:
-  /// `k` must be a multiple of `s` for kBlock (use RoundUpToMultiple);
-  /// 1 <= s <= k except for kUniform (any s >= 1); s <= 512 for graph and
-  /// uniform; `wise` >= 2 is the hash family independence (unused by
-  /// kUniform).
+  /// 1 <= k <= 2^31, and `k` must be a multiple of `s` for kBlock (use
+  /// RoundUpToMultiple); 1 <= s <= k except for kUniform (any s >= 1);
+  /// s <= 512 for graph and uniform; `wise` >= 2 is the hash family
+  /// independence (unused by kUniform).
   static Result<std::unique_ptr<Sjlt>> Create(int64_t d, int64_t k, int64_t s,
                                               SjltConstruction construction,
                                               int wise, uint64_t seed);
@@ -73,9 +82,9 @@ class Sjlt : public LinearTransform {
   int64_t input_dim() const override { return d_; }
   int64_t output_dim() const override { return k_; }
   std::vector<double> Apply(const std::vector<double>& x) const override;
-  /// Matrix-form apply: each column's (row, sign) pairs are read (or, above
-  /// the table bound, computed) once and applied to all kSketchBlockWidth
-  /// lanes by one sjlt_column_block kernel call.
+  /// Matrix-form apply: micro-blocks of kSketchBlockWidth inputs ride one
+  /// ell_apply_block pass over the row table. Above the table bound each
+  /// column's pairs are computed once and scattered into every lane.
   void ApplyBlock(const std::vector<double>* xs, int64_t count,
                   std::vector<double>* ys,
                   std::vector<double>* scratch) const override;
@@ -96,15 +105,25 @@ class Sjlt : public LinearTransform {
   Sjlt(int64_t d, int64_t k, int64_t s, SjltConstruction construction,
        uint64_t seed);
 
-  // Writes pairs [r0, r0 + n) of column j's s (row, sign) pairs. Graph and
-  // uniform draw a column as one RNG stream, so for them r0 == 0 and n == s.
-  void FillColumn(int64_t j, int64_t r0, int64_t n, int64_t* rows,
-                  double* signs) const;
+  // Writes pairs [r0, r0 + n) of column j's s packed (row, sign) pairs.
+  // Graph and uniform draw a column as one RNG stream, so for them r0 == 0
+  // and n == s.
+  void FillColumn(int64_t j, int64_t r0, int64_t n, uint32_t* pairs) const;
 
-  // Calls fn(rows, signs, n) over column j's pairs in ascending pair order:
-  // once on the table when it is built, else on chunks filled on demand.
+  // Tabulates every column, then the same pattern row by row.
+  void BuildTables();
+
+  // Calls fn(pairs, n) over column j's packed pairs in ascending pair
+  // order: once on the table when it is built, else on chunks filled on
+  // demand.
   template <typename Fn>
   void ForEachColumnChunk(int64_t j, Fn&& fn) const;
+
+  // ApplyBlock above the table bound: scatters each column's pairs into
+  // every nonzero lane of the k x width block yb. xcol is width doubles of
+  // scratch.
+  void ScatterColumnsBlock(const std::vector<double>* xs, int64_t width,
+                           double* xcol, double* yb) const;
 
   int64_t d_;
   int64_t k_;
@@ -115,10 +134,12 @@ class Sjlt : public LinearTransform {
   // Block construction: s row hashes and s sign hashes.
   std::vector<KwiseHash> row_hashes_;
   std::vector<KwiseHash> sign_hashes_;
-  // Column-major pattern table (column j at [j*s, (j+1)*s)); empty above
-  // the table bound.
-  std::vector<int64_t> table_rows_;
-  std::vector<double> table_signs_;
+  // Column-major pattern table: column j's pairs at [j*s, (j+1)*s), each
+  // row << 1 | (sign < 0). Empty above the table bound.
+  std::vector<uint32_t> column_pairs_;
+  // The same pattern row by row with values +-1/sqrt(s); empty above the
+  // bound.
+  EllMatrix row_table_;
   Sensitivities sensitivities_;
 };
 

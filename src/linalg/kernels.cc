@@ -68,42 +68,39 @@ void GemvBlockScalar(const double* m, int64_t rows, int64_t cols,
   }
 }
 
-void CsrApplyScalar(const int64_t* row_ptr, const int32_t* col_idx,
-                    const double* values, int64_t rows, const double* w,
-                    double scale, double* y) {
-  for (int64_t i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    for (int64_t n = row_ptr[i]; n < row_ptr[i + 1]; ++n) {
-      acc += values[n] * w[col_idx[n]];
+void EllApplyScalar(const EllMatrixView& m, const double* w, double scale,
+                    double* y) {
+  constexpr int64_t kL = kEllSliceRows;
+  for (int64_t r0 = 0, g = 0; r0 < m.rows; r0 += kL, ++g) {
+    // One accumulator per slot of the slice, advanced a step at a time.
+    double acc[kL] = {};
+    for (int64_t e = m.slice_ptr[g]; e < m.slice_ptr[g + 1]; e += kL) {
+      for (int64_t l = 0; l < kL; ++l) {
+        const int32_t c = m.cols[e + l];
+        if (c != kEllPad) acc[l] += m.values[e + l] * w[c];
+      }
     }
-    y[i] = acc * scale;
+    const int64_t n = m.rows - r0 < kL ? m.rows - r0 : kL;
+    for (int64_t l = 0; l < n; ++l) y[m.row_ids[r0 + l]] = acc[l] * scale;
   }
 }
 
-void CsrApplyBlockScalar(const int64_t* row_ptr, const int32_t* col_idx,
-                         const double* values, int64_t rows, const double* w,
+void EllApplyBlockScalar(const EllMatrixView& m, const double* w,
                          int64_t width, double scale, double* y) {
-  for (int64_t i = 0; i < rows; ++i) {
-    double* out = y + i * width;
+  constexpr int64_t kL = kEllSliceRows;
+  for (int64_t i = 0; i < m.rows; ++i) {
+    double* out = y + static_cast<int64_t>(m.row_ids[i]) * width;
     for (int64_t t = 0; t < width; ++t) out[t] = 0.0;
-    for (int64_t n = row_ptr[i]; n < row_ptr[i + 1]; ++n) {
-      const double a = values[n];
-      const double* wc = w + static_cast<int64_t>(col_idx[n]) * width;
+    const int64_t g = i / kL;
+    for (int64_t e = m.slice_ptr[g] + i % kL; e < m.slice_ptr[g + 1];
+         e += kL) {
+      const int32_t c = m.cols[e];
+      if (c == kEllPad) break;  // padding trails a row's entries
+      const double a = m.values[e];
+      const double* wc = w + static_cast<int64_t>(c) * width;
       for (int64_t t = 0; t < width; ++t) out[t] += a * wc[t];
     }
     for (int64_t t = 0; t < width; ++t) out[t] *= scale;
-  }
-}
-
-void SjltColumnBlockScalar(const double* x, int64_t width, double scale,
-                           const int64_t* rows, const double* signs, int64_t s,
-                           double* y) {
-  for (int64_t t = 0; t < width; ++t) {
-    if (x[t] == 0.0) continue;
-    const double w = x[t] * scale;
-    for (int64_t r = 0; r < s; ++r) {
-      y[rows[r] * width + t] += w * signs[r];
-    }
   }
 }
 
@@ -162,9 +159,8 @@ const KernelOps kScalarOps = {
     internal::FwhtBlockScalar,
     internal::GemvScalar,
     internal::GemvBlockScalar,
-    internal::CsrApplyScalar,
-    internal::CsrApplyBlockScalar,
-    internal::SjltColumnBlockScalar,
+    internal::EllApplyScalar,
+    internal::EllApplyBlockScalar,
     internal::ScaleScalar,
     internal::SquaredDistanceBlockScalar,
     internal::SquaredDistanceTileScalar,

@@ -19,6 +19,33 @@ inline constexpr int64_t kI8QuadWidth = 4;
 /// many quads, combined in int64.
 inline constexpr int64_t kI8SpanQuads = 16577;
 
+/// Rows per slice of the sliced-ELLPACK layout the sparse row kernels
+/// read: one AVX-512 register of doubles.
+inline constexpr int64_t kEllSliceRows = 8;
+
+/// Column index of a padding entry in the sliced-ELLPACK layout.
+inline constexpr int32_t kEllPad = -1;
+
+/// A sparse rows x cols matrix in sliced ELLPACK form (built and owned by
+/// EllMatrix, src/linalg/ell_matrix.h). The layout stores the matrix's
+/// rows in `rows` slots; slot r holds matrix row row_ids[r], and the
+/// kernels write its sum to y[row_ids[r]]. Slots group into slices of
+/// kEllSliceRows: slice g holds slots [8g, 8g + 8) and occupies entries
+/// [slice_ptr[g], slice_ptr[g + 1]) of `cols` and `values`, a whole number
+/// of steps of 8 entries. Entry n of slot 8g + l sits at
+/// slice_ptr[g] + 8n + l, so one step loads the next entry of all 8 slots
+/// contiguously. A slice pads to its longest row: a row's entries come
+/// first, in the order its sum accumulates, and kEllPad entries (value
+/// 0.0) fill the rest. Slots past `rows` in the last slice are all padding,
+/// and row_ids is padded with zeros to a whole slice.
+struct EllMatrixView {
+  int64_t rows;
+  const int64_t* slice_ptr;
+  const int32_t* cols;
+  const double* values;
+  const int32_t* row_ids;
+};
+
 /// Runtime-dispatched inner loops of the sketching hot path.
 ///
 /// Every function table implements the SAME math, and its output is
@@ -26,11 +53,19 @@ inline constexpr int64_t kI8SpanQuads = 16577;
 /// exposes publicly — with the scalar table as the executable
 /// specification the vector tables are tested against
 /// (tests/kernel_test.cc). The floating-point entries get there by
-/// operation order: vector implementations parallelize across independent
-/// output elements (matrix rows, interleaved batch lanes, FWHT
-/// butterflies) and never reassociate a reduction, fuse a multiply-add,
-/// or flush denormals. The integer entry (dot_u8s8_blocks) gets there by
-/// arithmetic: its sums are exact, so each table may order them freely.
+/// operation order: each output element (a matrix row, a batch lane, an
+/// FWHT butterfly) is one fixed sequence of roundings, and vector tables
+/// may run independent output elements side by side in their lanes — 8
+/// sparse rows per zmm, 8 batch lanes per zmm — but never reassociate
+/// within one, fuse a multiply-add, flush denormals, or stand a
+/// sign-flipped add in for a subtraction (that flips a NaN's sign). A
+/// masked lane (a padded sparse entry, a tail row) keeps its bits even
+/// when the value it skips is inf or NaN. Where two NaNs of different
+/// payload meet in one add, x86 keeps the first operand's and the
+/// compiler may order the operands either way, so NaN payloads are
+/// pinned only where one payload reaches an output. The integer entry
+/// (dot_u8s8_blocks) gets there by arithmetic: its sums are exact, so each
+/// table may order them freely.
 ///
 /// Layout convention for the *_block kernels: a "column block" packs
 /// `width` input vectors lane-interleaved, element j of lane t at
@@ -57,28 +92,21 @@ struct KernelOps {
   void (*gemv_block)(const double* m, int64_t rows, int64_t cols,
                      const double* x, int64_t width, double* y);
 
-  /// CSR row gather: y[i] = scale * sum_{n in row i} values[n] *
-  /// w[col_idx[n]]. Kept scalar in every table — per-row accumulation is a
-  /// sequential reduction, and vectorizing it would reassociate.
-  void (*csr_apply)(const int64_t* row_ptr, const int32_t* col_idx,
-                    const double* values, int64_t rows, const double* w,
-                    double scale, double* y);
+  /// Sparse row gather: for each slot r, y[row_ids[r]] = (sum over the
+  /// slot's entries n, in order, of values[n] * w[cols[n]]) * scale, each
+  /// sum one accumulator that starts at +0.0 and adds its terms in entry
+  /// order. Padding is skipped. Vector tables run the 8 slots of a slice
+  /// side by side: one contiguous load of 8 columns and 8 values and one
+  /// gather of w per step.
+  void (*ell_apply)(const EllMatrixView& m, const double* w, double scale,
+                    double* y);
 
-  /// Column-block CSR row gather: w is a d x width block, y a rows x width
-  /// block; y[i*width + t] = scale * sum_n values[n] * w[col_idx[n]*width + t].
-  void (*csr_apply_block)(const int64_t* row_ptr, const int32_t* col_idx,
-                          const double* values, int64_t rows, const double* w,
+  /// Column-block sparse row gather: w is a cols x width block, y a rows x
+  /// width block; for slot r and lane t, y[row_ids[r]*width + t] = scale *
+  /// sum_n values[n] * w[cols[n]*width + t], each (slot, lane) summed as in
+  /// ell_apply.
+  void (*ell_apply_block)(const EllMatrixView& m, const double* w,
                           int64_t width, double scale, double* y);
-
-  /// SJLT column update over a lane block: for each of the s (row, sign)
-  /// pairs, for each lane t with x[t] != 0.0:
-  ///   y[rows[r]*width + t] += (x[t] * scale) * signs[r].
-  /// Lanes with x[t] == 0.0 are left bit-untouched (the scalar per-item
-  /// path skips zero coordinates entirely; a blended +0.0 add could flip a
-  /// -0.0 accumulator).
-  void (*sjlt_column_block)(const double* x, int64_t width, double scale,
-                            const int64_t* rows, const double* signs,
-                            int64_t s, double* y);
 
   /// Elementwise v[i] *= a over [0, n) (FWHT/JL normalization sweeps).
   void (*scale)(double* v, int64_t n, double a);

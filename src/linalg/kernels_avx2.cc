@@ -3,10 +3,10 @@
 // fused kernel would not be bit-identical to it).
 //
 // Bit-exactness strategy, shared with kernels_avx512.cc: vectorize only
-// across independent output elements — matrix rows, interleaved batch
-// lanes, FWHT butterflies — so every lane executes exactly the scalar
-// reference's operation sequence. Reductions (CSR row gathers over a single
-// vector) stay scalar; a vector partial-sum would reassociate. The int8
+// across independent output elements — matrix rows, sparse rows of one
+// slice, interleaved batch lanes, FWHT butterflies — so every lane executes
+// exactly the scalar reference's operation sequence. No row's sum is ever
+// split into vector partial sums; that would reassociate it. The int8
 // filter's integer dot products are exact, so they reassociate freely.
 
 #include "src/linalg/kernels_x86.h"
@@ -22,32 +22,21 @@
 
 namespace dpjl::internal {
 
-namespace {
-
-/// IEEE-exact negation (sign-bit flip; 0.0 - u would mishandle -0.0).
-inline __m256d Negate(__m256d u) {
-  return _mm256_xor_pd(u, _mm256_set1_pd(-0.0));
-}
-
-}  // namespace
-
 void FwhtLowStagesAvx2(double* v, int64_t n) {
   // The len=1 and len=2 butterfly stages live entirely inside one 4-lane
-  // vector, so both run in a single pass. n is a power of two >= 4.
-  // Lanes 2,3 of kSign2 flip so add(t, xor(u, kSign2)) subtracts there;
-  // a - b == a + (-b) exactly in IEEE arithmetic.
-  const __m256d kSign2 = _mm256_set_pd(-0.0, -0.0, 0.0, 0.0);
+  // vector, so both run in a single pass. n is a power of two >= 4. Each
+  // stage computes both a + b and a - b and blends the lanes it needs: a
+  // sign-flipped add (a + (-b)) would differ from a - b when b is NaN.
   for (int64_t i = 0; i < n; i += 4) {
     __m256d x = _mm256_loadu_pd(v + i);  // [x0 x1 x2 x3]
-    // len=1: [x0+x1, x0-x1, x2+x3, x2-x3]. addsub subtracts in even lanes
-    // and adds in odd lanes, so feed it the negated second operand.
+    // len=1: [x0+x1, x0-x1, x2+x3, x2-x3].
     __m256d t = _mm256_movedup_pd(x);                    // [x0 x0 x2 x2]
     __m256d u = _mm256_permute_pd(x, 0xF);               // [x1 x1 x3 x3]
-    x = _mm256_addsub_pd(t, Negate(u));
+    x = _mm256_blend_pd(_mm256_add_pd(t, u), _mm256_sub_pd(t, u), 0xA);
     // len=2: [y0+y2, y1+y3, y0-y2, y1-y3].
     t = _mm256_permute2f128_pd(x, x, 0x00);              // [y0 y1 y0 y1]
     u = _mm256_permute2f128_pd(x, x, 0x11);              // [y2 y3 y2 y3]
-    x = _mm256_add_pd(t, _mm256_xor_pd(u, kSign2));
+    x = _mm256_blend_pd(_mm256_add_pd(t, u), _mm256_sub_pd(t, u), 0xC);
     _mm256_storeu_pd(v + i, x);
   }
 }
@@ -214,73 +203,96 @@ void GemvBlockAvx2(const double* m, int64_t rows, int64_t cols,
   }
 }
 
-void CsrApplyBlockAvx2(const int64_t* row_ptr, const int32_t* col_idx,
-                       const double* values, int64_t rows, const double* w,
-                       int64_t width, double scale, double* y) {
-  if (width == 8) {
-    const __m256d vscale = _mm256_set1_pd(scale);
-    for (int64_t i = 0; i < rows; ++i) {
-      __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-      for (int64_t n = row_ptr[i]; n < row_ptr[i + 1]; ++n) {
-        const double* wc = w + static_cast<int64_t>(col_idx[n]) * 8;
-        const __m256d b = _mm256_set1_pd(values[n]);
-        a0 = _mm256_add_pd(a0, _mm256_mul_pd(b, _mm256_loadu_pd(wc)));
-        a1 = _mm256_add_pd(a1, _mm256_mul_pd(b, _mm256_loadu_pd(wc + 4)));
-      }
-      _mm256_storeu_pd(y + i * 8, _mm256_mul_pd(a0, vscale));
-      _mm256_storeu_pd(y + i * 8 + 4, _mm256_mul_pd(a1, vscale));
+namespace {
+
+static_assert(kEllSliceRows == 8, "a slice is two ymm of rows");
+
+/// One step of four sparse rows: gathers w at their next columns and adds
+/// value * w to each live row's accumulator. Padding lanes (kEllPad, the
+/// one negative column) gather nothing and keep their accumulator bits.
+inline __m256d EllStepAvx2(__m256d acc, const int32_t* cols,
+                           const double* values, const double* w) {
+  const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(cols));
+  const __m256d live = _mm256_castsi256_pd(
+      _mm256_cvtepi32_epi64(_mm_cmpgt_epi32(c, _mm_set1_epi32(kEllPad))));
+  const __m256d wc =
+      _mm256_mask_i32gather_pd(_mm256_setzero_pd(), w, c, live, 8);
+  const __m256d sum =
+      _mm256_add_pd(acc, _mm256_mul_pd(_mm256_loadu_pd(values), wc));
+  return _mm256_blendv_pd(acc, sum, live);
+}
+
+}  // namespace
+
+void EllApplyAvx2(const EllMatrixView& m, const double* w, double scale,
+                  double* y) {
+  const __m256d vscale = _mm256_set1_pd(scale);
+  for (int64_t r0 = 0, g = 0; r0 < m.rows; r0 += 8, ++g) {
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    for (int64_t e = m.slice_ptr[g]; e < m.slice_ptr[g + 1]; e += 8) {
+      a0 = EllStepAvx2(a0, m.cols + e, m.values + e, w);
+      a1 = EllStepAvx2(a1, m.cols + e + 4, m.values + e + 4, w);
     }
-    return;
-  }
-  for (int64_t i = 0; i < rows; ++i) {
-    double* out = y + i * width;
-    int64_t t0 = 0;
-    for (; t0 + 4 <= width; t0 += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (int64_t n = row_ptr[i]; n < row_ptr[i + 1]; ++n) {
-        const double* wc = w + static_cast<int64_t>(col_idx[n]) * width;
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(values[n]),
-                                               _mm256_loadu_pd(wc + t0)));
-      }
-      _mm256_storeu_pd(out + t0, _mm256_mul_pd(acc, _mm256_set1_pd(scale)));
-    }
-    for (; t0 < width; ++t0) {
-      double acc = 0.0;
-      for (int64_t n = row_ptr[i]; n < row_ptr[i + 1]; ++n) {
-        acc += values[n] * w[static_cast<int64_t>(col_idx[n]) * width + t0];
-      }
-      out[t0] = acc * scale;
-    }
+    double out[8];
+    _mm256_storeu_pd(out, _mm256_mul_pd(a0, vscale));
+    _mm256_storeu_pd(out + 4, _mm256_mul_pd(a1, vscale));
+    const int64_t n = std::min<int64_t>(8, m.rows - r0);
+    for (int64_t l = 0; l < n; ++l) y[m.row_ids[r0 + l]] = out[l];
   }
 }
 
-void SjltColumnBlockAvx2(const double* x, int64_t width, double scale,
-                         const int64_t* rows, const double* signs, int64_t s,
-                         double* y) {
-  const __m256d zero = _mm256_setzero_pd();
+void EllApplyBlockAvx2(const EllMatrixView& m, const double* w,
+                       int64_t width, double scale, double* y) {
   const __m256d vscale = _mm256_set1_pd(scale);
-  int64_t t = 0;
-  for (; t + 4 <= width; t += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + t);
-    // NEQ_UQ matches the scalar `x != 0.0` exactly: false for +/-0.0, true
-    // for NaN. Zero lanes are preserved bit-for-bit by the blend (adding
-    // +0.0 instead would flip a -0.0 accumulator).
-    const __m256d mask = _mm256_cmp_pd(xv, zero, _CMP_NEQ_UQ);
-    if (_mm256_testz_pd(mask, mask)) continue;
-    const __m256d wv = _mm256_mul_pd(xv, vscale);
-    for (int64_t r = 0; r < s; ++r) {
-      double* yp = y + rows[r] * width + t;
-      const __m256d yv = _mm256_loadu_pd(yp);
-      const __m256d upd =
-          _mm256_add_pd(yv, _mm256_mul_pd(wv, _mm256_set1_pd(signs[r])));
-      _mm256_storeu_pd(yp, _mm256_blendv_pd(yv, upd, mask));
+  if (width == 8) {
+    // The slots of a slice four at a time, two ymm accumulators per slot:
+    // eight independent add chains per step.
+    for (int64_t r0 = 0, g = 0; r0 < m.rows; r0 += 8, ++g) {
+      for (int64_t l0 = 0; l0 < 8 && r0 + l0 < m.rows; l0 += 4) {
+        __m256d acc[4][2];
+        for (auto& a : acc) a[0] = a[1] = _mm256_setzero_pd();
+        for (int64_t e = m.slice_ptr[g] + l0; e < m.slice_ptr[g + 1]; e += 8) {
+          for (int64_t l = 0; l < 4; ++l) {
+            const int32_t c = m.cols[e + l];
+            if (c == kEllPad) continue;
+            const double* wc = w + static_cast<int64_t>(c) * 8;
+            const __m256d b = _mm256_set1_pd(m.values[e + l]);
+            acc[l][0] = _mm256_add_pd(
+                acc[l][0], _mm256_mul_pd(b, _mm256_loadu_pd(wc)));
+            acc[l][1] = _mm256_add_pd(
+                acc[l][1], _mm256_mul_pd(b, _mm256_loadu_pd(wc + 4)));
+          }
+        }
+        for (int64_t l = 0; l < 4 && r0 + l0 + l < m.rows; ++l) {
+          double* out = y + static_cast<int64_t>(m.row_ids[r0 + l0 + l]) * 8;
+          _mm256_storeu_pd(out, _mm256_mul_pd(acc[l][0], vscale));
+          _mm256_storeu_pd(out + 4, _mm256_mul_pd(acc[l][1], vscale));
+        }
+      }
     }
+    return;
   }
-  for (; t < width; ++t) {
-    if (x[t] == 0.0) continue;
-    const double w = x[t] * scale;
-    for (int64_t r = 0; r < s; ++r) {
-      y[rows[r] * width + t] += w * signs[r];
+  for (int64_t i = 0; i < m.rows; ++i) {
+    double* out = y + static_cast<int64_t>(m.row_ids[i]) * width;
+    const int64_t first = m.slice_ptr[i / 8] + i % 8;
+    const int64_t end = m.slice_ptr[i / 8 + 1];
+    int64_t t0 = 0;
+    for (; t0 + 4 <= width; t0 += 4) {
+      __m256d acc = _mm256_setzero_pd();
+      for (int64_t e = first; e < end && m.cols[e] != kEllPad; e += 8) {
+        const double* wc = w + static_cast<int64_t>(m.cols[e]) * width;
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(m.values[e]),
+                                               _mm256_loadu_pd(wc + t0)));
+      }
+      _mm256_storeu_pd(out + t0, _mm256_mul_pd(acc, vscale));
+    }
+    for (; t0 < width; ++t0) {
+      double acc = 0.0;
+      for (int64_t e = first; e < end && m.cols[e] != kEllPad; e += 8) {
+        acc += m.values[e] * w[static_cast<int64_t>(m.cols[e]) * width + t0];
+      }
+      out[t0] = acc * scale;
     }
   }
 }
@@ -509,9 +521,8 @@ const KernelOps& Avx2Kernels() {
       FwhtBlockAvx2,
       GemvAvx2,
       GemvBlockAvx2,
-      CsrApplyScalar,  // sequential reduction; see kernels.h
-      CsrApplyBlockAvx2,
-      SjltColumnBlockAvx2,
+      EllApplyAvx2,
+      EllApplyBlockAvx2,
       ScaleAvx2,
       SquaredDistanceBlockAvx2,
       SquaredDistanceTileAvx2,

@@ -4,12 +4,13 @@
 // untouched lanes bit-identical).
 //
 // Only the kernels where 512-bit vectors actually pay are widened here:
-// the FWHT stages with len >= 8, the width==8 block kernels, where one
-// zmm register holds a full batch micro-block row, and the int8 filter
-// pass, where one zmm holds a quad of a 16-lane block and one vpdpbusd
-// scores it. Everything else delegates to the AVX2 implementations (which
-// this build also compiles, since avx512f-capable hardware always has
-// avx2).
+// the FWHT stages with len >= 8, the sparse row gather, where one zmm
+// holds a slice's 8 row sums and one gather feeds them, the width==8 block
+// kernels, where one zmm register holds a full batch micro-block row, and
+// the int8 filter pass, where one zmm holds a quad of a 16-lane block and
+// one vpdpbusd scores it. Everything else delegates to the AVX2
+// implementations (which this build also compiles, since avx512f-capable
+// hardware always has avx2).
 
 #include "src/linalg/kernels_x86.h"
 
@@ -189,45 +190,58 @@ void GemvBlockAvx512(const double* m, int64_t rows, int64_t cols,
   }
 }
 
-void CsrApplyBlockAvx512(const int64_t* row_ptr, const int32_t* col_idx,
-                         const double* values, int64_t rows, const double* w,
-                         int64_t width, double scale, double* y) {
-  if (width != 8) {
-    CsrApplyBlockAvx2(row_ptr, col_idx, values, rows, w, width, scale, y);
-    return;
-  }
+static_assert(kEllSliceRows == 8, "a slice is one zmm of rows");
+
+void EllApplyAvx512(const EllMatrixView& m, const double* w, double scale,
+                    double* y) {
   const __m512d vscale = _mm512_set1_pd(scale);
-  for (int64_t i = 0; i < rows; ++i) {
+  for (int64_t r0 = 0, g = 0; r0 < m.rows; r0 += 8, ++g) {
     __m512d acc = _mm512_setzero_pd();
-    for (int64_t n = row_ptr[i]; n < row_ptr[i + 1]; ++n) {
+    for (int64_t e = m.slice_ptr[g]; e < m.slice_ptr[g + 1]; e += 8) {
+      const __m256i c =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m.cols + e));
+      // Padding (kEllPad) is the one negative column: its sign bit masks
+      // the lane off, so it gathers nothing and keeps its accumulator bits.
+      const __mmask8 live = static_cast<__mmask8>(
+          ~_mm256_movemask_ps(_mm256_castsi256_ps(c)));
       const __m512d wc =
-          _mm512_loadu_pd(w + static_cast<int64_t>(col_idx[n]) * 8);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(values[n]), wc));
+          _mm512_mask_i32gather_pd(_mm512_setzero_pd(), live, c, w, 8);
+      acc = _mm512_mask_add_pd(
+          acc, live, acc, _mm512_mul_pd(_mm512_loadu_pd(m.values + e), wc));
     }
-    _mm512_storeu_pd(y + i * 8, _mm512_mul_pd(acc, vscale));
+    const int64_t n = std::min<int64_t>(8, m.rows - r0);
+    const __m256i ids =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m.row_ids + r0));
+    _mm512_mask_i32scatter_pd(y, static_cast<__mmask8>((1u << n) - 1), ids,
+                              _mm512_mul_pd(acc, vscale), 8);
   }
 }
 
-void SjltColumnBlockAvx512(const double* x, int64_t width, double scale,
-                           const int64_t* rows, const double* signs, int64_t s,
-                           double* y) {
+void EllApplyBlockAvx512(const EllMatrixView& m, const double* w,
+                         int64_t width, double scale, double* y) {
   if (width != 8) {
-    SjltColumnBlockAvx2(x, width, scale, rows, signs, s, y);
+    EllApplyBlockAvx2(m, w, width, scale, y);
     return;
   }
-  const __m512d xv = _mm512_loadu_pd(x);
-  // NEQ_UQ matches scalar `x != 0.0` (false for +/-0.0, true for NaN); the
-  // masked store leaves zero lanes bit-untouched, like the scalar skip.
-  const __mmask8 mask =
-      _mm512_cmp_pd_mask(xv, _mm512_setzero_pd(), _CMP_NEQ_UQ);
-  if (mask == 0) return;
-  const __m512d wv = _mm512_mul_pd(xv, _mm512_set1_pd(scale));
-  for (int64_t r = 0; r < s; ++r) {
-    double* yp = y + rows[r] * 8;
-    const __m512d yv = _mm512_loadu_pd(yp);
-    const __m512d upd =
-        _mm512_add_pd(yv, _mm512_mul_pd(wv, _mm512_set1_pd(signs[r])));
-    _mm512_mask_storeu_pd(yp, mask, upd);
+  // All 8 slots of a slice at once, one zmm (the row's 8 lanes) per slot:
+  // eight independent add chains per step.
+  const __m512d vscale = _mm512_set1_pd(scale);
+  for (int64_t r0 = 0, g = 0; r0 < m.rows; r0 += 8, ++g) {
+    __m512d acc[8];
+    for (__m512d& a : acc) a = _mm512_setzero_pd();
+    for (int64_t e = m.slice_ptr[g]; e < m.slice_ptr[g + 1]; e += 8) {
+      for (int64_t l = 0; l < 8; ++l) {
+        const int32_t c = m.cols[e + l];
+        if (c == kEllPad) continue;
+        const __m512d wc = _mm512_loadu_pd(w + static_cast<int64_t>(c) * 8);
+        acc[l] = _mm512_add_pd(
+            acc[l], _mm512_mul_pd(_mm512_set1_pd(m.values[e + l]), wc));
+      }
+    }
+    for (int64_t l = 0; l < 8 && r0 + l < m.rows; ++l) {
+      _mm512_storeu_pd(y + static_cast<int64_t>(m.row_ids[r0 + l]) * 8,
+                       _mm512_mul_pd(acc[l], vscale));
+    }
   }
 }
 
@@ -426,9 +440,8 @@ const KernelOps& Avx512Kernels() {
       GemvAvx2,        // 4x4-transpose AVX2 GEMV; single-vector path is
                        // bandwidth-bound, wider vectors don't pay here.
       GemvBlockAvx512,
-      CsrApplyScalar,  // sequential reduction; see kernels.h
-      CsrApplyBlockAvx512,
-      SjltColumnBlockAvx512,
+      EllApplyAvx512,
+      EllApplyBlockAvx512,
       ScaleAvx512,
       SquaredDistanceBlockAvx512,
       SquaredDistanceTileAvx512,

@@ -19,15 +19,10 @@ void GemvScalar(const double* m, int64_t rows, int64_t cols, const double* x,
                 double* y);
 void GemvBlockScalar(const double* m, int64_t rows, int64_t cols,
                      const double* x, int64_t width, double* y);
-void CsrApplyScalar(const int64_t* row_ptr, const int32_t* col_idx,
-                    const double* values, int64_t rows, const double* w,
-                    double scale, double* y);
-void CsrApplyBlockScalar(const int64_t* row_ptr, const int32_t* col_idx,
-                         const double* values, int64_t rows, const double* w,
+void EllApplyScalar(const EllMatrixView& m, const double* w, double scale,
+                    double* y);
+void EllApplyBlockScalar(const EllMatrixView& m, const double* w,
                          int64_t width, double scale, double* y);
-void SjltColumnBlockScalar(const double* x, int64_t width, double scale,
-                           const int64_t* rows, const double* signs, int64_t s,
-                           double* y);
 void ScaleScalar(double* v, int64_t n, double a);
 void SquaredDistanceBlockScalar(const double* q, const double* c, int64_t k,
                                 int64_t width, double* out);
@@ -51,12 +46,8 @@ void GemvAvx2(const double* m, int64_t rows, int64_t cols, const double* x,
               double* y);
 void GemvBlockAvx2(const double* m, int64_t rows, int64_t cols,
                    const double* x, int64_t width, double* y);
-void CsrApplyBlockAvx2(const int64_t* row_ptr, const int32_t* col_idx,
-                       const double* values, int64_t rows, const double* w,
+void EllApplyBlockAvx2(const EllMatrixView& m, const double* w,
                        int64_t width, double scale, double* y);
-void SjltColumnBlockAvx2(const double* x, int64_t width, double scale,
-                         const int64_t* rows, const double* signs, int64_t s,
-                         double* y);
 void ScaleAvx2(double* v, int64_t n, double a);
 void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
                               int64_t width, double* out);

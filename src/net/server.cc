@@ -1,5 +1,8 @@
 #include "src/net/server.h"
 
+#include <algorithm>
+#include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "src/core/sketch.h"
@@ -41,37 +44,70 @@ void Server::Stop() {
     MutexLock lock(mutex_);
     if (stopping_) return;
     stopping_ = true;
-    // Shutdown before close: wakes the thread blocked in accept() / recv()
-    // immediately, where a bare close can leave it blocked.
+    // Shutdown wakes the thread blocked in accept() / recv() immediately,
+    // where a bare close can leave it blocked. The listener is closed only
+    // once the accept loop, which reads its descriptor unlocked, is joined.
     listener_.ShutdownBoth();
-    listener_.Close();
-    for (const std::unique_ptr<Socket>& connection : connections_) {
-      connection->ShutdownBoth();
+    for (Connection& connection : connections_) {
+      if (!connection.finished) connection.socket.ShutdownBoth();
     }
+    stop_cv_.NotifyAll();
   }
   if (acceptor_.joinable()) acceptor_.join();
-  // The accept loop is down, so readers_ can no longer grow.
-  std::vector<std::thread> readers;
+  listener_.Close();
+  // The accept loop is down, so connections_ can no longer grow.
+  std::list<Connection> connections;
   {
     MutexLock lock(mutex_);
-    readers.swap(readers_);
+    connections.swap(connections_);
   }
-  for (std::thread& reader : readers) {
-    if (reader.joinable()) reader.join();
-  }
-  MutexLock lock(mutex_);
-  connections_.clear();
+  for (Connection& connection : connections) connection.reader.join();
 }
 
 void Server::AcceptLoop() {
+  // Back-off after a transient accept() failure: 1 ms, doubling to 100 ms.
+  constexpr int64_t kMaxBackoffMs = 100;
+  int64_t backoff_ms = 0;
   while (true) {
     Result<Socket> accepted = AcceptConnection(listener_);
-    MutexLock lock(mutex_);
-    if (stopping_ || !accepted.ok()) return;
-    connections_.push_back(std::make_unique<Socket>(std::move(*accepted)));
-    Socket* connection = connections_.back().get();
-    readers_.emplace_back(
-        [this, connection] { ServeConnection(connection); });
+    std::list<Connection> finished;
+    {
+      MutexLock lock(mutex_);
+      if (stopping_) return;
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        const auto next = std::next(it);
+        if (it->finished) finished.splice(finished.end(), connections_, it);
+        it = next;
+      }
+      if (accepted.ok()) {
+        backoff_ms = 0;
+        Connection& connection =
+            connections_.emplace_back(std::move(*accepted));
+        connection.reader = std::thread([this, c = &connection] {
+          ServeConnection(&c->socket);
+          MutexLock reader_lock(mutex_);
+          c->socket.Close();
+          c->finished = true;
+        });
+      } else if (accepted.status().code() != StatusCode::kResourceExhausted) {
+        // The listener is closed or broken; Stop joins what is left.
+        connections_.splice(connections_.end(), finished);
+        return;
+      }
+    }
+    // Finished readers have closed their sockets; joining them only
+    // releases their threads.
+    for (Connection& connection : finished) connection.reader.join();
+    if (!accepted.ok()) {
+      // The pending connection stays in the backlog: wait for readers to
+      // free descriptors rather than spin on accept(). Stop cuts the wait
+      // short, and the next accept() then fails on the closed listener.
+      backoff_ms = std::min(kMaxBackoffMs, std::max<int64_t>(1, 2 * backoff_ms));
+      MutexLock lock(mutex_);
+      if (!stopping_) {
+        stop_cv_.WaitFor(mutex_, std::chrono::milliseconds(backoff_ms));
+      }
+    }
   }
 }
 

@@ -1,10 +1,10 @@
 #ifndef DPJL_NET_SERVER_H_
 #define DPJL_NET_SERVER_H_
 
+#include <list>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/common/annotated_mutex.h"
 #include "src/common/result.h"
@@ -25,7 +25,13 @@ struct ServerOptions {
 };
 
 /// Blocking-socket serving front over an `Engine`: one accept loop, one
-/// reader thread per connection. Each reader decodes request frames and
+/// reader thread per live connection. A connection's reader closes its
+/// socket when the peer hangs up, and the accept loop joins finished
+/// readers before it adds the next connection, so a long-lived server
+/// holds the descriptors and threads of its live connections only. When
+/// accept() fails transiently (out of descriptors, an aborted handshake, a
+/// signal) the loop backs off and retries; the pending connection waits in
+/// the listen backlog. Each reader decodes request frames and
 /// feeds the engine's Submit* lanes with the RequestOptions carried in the
 /// frame header (priority, tenant, deadline), waits on the future, and
 /// writes the typed response — or a kErrorResponse frame carrying the
@@ -60,13 +66,23 @@ class Server {
   int port() const { return port_; }
   const std::string& host() const { return host_; }
 
-  /// Idempotent shutdown: closes the listener (unblocking the accept
-  /// loop), half-closes every live connection (unblocking its reader),
-  /// and joins all threads.
+  /// Idempotent shutdown: shuts the listener down (unblocking the accept
+  /// loop) and half-closes every live connection (unblocking its reader),
+  /// joins all threads, then closes the listener.
   void Stop();
 
  private:
   Server(Engine* engine, std::string host);
+
+  /// One accepted connection. `reader` serves `socket` until the peer
+  /// hangs up or Stop shuts it down, then closes it and sets `finished`
+  /// (under mutex_).
+  struct Connection {
+    explicit Connection(Socket accepted) : socket(std::move(accepted)) {}
+    Socket socket;
+    std::thread reader;
+    bool finished = false;
+  };
 
   void AcceptLoop();
   void ServeConnection(Socket* connection);
@@ -82,15 +98,16 @@ class Server {
   std::thread acceptor_;
 
   Mutex mutex_;
+  /// Wakes the accept loop's back-off when Stop begins.
+  CondVar stop_cv_;
   bool stopping_ GUARDED_BY(mutex_) = false;
-  /// Live connection sockets behind stable pointers (the accept loop grows
-  /// this vector while readers use their entries); cleared only after all
-  /// readers joined. Stop() additionally calls ShutdownBoth on each socket
-  /// while its reader may be blocked in recv — that pairing is the one
-  /// deliberate cross-thread socket touch, and it is lock-protected here
-  /// while readers hold only their stable Socket*.
-  std::vector<std::unique_ptr<Socket>> connections_ GUARDED_BY(mutex_);
-  std::vector<std::thread> readers_ GUARDED_BY(mutex_);
+  /// Connections whose readers have not been joined yet, in a list so
+  /// each reader's Connection* stays valid while the accept loop adds and
+  /// removes others. Stop additionally calls ShutdownBoth on each live
+  /// socket while its reader may be blocked in recv — that pairing is the
+  /// one deliberate cross-thread socket touch, and it is lock-protected
+  /// here while readers hold only their stable Socket*.
+  std::list<Connection> connections_ GUARDED_BY(mutex_);
 };
 
 }  // namespace net

@@ -84,7 +84,17 @@ Result<Socket> ListenOn(const std::string& host, int port, int* bound_port) {
 Result<Socket> AcceptConnection(const Socket& listener) {
   const int fd = ::accept(listener.fd(), nullptr, nullptr);
   if (fd < 0) {
-    return Status::Unavailable(Errno("accept() failed (listener closed?)"));
+    switch (errno) {
+      case EMFILE:
+      case ENFILE:
+      case ENOBUFS:
+      case ENOMEM:
+      case ECONNABORTED:
+      case EINTR:
+        return Status::ResourceExhausted(Errno("accept() failed"));
+      default:
+        return Status::Unavailable(Errno("accept() failed (listener closed?)"));
+    }
   }
   return Socket(fd);
 }

@@ -65,8 +65,12 @@ class Socket {
 /// processes address each other by explicit address, not resolver state.
 Result<Socket> ListenOn(const std::string& host, int port, int* bound_port);
 
-/// Blocking accept; kUnavailable when the listener was shut down or
-/// closed (the server's stop signal).
+/// Blocking accept. kResourceExhausted when the failure is transient and
+/// the listener still works: out of file descriptors (EMFILE, ENFILE), out
+/// of kernel memory (ENOBUFS, ENOMEM), a connection reset while it waited
+/// in the queue (ECONNABORTED) or a signal (EINTR); a later accept can
+/// succeed. kUnavailable when the listener was shut down or closed (the
+/// server's stop signal) or is otherwise unusable.
 Result<Socket> AcceptConnection(const Socket& listener);
 
 /// Blocking connect with a bounded wait; kUnavailable on refusal or

@@ -1,7 +1,9 @@
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -290,6 +292,108 @@ TEST(TransformGoldenTest, MaterializedBytesNameSensitivitiesAndVariance) {
     EXPECT_EQ(Hex(Bits(sens.l1)), Hex(c.l1_bits));
     EXPECT_EQ(Hex(Bits(sens.l2)), Hex(c.l2_bits));
     EXPECT_EQ(Hex(Bits(t->SquaredNormVariance(3.0, 2.0))), Hex(c.variance_bits));
+  }
+}
+
+// Pins every apply path's output bytes, not just the map: Apply,
+// ApplyBlock at counts 1-9 and 11 (full and partial micro-blocks),
+// ApplySparse and AccumulateColumn. The inputs carry -0.0, subnormals,
+// +-inf and NaN, and neither d nor k is a multiple of 8, so a kernel that
+// reorders a row's sum, lets a padded or masked lane leak into its
+// neighbours, or adds a skipped zero coordinate changes a hash. NaN and
+// the infinities sit in different vectors: every NaN an output can hold
+// then has one payload, whichever operand order an add compiles to.
+struct ApplyGoldenCase {
+  TransformKind kind;
+  uint64_t apply_fnv;
+  uint64_t block_fnv;
+  uint64_t sparse_fnv;
+  uint64_t column_fnv;
+};
+
+constexpr ApplyGoldenCase kApplyGoldenCases[] = {
+    {TransformKind::kGaussianIid, 0x2b81e749915019b1ULL, 0xe5930796749b8f18ULL,
+     0x2b81e749915019b1ULL, 0x2b81e749915019b1ULL},
+    {TransformKind::kFjlt, 0xde34d19ebe8abac4ULL, 0x6cf6231265c7ddd2ULL,
+     0xde34d19ebe8abac4ULL, 0xff4f4aaae1c328ffULL},
+    {TransformKind::kSjltBlock, 0xfa0827b8e23f5134ULL, 0xaf8ef2af7e6aa115ULL,
+     0xfa0827b8e23f5134ULL, 0xfa0827b8e23f5134ULL},
+    {TransformKind::kSjltGraph, 0xc96da50c61b07c45ULL, 0xa11c1874d94c90dbULL,
+     0xc96da50c61b07c45ULL, 0xc96da50c61b07c45ULL},
+    {TransformKind::kAchlioptas, 0xc8ec4d9963da0373ULL, 0xdba2fea011441dfbULL,
+     0xc8ec4d9963da0373ULL, 0xc8ec4d9963da0373ULL},
+    {TransformKind::kSparseUniform, 0xcb7aa785aa800ae5ULL, 0xaf3f639d3cee4f6aULL,
+     0xcb7aa785aa800ae5ULL, 0xcb7aa785aa800ae5ULL},
+};
+
+/// Eleven inputs of dimension d: mixed magnitudes with +-0.0 and
+/// subnormals, then the same mixes with +inf, with +inf and -inf, with a
+/// NaN, an all -0.0 vector and an all-subnormal one.
+std::vector<std::vector<double>> GoldenInputs(int64_t d) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<std::vector<double>> xs;
+  for (uint64_t salt = 0; salt < 11; ++salt) {
+    Rng rng(DeriveSeed(kTestSeed, 0x601D + salt));
+    std::vector<double> x(static_cast<size_t>(d));
+    for (double& v : x) {
+      switch (rng.UniformInt(8)) {
+        case 0: v = 0.0; break;
+        case 1: v = -0.0; break;
+        case 2: v = kTiny * static_cast<double>(1 + rng.UniformInt(100)); break;
+        default:
+          v = rng.Gaussian() *
+              std::ldexp(1.0, static_cast<int>(rng.UniformInt(60)) - 30);
+          break;
+      }
+    }
+    xs.push_back(std::move(x));
+  }
+  xs[2][3] = kInf;
+  xs[3][5] = kInf;
+  xs[3][static_cast<size_t>(d - 2)] = -kInf;
+  xs[4][10] = std::numeric_limits<double>::quiet_NaN();
+  std::fill(xs[6].begin(), xs[6].end(), -0.0);
+  for (size_t j = 0; j < xs[9].size(); ++j) {
+    xs[9][j] = (j % 3 == 0 ? -kTiny : kTiny) * static_cast<double>(j + 1);
+  }
+  return xs;
+}
+
+void AppendBytes(const std::vector<double>& v, std::string* bytes) {
+  bytes->append(reinterpret_cast<const char*>(v.data()),
+                v.size() * sizeof(double));
+}
+
+TEST(TransformGoldenTest, ApplyPathBytesIncludingNonFiniteInputs) {
+  constexpr int64_t kGoldenD = 150;
+  constexpr int64_t kGoldenK = 42;
+  constexpr int64_t kGoldenS = 6;
+  constexpr uint64_t kGoldenSeed = 0x5EED0000000016ULL;
+  const std::vector<std::vector<double>> xs = GoldenInputs(kGoldenD);
+  for (const ApplyGoldenCase& c : kApplyGoldenCases) {
+    SCOPED_TRACE(TransformKindName(c.kind));
+    auto t = MakeTransformExplicit(c.kind, kGoldenD, kGoldenK, kGoldenS, kBeta,
+                                   kGoldenSeed)
+                 .value();
+    std::string apply, block, sparse, column;
+    for (const std::vector<double>& x : xs) {
+      AppendBytes(t->Apply(x), &apply);
+      AppendBytes(t->ApplySparse(SparseVector::FromDense(x)), &sparse);
+      std::vector<double> y(static_cast<size_t>(t->output_dim()), 0.0);
+      for (int64_t j = 0; j < kGoldenD; ++j) t->AccumulateColumn(j, x[j], &y);
+      AppendBytes(y, &column);
+    }
+    std::vector<double> scratch;
+    for (int64_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 11}) {
+      std::vector<std::vector<double>> ys(static_cast<size_t>(count));
+      t->ApplyBlock(xs.data(), count, ys.data(), &scratch);
+      for (const std::vector<double>& y : ys) AppendBytes(y, &block);
+    }
+    EXPECT_EQ(Hex(SnapshotChecksum(apply)), Hex(c.apply_fnv));
+    EXPECT_EQ(Hex(SnapshotChecksum(block)), Hex(c.block_fnv));
+    EXPECT_EQ(Hex(SnapshotChecksum(sparse)), Hex(c.sparse_fnv));
+    EXPECT_EQ(Hex(SnapshotChecksum(column)), Hex(c.column_fnv));
   }
 }
 

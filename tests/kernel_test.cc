@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -22,6 +23,7 @@
 #include "src/core/sketcher.h"
 #include "src/jl/transform.h"
 #include "src/linalg/dense_matrix.h"
+#include "src/linalg/ell_matrix.h"
 #include "src/linalg/hadamard.h"
 #include "src/linalg/kernels.h"
 #include "src/random/rng.h"
@@ -100,9 +102,8 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.fwht_block, nullptr);
   EXPECT_NE(active.gemv, nullptr);
   EXPECT_NE(active.gemv_block, nullptr);
-  EXPECT_NE(active.csr_apply, nullptr);
-  EXPECT_NE(active.csr_apply_block, nullptr);
-  EXPECT_NE(active.sjlt_column_block, nullptr);
+  EXPECT_NE(active.ell_apply, nullptr);
+  EXPECT_NE(active.ell_apply_block, nullptr);
   EXPECT_NE(active.scale, nullptr);
   EXPECT_NE(active.squared_distance_block, nullptr);
   EXPECT_NE(active.squared_distance_tile, nullptr);
@@ -237,88 +238,173 @@ TEST(KernelBitExactnessTest, GemvBlock) {
   }
 }
 
-/// A deterministic CSR matrix with uneven rows (including empty ones).
+/// A deterministic CSR matrix with every row shape the sliced layout must
+/// pad around: empty rows, one-entry rows, rows of very different lengths
+/// in one slice, and rows that name one column twice (the uniform SJLT's
+/// collisions). 23 rows: the last slice is partial.
 struct TestCsr {
-  std::vector<int64_t> row_ptr;
+  int64_t rows = 0;
+  std::vector<int64_t> row_ptr{0};
   std::vector<int32_t> col_idx;
   std::vector<double> values;
 };
 
-TestCsr MakeCsr(int64_t rows, int64_t cols, uint64_t salt) {
+TestCsr MakeCsr(int64_t cols, uint64_t salt) {
   Rng rng(DeriveSeed(kTestSeed, salt));
   TestCsr csr;
-  csr.row_ptr.push_back(0);
-  for (int64_t i = 0; i < rows; ++i) {
-    // ~30% density per row; some rows come out empty, which the kernels
-    // must handle (a zero-output row, not a skipped one).
-    for (int64_t col = 0; col < cols; ++col) {
-      if (!rng.Bernoulli(0.3)) continue;
+  csr.rows = 23;
+  for (int64_t i = 0; i < csr.rows; ++i) {
+    const auto add = [&](int64_t col) {
       csr.col_idx.push_back(static_cast<int32_t>(col));
       csr.values.push_back(rng.Gaussian());
+    };
+    if (i % 5 == 1) {
+      // Empty row: a zero output, not a skipped one.
+    } else if (i % 5 == 2) {
+      add(static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(cols))));
+    } else if (i % 5 == 3) {
+      // The same column twice, with a third entry between the two.
+      const int64_t col = static_cast<int64_t>(rng.UniformInt(static_cast<uint64_t>(cols)));
+      add(col);
+      add((col + 7) % cols);
+      add(col);
+    } else {
+      for (int64_t col = 0; col < cols; ++col) {
+        if (rng.Bernoulli(i % 2 == 0 ? 0.6 : 0.2)) add(col);
+      }
     }
     csr.row_ptr.push_back(static_cast<int64_t>(csr.values.size()));
   }
   return csr;
 }
 
-TEST(KernelBitExactnessTest, CsrApplyAndBlock) {
-  const KernelOps& scalar = ScalarKernels();
-  const int64_t rows = 23;
-  const int64_t cols = 37;
-  const TestCsr csr = MakeCsr(rows, cols, 59);
-  const double scale = 0.3187;
-  for (const KernelOps* table : VectorTables()) {
-    {
-      const std::vector<double> w = TestVector(cols, 61);
-      std::vector<double> expect(static_cast<size_t>(rows));
-      std::vector<double> got(static_cast<size_t>(rows));
-      scalar.csr_apply(csr.row_ptr.data(), csr.col_idx.data(),
-                       csr.values.data(), rows, w.data(), scale,
-                       expect.data());
-      table->csr_apply(csr.row_ptr.data(), csr.col_idx.data(),
-                       csr.values.data(), rows, w.data(), scale, got.data());
-      EXPECT_TRUE(BytesEqual(expect, got)) << table->name << " csr_apply";
+EllMatrix ToEll(const TestCsr& csr) {
+  return EllMatrix(csr.rows, csr.row_ptr, csr.col_idx, csr.values);
+}
+
+TEST(EllMatrixTest, RowsKeepTheirEntriesLongestFirstAndPadTrails) {
+  const TestCsr csr = MakeCsr(37, 57);
+  const EllMatrix m = ToEll(csr);
+  EXPECT_EQ(m.rows(), csr.rows);
+  EXPECT_EQ(m.nnz(), static_cast<int64_t>(csr.values.size()));
+  for (int64_t i = 0; i < csr.rows; ++i) {
+    std::vector<int32_t> cols;
+    std::vector<double> values;
+    m.ForEachInRow(i, [&](int32_t c, double v) {
+      cols.push_back(c);
+      values.push_back(v);
+    });
+    const auto b = static_cast<size_t>(csr.row_ptr[i]);
+    const auto e = static_cast<size_t>(csr.row_ptr[i + 1]);
+    EXPECT_EQ(cols, std::vector<int32_t>(csr.col_idx.begin() + b,
+                                         csr.col_idx.begin() + e))
+        << "row " << i;
+    EXPECT_TRUE(BytesEqual(values, std::vector<double>(csr.values.begin() + b,
+                                                       csr.values.begin() + e)))
+        << "row " << i;
+  }
+  // The slots hold every row once, longest first, equal lengths in row
+  // order; the padded tail of row_ids is zero.
+  const EllMatrixView v = m.view();
+  const auto length = [&](int64_t i) {
+    return i < csr.rows ? csr.row_ptr[i + 1] - csr.row_ptr[i] : 0;
+  };
+  std::vector<int32_t> ids(v.row_ids, v.row_ids + csr.rows);
+  std::vector<int32_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  for (int64_t i = 0; i < csr.rows; ++i) EXPECT_EQ(sorted[i], i);
+  for (int64_t slot = 1; slot < csr.rows; ++slot) {
+    const int64_t a = length(ids[slot - 1]);
+    const int64_t b = length(ids[slot]);
+    EXPECT_TRUE(a > b || (a == b && ids[slot - 1] < ids[slot])) << slot;
+  }
+  EXPECT_EQ(v.row_ids[csr.rows], 0);
+  // Each slice is whole steps of 8 and as long as its longest row; a row's
+  // padding (and every entry of a slot past the end) comes after its entries.
+  for (int64_t g = 0; g * kEllSliceRows < csr.rows; ++g) {
+    const int64_t len = v.slice_ptr[g + 1] - v.slice_ptr[g];
+    ASSERT_EQ(len % kEllSliceRows, 0);
+    int64_t longest = 0;
+    for (int64_t l = 0; l < kEllSliceRows; ++l) {
+      const int64_t slot = g * kEllSliceRows + l;
+      const int64_t n = slot < csr.rows ? length(v.row_ids[slot]) : 0;
+      longest = std::max(longest, n);
+      for (int64_t step = 0; step < len / kEllSliceRows; ++step) {
+        const int64_t e = v.slice_ptr[g] + step * kEllSliceRows + l;
+        EXPECT_EQ(v.cols[e] == kEllPad, step >= n) << "slot " << slot;
+      }
     }
-    for (int64_t width : {int64_t{1}, int64_t{3}, int64_t{5}, int64_t{8},
-                          int64_t{13}}) {
-      const std::vector<double> w =
-          TestVector(cols * width, 67 + static_cast<uint64_t>(width));
-      std::vector<double> expect(static_cast<size_t>(rows * width));
-      std::vector<double> got(static_cast<size_t>(rows * width));
-      scalar.csr_apply_block(csr.row_ptr.data(), csr.col_idx.data(),
-                             csr.values.data(), rows, w.data(), width, scale,
-                             expect.data());
-      table->csr_apply_block(csr.row_ptr.data(), csr.col_idx.data(),
-                             csr.values.data(), rows, w.data(), width, scale,
-                             got.data());
-      EXPECT_TRUE(BytesEqual(expect, got))
-          << table->name << " csr_apply_block width=" << width;
-    }
+    EXPECT_EQ(len, longest * kEllSliceRows);
   }
 }
 
-TEST(KernelBitExactnessTest, SjltColumnBlockPreservesZeroLanesBitwise) {
+TEST(KernelBitExactnessTest, EllApplyMatchesCsrSpecAndBlock) {
   const KernelOps& scalar = ScalarKernels();
-  const int64_t s = 5;
-  const int64_t out_rows = 16;
-  const int64_t rows[s] = {0, 3, 3, 7, 15};
-  const double signs[s] = {1.0, -1.0, 1.0, -1.0, -1.0};
-  for (const KernelOps* table : VectorTables()) {
-    for (int64_t width : {int64_t{1}, int64_t{3}, int64_t{4}, int64_t{5},
-                          int64_t{8}, int64_t{9}}) {
-      // Lanes mix nonzeros with +0.0 and -0.0; the accumulator is seeded
-      // with negative zeros so an unmasked `y += 0.0` would flip bits.
-      std::vector<double> x = TestVector(width, 71 + static_cast<uint64_t>(width));
-      if (width > 1) x[1] = 0.0;
-      x[0] = -0.0;
-      std::vector<double> expect(static_cast<size_t>(out_rows * width), -0.0);
-      std::vector<double> got = expect;
-      scalar.sjlt_column_block(x.data(), width, 0.7071, rows, signs, s,
-                               expect.data());
-      table->sjlt_column_block(x.data(), width, 0.7071, rows, signs, s,
-                               got.data());
+  const int64_t cols = 37;
+  const TestCsr csr = MakeCsr(cols, 59);
+  const EllMatrix m = ToEll(csr);
+  const double scale = 0.3187;
+  // w sits one element into a buffer whose element 0 is NaN: a kernel that
+  // let a padding entry (column -1) through would read it and poison a row.
+  // One w carries +-inf and another a NaN in real columns; each vector has
+  // at most one NaN payload.
+  std::vector<std::vector<double>> ws;
+  for (uint64_t salt : {61, 62, 63}) {
+    std::vector<double> buf = TestVector(cols + 1, salt);
+    buf[0] = std::numeric_limits<double>::quiet_NaN();
+    ws.push_back(std::move(buf));
+  }
+  ws[1][4] = std::numeric_limits<double>::infinity();
+  ws[1][20] = -std::numeric_limits<double>::infinity();
+  ws[2][0] = std::numeric_limits<double>::signaling_NaN();
+  ws[2][9] = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& buf : ws) {
+    const double* w = buf.data() + 1;
+    // The scalar table is the CSR row sum, term by term in entry order.
+    std::vector<double> spec(static_cast<size_t>(csr.rows));
+    for (int64_t i = 0; i < csr.rows; ++i) {
+      double acc = 0.0;
+      for (int64_t n = csr.row_ptr[i]; n < csr.row_ptr[i + 1]; ++n) {
+        acc += csr.values[n] * w[csr.col_idx[n]];
+      }
+      spec[i] = acc * scale;
+    }
+    std::vector<double> expect(static_cast<size_t>(csr.rows));
+    scalar.ell_apply(m.view(), w, scale, expect.data());
+    EXPECT_TRUE(BytesEqual(spec, expect)) << "scalar ell_apply";
+    for (const KernelOps* table : VectorTables()) {
+      std::vector<double> got(static_cast<size_t>(csr.rows));
+      table->ell_apply(m.view(), w, scale, got.data());
+      EXPECT_TRUE(BytesEqual(expect, got)) << table->name << " ell_apply";
+    }
+  }
+  for (int64_t width : {int64_t{1}, int64_t{3}, int64_t{4}, int64_t{5},
+                        int64_t{8}, int64_t{9}, int64_t{13}}) {
+    std::vector<double> buf =
+        TestVector((cols + 1) * width, 67 + static_cast<uint64_t>(width));
+    for (int64_t t = 0; t < width; ++t) {
+      buf[t] = std::numeric_limits<double>::quiet_NaN();
+    }
+    buf[width + 2 * width] = std::numeric_limits<double>::infinity();
+    const double* w = buf.data() + width;
+    std::vector<double> expect(static_cast<size_t>(csr.rows * width));
+    scalar.ell_apply_block(m.view(), w, width, scale, expect.data());
+    // Lane t of the block is ell_apply on lane t's column.
+    for (int64_t t = 0; t < width; ++t) {
+      std::vector<double> lane(static_cast<size_t>(cols));
+      for (int64_t c = 0; c < cols; ++c) lane[c] = w[c * width + t];
+      std::vector<double> one(static_cast<size_t>(csr.rows));
+      scalar.ell_apply(m.view(), lane.data(), scale, one.data());
+      for (int64_t i = 0; i < csr.rows; ++i) {
+        EXPECT_EQ(std::memcmp(&one[i], &expect[i * width + t], sizeof(double)), 0)
+            << "row " << i << " lane " << t;
+      }
+    }
+    for (const KernelOps* table : VectorTables()) {
+      std::vector<double> got(static_cast<size_t>(csr.rows * width));
+      table->ell_apply_block(m.view(), w, width, scale, got.data());
       EXPECT_TRUE(BytesEqual(expect, got))
-          << table->name << " sjlt_column_block width=" << width;
+          << table->name << " ell_apply_block width=" << width;
     }
   }
 }

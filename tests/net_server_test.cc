@@ -6,9 +6,15 @@
 // kUnavailable signal replica failover keys on.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <system_error>
 #include <memory>
 #include <string>
 #include <thread>
@@ -349,6 +355,102 @@ TEST(ServerTest, ServesManyConnectionsConcurrently) {
   }
   for (auto& caller : callers) caller.join();
   for (const Status& result : results) EXPECT_TRUE(result.ok()) << result;
+}
+
+/// Lowers this process's soft RLIMIT_NOFILE for a scope, restoring it on
+/// exit.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    ok_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min(soft, saved_.rlim_max);
+    ok_ = ok_ && ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+/// Threads of this process, or -1 when /proc/self/task cannot be opened.
+int64_t ThreadCount() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return -1;
+  return std::distance(it, std::filesystem::directory_iterator());
+}
+
+// A long-lived server must not keep the descriptor and thread of every
+// connection it ever served: under a 128-descriptor limit, 300 sequential
+// connections all get answered, and the process never holds more than a
+// few reader threads at a time.
+TEST(ServerTest, ReapsFinishedConnectionsUnderALowDescriptorLimit) {
+  ServedEngine served = StartServedEngine(3);
+  const ScopedFdLimit limit(128);
+  ASSERT_TRUE(limit.ok());
+  ClientOptions options;
+  options.call_timeout_ms = 3000;
+  const int64_t idle_threads = ThreadCount();
+  ASSERT_GT(idle_threads, 0);
+  int64_t peak_threads = idle_threads;
+  for (int i = 0; i < 300; ++i) {
+    Client client(served.server->host(), served.server->port(), options);
+    const Status pong = client.Ping();
+    ASSERT_TRUE(pong.ok()) << "connection " << i << ": " << pong;
+    const int64_t threads = ThreadCount();
+    ASSERT_GE(threads, 0) << "out of descriptors after connection " << i;
+    peak_threads = std::max(peak_threads, threads);
+  }
+  EXPECT_LE(peak_threads, idle_threads + 4);
+}
+
+// accept() failing for want of descriptors is transient: once a
+// connection closes, the server serves the next one.
+TEST(ServerTest, AcceptRetriesAfterRunningOutOfDescriptors) {
+  ServedEngine served = StartServedEngine(3);
+  ClientOptions options;
+  options.call_timeout_ms = 5000;
+  Client first(served.server->host(), served.server->port(), options);
+  ASSERT_TRUE(first.Ping().ok());
+  std::vector<Socket> hog;
+  {
+    // Fill the descriptor table under a low limit. A thread blocked in
+    // accept() already holds the descriptor its next connection gets, so
+    // one connection goes through; the loop's accept() after it then fails
+    // with EMFILE.
+    const ScopedFdLimit limit(64);
+    ASSERT_TRUE(limit.ok());
+    while (true) {
+      Socket s(::socket(AF_INET, SOCK_STREAM, 0));
+      if (!s.valid()) break;
+      hog.push_back(std::move(s));
+    }
+    ASSERT_GE(hog.size(), 3u);
+    hog.pop_back();
+    Result<Socket> accepted_first = ConnectTo(served.server->host(),
+                                              served.server->port(), 2000);
+    ASSERT_TRUE(accepted_first.ok()) << accepted_first.status();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Room for the client's end of a second connection (and for a retried
+    // accept() that may block holding one), which waits in the backlog.
+    hog.pop_back();
+    hog.pop_back();
+    Result<Socket> pending = ConnectTo(served.server->host(),
+                                       served.server->port(), 2000);
+    ASSERT_TRUE(pending.ok()) << pending.status();
+    ASSERT_TRUE(SetRecvTimeout(*pending, 5000).ok());
+    FrameHeader ping;
+    ping.type = MessageType::kPingRequest;
+    ASSERT_TRUE(SendFrame(*pending, ping, "").ok());
+    hog.clear();
+    const auto pong = RecvFrame(*pending);
+    ASSERT_TRUE(pong.ok()) << pong.status();
+    EXPECT_EQ(pong->header.type, MessageType::kPingResponse);
+  }
+  EXPECT_TRUE(first.Ping().ok());
 }
 
 TEST(ServerTest, StopUnblocksLiveConnections) {
