@@ -18,7 +18,6 @@
 
 #include "src/common/table_printer.h"
 #include "src/core/engine.h"
-#include "src/core/flattening.h"
 #include "src/jl/dims.h"
 #include "src/linalg/vector_ops.h"
 #include "src/workload/generators.h"

@@ -101,9 +101,6 @@ class [[nodiscard]] Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status DataLoss(std::string msg) {
     return Status(StatusCode::kDataLoss, std::move(msg));
   }

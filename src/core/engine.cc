@@ -301,7 +301,6 @@ Engine::Engine(EngineOptions options, std::optional<PrivateSketcher> sketcher,
   const int threads =
       options_.threads == 0 ? ThreadPool::DefaultThreadCount() : options_.threads;
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  if (sketcher_) batcher_.emplace(&*sketcher_, pool_.get());
 }
 
 void Engine::EnsureServing() {
@@ -339,11 +338,11 @@ PrivateSketch Engine::SketchSparse(const SparseVector& x,
 
 Result<std::vector<PrivateSketch>> Engine::SketchBatch(
     const std::vector<std::vector<double>>& xs, uint64_t base_noise_seed) const {
-  if (!batcher_.has_value()) {
+  if (!sketcher_.has_value()) {
     return Status::FailedPrecondition(
         "serving-only engine (built via FromIndex) cannot sketch");
   }
-  return batcher_->BatchSketch(xs, base_noise_seed);
+  return sketcher_->SketchBatch(xs, base_noise_seed, pool_.get());
 }
 
 Status Engine::Insert(std::string id, PrivateSketch sketch) {

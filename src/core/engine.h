@@ -18,7 +18,6 @@
 #include "src/common/request_queue.h"
 #include "src/common/result.h"
 #include "src/common/thread_pool.h"
-#include "src/core/batch_sketcher.h"
 #include "src/core/sketch_index.h"
 #include "src/core/sketcher.h"
 #include "src/linalg/sparse_vector.h"
@@ -295,7 +294,7 @@ class Engine {
   PrivateSketch Sketch(const std::vector<double>& x, uint64_t noise_seed) const;
   PrivateSketch SketchSparse(const SparseVector& x, uint64_t noise_seed) const;
 
-  /// See BatchSketcher::BatchSketch: item i uses
+  /// See PrivateSketcher::SketchBatch (run on the engine's pool): item i uses
   /// BatchItemNoiseSeed(base_noise_seed, i), bit-identical at any thread
   /// count.
   Result<std::vector<PrivateSketch>> SketchBatch(
@@ -480,7 +479,6 @@ class Engine {
   const EngineOptions options_;
   std::optional<PrivateSketcher> sketcher_;
   std::unique_ptr<ThreadPool> pool_;
-  std::optional<BatchSketcher> batcher_;
 
   mutable SharedMutex index_mutex_;
   /// Owned rows plus every attached partition, as segments of one store.

@@ -1,6 +1,8 @@
 #include "src/core/sketcher.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/common/check.h"
 #include "src/jl/dims.h"
@@ -210,6 +212,47 @@ void PrivateSketcher::SketchBlock(const std::vector<double>* xs, int64_t count,
   for (int64_t i = 0; i < count; ++i) {
     out[i] = PrivateSketch(std::move(values[static_cast<size_t>(i)]), meta);
   }
+}
+
+int64_t PrivateSketcher::BatchGrain(int64_t batch_size, int threads) {
+  if (threads < 1) threads = 1;
+  if (batch_size <= 0) return kSketchBlockWidth;
+  // ~4 chunks per thread balances load without shrinking chunks to
+  // one-item tasks.
+  const int64_t target_chunks = static_cast<int64_t>(threads) * 4;
+  const int64_t raw = (batch_size + target_chunks - 1) / target_chunks;
+  const int64_t aligned =
+      ((raw + kSketchBlockWidth - 1) / kSketchBlockWidth) * kSketchBlockWidth;
+  return std::max<int64_t>(aligned, kSketchBlockWidth);
+}
+
+Result<std::vector<PrivateSketch>> PrivateSketcher::SketchBatch(
+    const std::vector<std::vector<double>>& xs, uint64_t base_noise_seed,
+    ThreadPool* pool) const {
+  const int64_t n = static_cast<int64_t>(xs.size());
+  // Validate up front: Sketch() aborts on dimension mismatch, and a partial
+  // parallel batch would be wasted work anyway.
+  for (int64_t i = 0; i < n; ++i) {
+    if (static_cast<int64_t>(xs[i].size()) != input_dim()) {
+      return Status::InvalidArgument(
+          "batch item " + std::to_string(i) + " has dimension " +
+          std::to_string(xs[i].size()) + ", sketcher expects " +
+          std::to_string(input_dim()));
+    }
+  }
+  const int64_t grain =
+      BatchGrain(n, pool != nullptr ? pool->num_threads() : 1);
+  std::vector<PrivateSketch> out(static_cast<size_t>(n));
+  ThreadPool::Run(pool, 0, n, grain, [&](int64_t begin, int64_t end) {
+    std::vector<uint64_t> seeds(static_cast<size_t>(end - begin));
+    for (int64_t i = begin; i < end; ++i) {
+      seeds[static_cast<size_t>(i - begin)] =
+          BatchItemNoiseSeed(base_noise_seed, i);
+    }
+    SketchBlock(xs.data() + begin, end - begin, seeds.data(),
+                out.data() + begin);
+  });
+  return out;
 }
 
 PrivateSketch PrivateSketcher::SketchSparse(const SparseVector& x,

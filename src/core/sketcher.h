@@ -4,15 +4,32 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/result.h"
+#include "src/common/thread_pool.h"
 #include "src/core/sketch.h"
 #include "src/core/variance_model.h"
 #include "src/dp/mechanism.h"
 #include "src/jl/make_transform.h"
 #include "src/linalg/sparse_vector.h"
+#include "src/random/splitmix64.h"
 
 namespace dpjl {
+
+/// Seed-derivation contract for batch releases: item `index` of a batch
+/// sketched under `base_noise_seed` uses exactly this noise seed (a
+/// splitmix64 expansion of base ^ f(index), via DeriveSeed). The contract
+/// is public API: a serial loop calling
+///   sketcher.Sketch(xs[i], BatchItemNoiseSeed(base, i))
+/// produces bit-identical output to PrivateSketcher::SketchBatch at any
+/// thread count, and two parties that agree on `base` can reproduce each
+/// other's batch seeds. Distinct batches must use distinct base seeds —
+/// reusing a base across different inputs reuses noise, which voids the
+/// privacy guarantee exactly like reusing a per-vector noise seed would.
+inline uint64_t BatchItemNoiseSeed(uint64_t base_noise_seed, int64_t index) {
+  return DeriveSeed(base_noise_seed, static_cast<uint64_t>(index));
+}
 
 /// Configuration for a PrivateSketcher. Defaults reproduce the paper's
 /// recommended construction: block SJLT + automatically selected noise.
@@ -75,13 +92,23 @@ class PrivateSketcher {
   /// Sparse fast path: O(s ||x||_0 + k) for the SJLT (Theorem 3.5).
   PrivateSketch SketchSparse(const SparseVector& x, uint64_t noise_seed) const;
 
-  /// Matrix-form batch sketch: out[i] is bit-identical to
-  /// Sketch(xs[i], noise_seeds[i]) for i in [0, count), but the transform
-  /// runs one micro-block of kSketchBlockWidth vectors at a time through
-  /// the SIMD block kernels (src/linalg/kernels.h) while noise stays
-  /// strictly per-item. Zero per-item allocations beyond the outputs.
-  void SketchBlock(const std::vector<double>* xs, int64_t count,
-                   const uint64_t* noise_seeds, PrivateSketch* out) const;
+  /// Batch sketch: out[i] == Sketch(xs[i], BatchItemNoiseSeed(
+  /// base_noise_seed, i)), bit-identical for any pool size (null runs
+  /// serially on the caller). Chunks of BatchGrain items fan across `pool`;
+  /// within a chunk the transform rides micro-blocks of kSketchBlockWidth
+  /// vectors through the SIMD block kernels (src/linalg/kernels.h) while
+  /// noise stays strictly per-item. Fails without sketching anything if any
+  /// input has the wrong dimension.
+  Result<std::vector<PrivateSketch>> SketchBatch(
+      const std::vector<std::vector<double>>& xs, uint64_t base_noise_seed,
+      ThreadPool* pool = nullptr) const;
+
+  /// The chunk size SketchBatch uses for `batch_size` items on `threads`
+  /// threads: ~4 chunks per thread for load balance, rounded up to a
+  /// multiple of kSketchBlockWidth so SIMD micro-blocks run full, and never
+  /// below one micro-block. Chunking affects scheduling only, never output
+  /// (each item's noise seed is a pure function of its index).
+  static int64_t BatchGrain(int64_t batch_size, int threads);
 
   /// Analytic estimator variance for a pair at squared distance `z2sq` with
   /// fourth-power norm `z4p4` (both parties using this configuration).
@@ -102,6 +129,11 @@ class PrivateSketcher {
  private:
   PrivateSketcher(SketcherConfig config, std::unique_ptr<LinearTransform> transform,
                   const Fjlt* fjlt_view, Mechanism mechanism, int64_t sparsity);
+
+  /// out[i] = Sketch(xs[i], noise_seeds[i]) for i in [0, count), with the
+  /// transform run as one matrix-form ApplyBlock call.
+  void SketchBlock(const std::vector<double>* xs, int64_t count,
+                   const uint64_t* noise_seeds, PrivateSketch* out) const;
 
   SketcherConfig config_;
   std::unique_ptr<LinearTransform> transform_;

@@ -94,12 +94,6 @@ double NoiseDistribution::Sample(Rng* rng) const {
   return 0.0;
 }
 
-void NoiseDistribution::SampleVector(int64_t k, Rng* rng,
-                                     std::vector<double>* out) const {
-  out->resize(static_cast<size_t>(k));
-  for (auto& v : *out) v = Sample(rng);
-}
-
 std::string NoiseDistribution::Name() const {
   char buf[64];
   switch (kind_) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/random/rng.h"
 
@@ -45,9 +44,6 @@ class NoiseDistribution {
 
   /// Draws one sample. Discrete kinds return lattice points as doubles.
   double Sample(Rng* rng) const;
-
-  /// Draws `k` i.i.d. samples into `out` (resized).
-  void SampleVector(int64_t k, Rng* rng, std::vector<double>* out) const;
 
   /// Human-readable, e.g. "Laplace(b=1.5)".
   std::string Name() const;

@@ -21,6 +21,16 @@ Result<int64_t> OutputDimension(double alpha, double beta) {
   return static_cast<int64_t>(std::ceil(k));
 }
 
+Result<int64_t> FlatteningOutputDimension(int64_t n, double alpha,
+                                          double beta) {
+  if (n < 2) {
+    return Status::InvalidArgument("flattening needs n >= 2 vectors");
+  }
+  DPJL_RETURN_IF_ERROR(ValidateJlParams(alpha, beta));
+  const double pairs = 0.5 * static_cast<double>(n) * static_cast<double>(n - 1);
+  return OutputDimension(alpha, beta / pairs);
+}
+
 Result<int64_t> KaneNelsonSparsity(double alpha, double beta) {
   DPJL_RETURN_IF_ERROR(ValidateJlParams(alpha, beta));
   DPJL_ASSIGN_OR_RETURN(int64_t k, OutputDimension(alpha, beta));

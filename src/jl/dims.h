@@ -23,6 +23,14 @@ Status ValidateJlParams(double alpha, double beta);
 /// k = ceil(4 * ln(2/beta) / alpha^2).
 Result<int64_t> OutputDimension(double alpha, double beta);
 
+/// The all-pairs form of the JL Flattening Lemma the paper's introduction
+/// cites: preserving all C(n,2) pairwise distances of n >= 2 vectors at
+/// once, within (1 +- alpha) w.p. >= 1 - beta, needs one projection at the
+/// union-bound per-pair failure probability beta / C(n,2), i.e.
+/// k = OutputDimension(alpha, beta / C(n,2)) = Theta(alpha^-2 log(n^2/beta))
+/// — still independent of d.
+Result<int64_t> FlatteningOutputDimension(int64_t n, double alpha, double beta);
+
 /// Kane–Nelson sparsity s = ceil(2 * ln(2/beta) / alpha), capped at k.
 Result<int64_t> KaneNelsonSparsity(double alpha, double beta);
 

@@ -49,7 +49,7 @@ struct EllMatrixView {
 /// Runtime-dispatched inner loops of the sketching hot path.
 ///
 /// Every function table implements the SAME math, and its output is
-/// BIT-IDENTICAL across tables — the determinism contract BatchSketcher
+/// BIT-IDENTICAL across tables — the determinism contract SketchBatch
 /// exposes publicly — with the scalar table as the executable
 /// specification the vector tables are tested against
 /// (tests/kernel_test.cc). The floating-point entries get there by

@@ -1,8 +1,8 @@
 // Determinism / equivalence suite for the parallel execution subsystem:
-// ThreadPool, BatchSketcher and the chunk-parallel SketchIndex scan. The
-// contract under test is bit-exactness — for every thread count and scan
-// chunking, batch and parallel-query output must be identical to the
-// serial reference, not merely statistically close.
+// ThreadPool, PrivateSketcher::SketchBatch and the chunk-parallel
+// SketchIndex scan. The contract under test is bit-exactness — for every
+// thread count and scan chunking, batch and parallel-query output must be
+// identical to the serial reference, not merely statistically close.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/core/batch_sketcher.h"
 #include "src/core/estimators.h"
 #include "src/core/sketch_index.h"
 #include "src/core/streaming.h"
@@ -175,11 +174,11 @@ TEST(ThreadPoolTest, NoChunkRunsAfterItsCallReturned) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchSketcher equivalence: batch output must be bit-identical to the
-// serial Sketch()/SketchSparse() loop under the BatchItemNoiseSeed contract
-// for every thread count.
+// SketchBatch equivalence: batch output must be bit-identical to the
+// serial Sketch() loop under the BatchItemNoiseSeed contract for every
+// thread count.
 
-TEST(BatchSketcherTest, DenseBatchBitIdenticalToSerialLoop) {
+TEST(SketchBatchTest, DenseBatchBitIdenticalToSerialLoop) {
   const int64_t d = 128;
   const int64_t n = 33;  // not divisible by 2 or 7
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
@@ -196,8 +195,7 @@ TEST(BatchSketcherTest, DenseBatchBitIdenticalToSerialLoop) {
 
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
-    const BatchSketcher batch(&sketcher, &pool, /*grain=*/4);
-    const auto out = batch.BatchSketch(xs, base);
+    const auto out = sketcher.SketchBatch(xs, base, &pool);
     ASSERT_TRUE(out.ok()) << out.status();
     ASSERT_EQ(out->size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i) {
@@ -208,105 +206,145 @@ TEST(BatchSketcherTest, DenseBatchBitIdenticalToSerialLoop) {
   }
 
   // The no-pool path is the same serial loop.
-  const BatchSketcher no_pool(&sketcher);
-  const auto out = no_pool.BatchSketch(xs, base);
+  const auto out = sketcher.SketchBatch(xs, base);
   ASSERT_TRUE(out.ok());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ((*out)[i].values(), serial[i].values());
   }
 }
 
-TEST(BatchSketcherTest, SparseBatchBitIdenticalToSerialLoop) {
-  const int64_t d = 512;
-  const int64_t n = 23;
-  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
-  Rng rng(kTestSeed);
-  std::vector<SparseVector> xs;
-  for (int64_t i = 0; i < n; ++i) {
-    xs.push_back(RandomSparseVector(d, 1 + i % 9, 1.0, &rng));
-  }
-
-  const uint64_t base = 0x5AB5E5EEDULL;
-  std::vector<PrivateSketch> serial;
-  for (int64_t i = 0; i < n; ++i) {
-    serial.push_back(sketcher.SketchSparse(xs[static_cast<size_t>(i)],
-                                           BatchItemNoiseSeed(base, i)));
-  }
-
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const BatchSketcher batch(&sketcher, &pool);
-    const auto out = batch.BatchSketchSparse(xs, base);
-    ASSERT_TRUE(out.ok()) << out.status();
-    ASSERT_EQ(out->size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ((*out)[i].values(), serial[i].values())
-          << "threads=" << threads << " item=" << i;
-    }
-  }
-}
-
-TEST(BatchSketcherTest, StreamingBatchFinalizeBitIdenticalToSerialLoop) {
-  const int64_t d = 96;
-  const int64_t n = 9;
-  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
-  Rng rng(kTestSeed);
-  std::vector<StreamingSketcher> streams;
-  streams.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    streams.push_back(
-        StreamingSketcher::Create(&sketcher, 1000 + static_cast<uint64_t>(i))
-            .value());
-    const SparseVector delta = RandomSparseVector(d, 5, 1.0, &rng);
-    streams.back().UpdateSparse(delta);
-  }
-  std::vector<const StreamingSketcher*> ptrs;
-  for (const auto& s : streams) ptrs.push_back(&s);
-
-  std::vector<PrivateSketch> serial;
-  for (const auto* s : ptrs) serial.push_back(s->Finalize());
-
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const auto out = BatchFinalize(ptrs, &pool);
-    ASSERT_TRUE(out.ok()) << out.status();
-    ASSERT_EQ(out->size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ((*out)[i].values(), serial[i].values())
-          << "threads=" << threads << " item=" << i;
-    }
-  }
-}
-
-TEST(BatchSketcherTest, RejectsDimensionMismatchWithoutSketching) {
+TEST(SketchBatchTest, RejectsDimensionMismatchWithoutSketching) {
   const PrivateSketcher sketcher = MakeSketcherOrDie(64, Base());
-  const BatchSketcher batch(&sketcher);
   std::vector<std::vector<double>> xs = {std::vector<double>(64, 1.0),
                                          std::vector<double>(63, 1.0)};
-  const auto out = batch.BatchSketch(xs, 1);
+  const auto out = sketcher.SketchBatch(xs, 1);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
-
-  std::vector<SparseVector> sparse = {SparseVector(64), SparseVector(65)};
-  const auto sparse_out = batch.BatchSketchSparse(sparse, 1);
-  ASSERT_FALSE(sparse_out.ok());
-  EXPECT_EQ(sparse_out.status().code(), StatusCode::kInvalidArgument);
-
-  EXPECT_FALSE(BatchFinalize({nullptr}).ok());
 }
 
-TEST(BatchSketcherTest, SeedDerivationDecorrelatesItems) {
+TEST(SketchBatchTest, SeedDerivationDecorrelatesItems) {
   // Two items with identical input must still get different noise (the
   // derived seeds differ), and the same item under a different base seed
   // must change — the contract that protects against noise reuse.
   const int64_t d = 64;
   const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
   const std::vector<double> x(d, 1.0);
-  const BatchSketcher batch(&sketcher);
-  const auto out = batch.BatchSketch({x, x}, 7).value();
+  const auto out = sketcher.SketchBatch({x, x}, 7).value();
   EXPECT_NE(out[0].values(), out[1].values());
-  const auto other_base = batch.BatchSketch({x, x}, 8).value();
+  const auto other_base = sketcher.SketchBatch({x, x}, 8).value();
   EXPECT_NE(out[0].values(), other_base[0].values());
+}
+
+TEST(SketchBatchTest, EmptyBatchReturnsNoSketches) {
+  const PrivateSketcher sketcher = MakeSketcherOrDie(64, Base());
+  const auto serial = sketcher.SketchBatch({}, 1);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  EXPECT_TRUE(serial->empty());
+  for (int threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    const auto out = sketcher.SketchBatch({}, 1, &pool);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_TRUE(out->empty()) << "threads=" << threads;
+  }
+}
+
+TEST(SketchBatchTest, SparseSerialLoopMatchesDenseBatch) {
+  // Sparse inputs have no batch entry point: a serial SketchSparse loop
+  // under the BatchItemNoiseSeed contract must release exactly what
+  // SketchBatch releases for the same vectors written densely.
+  const int64_t d = 512;
+  const int64_t n = 23;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
+  Rng rng(kTestSeed);
+  std::vector<SparseVector> sparse;
+  std::vector<std::vector<double>> dense;
+  for (int64_t i = 0; i < n; ++i) {
+    sparse.push_back(RandomSparseVector(d, 1 + i % 9, 1.0, &rng));
+    dense.push_back(sparse.back().ToDense());
+  }
+
+  const uint64_t base = 0x5AB5E5EEDULL;
+  for (int threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    const auto out = sketcher.SketchBatch(dense, base, &pool);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(out->size(), sparse.size());
+    for (int64_t i = 0; i < n; ++i) {
+      const size_t item = static_cast<size_t>(i);
+      EXPECT_EQ((*out)[item].values(),
+                sketcher.SketchSparse(sparse[item], BatchItemNoiseSeed(base, i))
+                    .values())
+          << "threads=" << threads << " item=" << i;
+    }
+  }
+}
+
+TEST(SketchBatchTest, StreamingFinalizeMatchesBatchItem) {
+  // A stream fed item i's coordinates and seeded with item i's derived
+  // noise seed releases item i of the batch: identical noise, and a
+  // transform sum that differs at most by accumulation rounding.
+  const int64_t d = 96;
+  const int64_t n = 9;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
+  Rng rng(kTestSeed);
+  std::vector<SparseVector> deltas;
+  std::vector<std::vector<double>> dense;
+  for (int64_t i = 0; i < n; ++i) {
+    deltas.push_back(RandomSparseVector(d, 5, 1.0, &rng));
+    dense.push_back(deltas.back().ToDense());
+  }
+
+  const uint64_t base = 1000;
+  ThreadPool pool(2);
+  const auto batch = sketcher.SketchBatch(dense, base, &pool);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  for (int64_t i = 0; i < n; ++i) {
+    StreamingSketcher stream =
+        StreamingSketcher::Create(&sketcher, BatchItemNoiseSeed(base, i))
+            .value();
+    stream.UpdateSparse(deltas[static_cast<size_t>(i)]);
+    const std::vector<double> streamed = stream.Finalize().values();
+    const std::vector<double>& batched = (*batch)[static_cast<size_t>(i)].values();
+    ASSERT_EQ(streamed.size(), batched.size());
+    for (size_t j = 0; j < streamed.size(); ++j) {
+      EXPECT_NEAR(streamed[j], batched[j], 1e-8) << "item=" << i << " coord=" << j;
+    }
+  }
+}
+
+TEST(SketchBatchTest, ConcurrentBatchesOnSharedPoolMatchSerial) {
+  // SketchBatch is const: two callers sharing one sketcher and one pool
+  // (a writer's batch beside another request's) each get their own
+  // serial-loop output.
+  const int64_t d = 128;
+  const int64_t n = 40;
+  const PrivateSketcher sketcher = MakeSketcherOrDie(d, Base());
+  Rng rng(kTestSeed);
+  std::vector<std::vector<double>> xs;
+  for (int64_t i = 0; i < n; ++i) {
+    xs.push_back(DenseGaussianVector(d, 1.0, &rng));
+  }
+  const uint64_t bases[] = {0xA11CE, 0xB0B};
+  std::vector<std::vector<PrivateSketch>> serial(2);
+  for (int c = 0; c < 2; ++c) serial[c] = sketcher.SketchBatch(xs, bases[c]).value();
+
+  ThreadPool pool(2);
+  std::vector<Result<std::vector<PrivateSketch>>> got(
+      2, Status::Internal("not run"));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back(
+        [&, c] { got[c] = sketcher.SketchBatch(xs, bases[c], &pool); });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_TRUE(got[c].ok()) << got[c].status();
+    ASSERT_EQ(got[c]->size(), serial[c].size());
+    for (size_t i = 0; i < serial[c].size(); ++i) {
+      EXPECT_EQ((*got[c])[i].values(), serial[c][i].values())
+          << "caller=" << c << " item=" << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/estimators.h"
-#include "src/core/flattening.h"
 #include "src/core/sketcher.h"
 #include "src/core/streaming.h"
 #include "src/core/variance_model.h"
@@ -318,68 +317,6 @@ TEST(PostHadamardTest, StreamingRejectsPlacement) {
   const PrivateSketcher sketcher =
       MakeSketcherOrDie(64, PostHadamardConfig(32, 1.0, 1e-6));
   EXPECT_FALSE(StreamingSketcher::Create(&sketcher, 1).ok());
-}
-
-// ---------- flattening lemma utilities ----------
-
-TEST(FlatteningTest, PerPairBetaDividesByPairCount) {
-  EXPECT_DOUBLE_EQ(FlatteningPerPairBeta(2, 0.1).value(), 0.1);
-  EXPECT_DOUBLE_EQ(FlatteningPerPairBeta(10, 0.45).value(), 0.45 / 45.0);
-  EXPECT_FALSE(FlatteningPerPairBeta(1, 0.1).ok());
-  EXPECT_FALSE(FlatteningPerPairBeta(10, 0.6).ok());
-}
-
-TEST(FlatteningTest, DimensionGrowsLogarithmicallyInN) {
-  const int64_t k10 = FlatteningOutputDimension(10, 0.2, 0.05).value();
-  const int64_t k100 = FlatteningOutputDimension(100, 0.2, 0.05).value();
-  const int64_t k1000 = FlatteningOutputDimension(1000, 0.2, 0.05).value();
-  EXPECT_GT(k100, k10);
-  EXPECT_GT(k1000, k100);
-  // log-scale growth: the increment per decade is roughly constant
-  // (k = 4 a^-2 ln(2 C(n,2) / beta) adds 4 a^-2 * 2 ln 10 per decade).
-  const int64_t inc1 = k100 - k10;
-  const int64_t inc2 = k1000 - k100;
-  EXPECT_NEAR(static_cast<double>(inc1), static_cast<double>(inc2),
-              0.1 * static_cast<double>(inc1) + 2.0);
-}
-
-TEST(FlatteningTest, AllPairsMatrixIsSymmetricAndCentered) {
-  const int64_t d = 128;
-  const int64_t n = 6;
-  SketcherConfig config = Base();
-  config.k_override = 128;
-  config.epsilon = 8.0;
-  const PrivateSketcher sketcher = MakeSketcherOrDie(d, config);
-  Rng rng(kTestSeed);
-  std::vector<std::vector<double>> points;
-  std::vector<PrivateSketch> sketches;
-  for (int64_t i = 0; i < n; ++i) {
-    points.push_back(DenseGaussianVector(d, 1.0, &rng));
-    sketches.push_back(sketcher.Sketch(points.back(), 100 + i));
-  }
-  const DenseMatrix m = AllPairsSquaredDistances(sketches).value();
-  EXPECT_EQ(m.rows(), n);
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(m.At(i, i), 0.0);
-    for (int64_t j = i + 1; j < n; ++j) {
-      EXPECT_DOUBLE_EQ(m.At(i, j), m.At(j, i));
-      const double truth = SquaredDistance(points[i], points[j]);
-      // Generous band: JL + noise at eps = 8, k = 128.
-      EXPECT_TRUE(NearRel(m.At(i, j), truth, 0.6))
-          << i << "," << j << ": " << m.At(i, j) << " vs " << truth;
-    }
-  }
-}
-
-TEST(FlatteningTest, AllPairsRejectsTooFewOrIncompatible) {
-  const int64_t d = 64;
-  const PrivateSketcher s1 = MakeSketcherOrDie(d, Base(kTestSeed));
-  const PrivateSketcher s2 = MakeSketcherOrDie(d, Base(kTestSeed + 1));
-  Rng rng(kTestSeed);
-  const std::vector<double> x = DenseGaussianVector(d, 1.0, &rng);
-  EXPECT_FALSE(AllPairsSquaredDistances({s1.Sketch(x, 1)}).ok());
-  EXPECT_FALSE(
-      AllPairsSquaredDistances({s1.Sketch(x, 1), s2.Sketch(x, 2)}).ok());
 }
 
 TEST(NormVarianceTest, NoNoiseReducesToTransformTerm) {

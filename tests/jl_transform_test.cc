@@ -92,6 +92,33 @@ TEST(DimsTest, FjltDensityBounds) {
   EXPECT_GE(q_large_d, 9.0 / (1 << 16));
 }
 
+TEST(FlatteningTest, DimensionGrowsLogarithmicallyInN) {
+  const int64_t k10 = FlatteningOutputDimension(10, 0.2, 0.05).value();
+  const int64_t k100 = FlatteningOutputDimension(100, 0.2, 0.05).value();
+  const int64_t k1000 = FlatteningOutputDimension(1000, 0.2, 0.05).value();
+  EXPECT_GT(k100, k10);
+  EXPECT_GT(k1000, k100);
+  // log-scale growth: the increment per decade is roughly constant
+  // (k = 4 a^-2 ln(2 C(n,2) / beta) adds 4 a^-2 * 2 ln 10 per decade).
+  const int64_t inc1 = k100 - k10;
+  const int64_t inc2 = k1000 - k100;
+  EXPECT_NEAR(static_cast<double>(inc1), static_cast<double>(inc2),
+              0.1 * static_cast<double>(inc1) + 2.0);
+}
+
+TEST(FlatteningTest, PerPairBetaDividesByPairCount) {
+  // n vectors have C(n,2) pairs; the union bound spends beta / C(n,2) on
+  // each, so one pair is the single-pair bound.
+  EXPECT_EQ(FlatteningOutputDimension(2, 0.2, 0.05).value(),
+            OutputDimension(0.2, 0.05).value());
+  EXPECT_EQ(FlatteningOutputDimension(10, 0.2, 0.45).value(),
+            OutputDimension(0.2, 0.45 / 45.0).value());
+  EXPECT_EQ(FlatteningOutputDimension(1000, 0.1, 0.05).value(),
+            OutputDimension(0.1, 0.05 / 499500.0).value());
+  EXPECT_FALSE(FlatteningOutputDimension(1, 0.2, 0.05).ok());
+  EXPECT_FALSE(FlatteningOutputDimension(10, 0.2, 0.6).ok());
+}
+
 TEST(DimsTest, HashIndependenceAtLeastEight) {
   EXPECT_GE(HashIndependence(0.4).value(), 8);
   EXPECT_GE(HashIndependence(1e-6).value(),

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/core/batch_sketcher.h"
 #include "src/core/sketcher.h"
 #include "src/jl/transform.h"
 #include "src/linalg/dense_matrix.h"
@@ -740,8 +739,8 @@ TEST(BatchBitExactnessTest, VectorizedBatchMatchesForcedScalarSerialLoop) {
           KernelOverride pin(table);
           for (int threads : kThreadCounts) {
             ThreadPool pool(threads);
-            BatchSketcher batcher(&sketcher, threads > 1 ? &pool : nullptr);
-            auto got = batcher.BatchSketch(xs, kTestSeed);
+            auto got = sketcher.SketchBatch(xs, kTestSeed,
+                                            threads > 1 ? &pool : nullptr);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
             ASSERT_EQ(got->size(), static_cast<size_t>(n));
             for (int64_t i = 0; i < n; ++i) {
@@ -782,30 +781,25 @@ TEST(BatchBitExactnessTest, ApplyBlockMatchesApplyPerItem) {
 }
 
 // ---------------------------------------------------------------------------
-// ResolveGrain (satellite bugfix: no more silent one-item tasks).
+// SketchBatch's auto grain: micro-block aligned, never one-item tasks.
 
-TEST(ResolveGrainTest, ExplicitRequestWins) {
-  EXPECT_EQ(BatchSketcher::ResolveGrain(1000, 4, 17), 17);
-  EXPECT_EQ(BatchSketcher::ResolveGrain(1000, 4, 1), 1);
-}
-
-TEST(ResolveGrainTest, AutoIsMicroBlockAlignedAndBounded) {
+TEST(BatchGrainTest, AutoIsMicroBlockAlignedAndBounded) {
   // Large batch, 4 threads: ~16 chunks, each a multiple of the micro-block.
-  const int64_t grain = BatchSketcher::ResolveGrain(1024, 4, 0);
+  const int64_t grain = PrivateSketcher::BatchGrain(1024, 4);
   EXPECT_EQ(grain % kSketchBlockWidth, 0);
   EXPECT_GE(grain, kSketchBlockWidth);
   EXPECT_LE(grain, 1024);
   // Small batches never drop below one micro-block, and degenerate inputs
   // are safe.
-  EXPECT_EQ(BatchSketcher::ResolveGrain(3, 8, 0), kSketchBlockWidth);
-  EXPECT_EQ(BatchSketcher::ResolveGrain(0, 4, 0), kSketchBlockWidth);
-  EXPECT_EQ(BatchSketcher::ResolveGrain(100, 0, 0),
-            BatchSketcher::ResolveGrain(100, 1, 0));
+  EXPECT_EQ(PrivateSketcher::BatchGrain(3, 8), kSketchBlockWidth);
+  EXPECT_EQ(PrivateSketcher::BatchGrain(0, 4), kSketchBlockWidth);
+  EXPECT_EQ(PrivateSketcher::BatchGrain(100, 0),
+            PrivateSketcher::BatchGrain(100, 1));
 }
 
-TEST(ResolveGrainTest, ScalesInverselyWithThreads) {
-  const int64_t g1 = BatchSketcher::ResolveGrain(4096, 1, 0);
-  const int64_t g8 = BatchSketcher::ResolveGrain(4096, 8, 0);
+TEST(BatchGrainTest, ScalesInverselyWithThreads) {
+  const int64_t g1 = PrivateSketcher::BatchGrain(4096, 1);
+  const int64_t g8 = PrivateSketcher::BatchGrain(4096, 8);
   EXPECT_GT(g1, g8);
 }
 

@@ -117,7 +117,7 @@ CHAR_RE = re.compile(r"'(?:[^'\\]|\\.)*'")
 # is an invariant violation; elsewhere (schedulers, deadlines, stats) it is
 # ordinary engineering.
 NOISE_PATH_DIRS = ("src/dp/", "src/jl/", "src/random/")
-NOISE_PATH_STEMS = ("sketcher", "batch_sketcher", "noise")
+NOISE_PATH_STEMS = ("sketcher", "noise")
 
 # The wrapper header legitimately spells out the std primitives it wraps.
 BARE_MUTEX_EXEMPT = "src/common/annotated_mutex.h"

@@ -7,9 +7,9 @@
 //                 sketch per row across a thread pool.
 //   estimate      Estimate squared distance between two sketch files.
 //   inspect       Print a sketch file's public metadata.
-//   query         (alias: index-query) Nearest neighbors of a sketch in an
-//                 index file — or across partition snapshots
-//                 (--partitions=a.part,b.part), optionally multi-threaded.
+//   query         Nearest neighbors of a sketch in an index file — or
+//                 across partition snapshots (--partitions=a.part,b.part),
+//                 optionally multi-threaded.
 //   index export-shards   Split an index snapshot into independently
 //                 loadable partition snapshots plus a shard manifest.
 //   index merge-shards    All-or-nothing merge of partition snapshots back
@@ -78,8 +78,8 @@ void Usage(std::ostream& out) {
          "  dpjl_tool index-add --index FILE --id NAME --sketch FILE\n"
          "  dpjl_tool query {--index FILE | --partitions A.part,B.part,...}\n"
          "            --sketch FILE [--top N] [engine flags] [request flags]\n"
-         "            (alias: index-query; submitted async at default\n"
-         "            priority 'interactive'; prints engine stats after.\n"
+         "            (submitted async at default priority\n"
+         "            'interactive'; prints engine stats after.\n"
          "            With --partitions, every listed partition snapshot is\n"
          "            attached and the query scans them as one corpus —\n"
          "            results are byte-identical to the merged index.)\n"
@@ -1267,7 +1267,7 @@ int Main(int argc, char** argv) {
   if (command == "estimate") return CmdEstimate(flags);
   if (command == "inspect") return CmdInspect(flags);
   if (command == "index-add") return CmdIndexAdd(flags);
-  if (command == "index-query" || command == "query") return CmdIndexQuery(flags);
+  if (command == "query") return CmdIndexQuery(flags);
   if (command == "serve") return CmdServe(flags);
   if (command == "selftest") return CmdSelftest();
   Usage(std::cerr);
