@@ -60,7 +60,10 @@ std::string PrivateSketch::Serialize() const {
   AppendPod(&out, metadata_.epsilon);
   AppendPod(&out, metadata_.delta);
   AppendPod(&out, static_cast<int64_t>(values_.size()));
-  for (double v : values_) AppendPod(&out, v);
+  // The values' IEEE-754 bytes, host little-endian like every field above,
+  // in one copy.
+  out.append(reinterpret_cast<const char*>(values_.data()),
+             values_.size() * sizeof(double));
   return out;
 }
 
@@ -93,17 +96,19 @@ Result<PrivateSketch> PrivateSketch::Deserialize(const std::string& bytes) {
   if (count < 0 || count != meta.output_dim) {
     return Status::DataLoss("sketch value count does not match metadata");
   }
-  if (offset + static_cast<size_t>(count) * sizeof(double) != bytes.size()) {
+  // Divide, never multiply: 8 * count wraps for a crafted count near 2^61
+  // and would pass an equality test against the remaining byte count.
+  const size_t remaining = bytes.size() - offset;
+  if (static_cast<uint64_t>(count) != remaining / sizeof(double) ||
+      remaining % sizeof(double) != 0) {
     return Status::DataLoss("sketch payload size mismatch");
   }
   meta.transform = static_cast<TransformKind>(transform);
   meta.placement = static_cast<NoisePlacement>(placement);
   meta.noise_kind = static_cast<NoiseDistribution::Kind>(noise_kind);
   std::vector<double> values(static_cast<size_t>(count));
-  for (double& v : values) {
-    if (!ReadPod(bytes, &offset, &v)) {
-      return Status::DataLoss("truncated sketch payload");
-    }
+  if (remaining > 0) {
+    std::memcpy(values.data(), bytes.data() + offset, remaining);
   }
   return PrivateSketch(std::move(values), meta);
 }

@@ -8,19 +8,23 @@ namespace net {
 Client::Client(std::string host, int port, ClientOptions options)
     : host_(std::move(host)), port_(port), options_(options) {}
 
-Result<Socket> Client::BorrowConnection() {
+Result<Client::Connection> Client::BorrowConnection(bool may_reuse,
+                                                    bool* reused) {
   {
     MutexLock lock(mutex_);
-    if (!pool_.empty()) {
-      Socket connection = std::move(pool_.back());
+    *reused = may_reuse && !pool_.empty();
+    if (*reused) {
+      Connection connection = std::move(pool_.back());
       pool_.pop_back();
       return connection;
     }
   }
-  return ConnectTo(host_, port_, options_.connect_timeout_ms);
+  DPJL_ASSIGN_OR_RETURN(Socket socket,
+                        ConnectTo(host_, port_, options_.connect_timeout_ms));
+  return Connection{std::move(socket)};
 }
 
-void Client::ReturnConnection(Socket connection) {
+void Client::ReturnConnection(Connection connection) {
   MutexLock lock(mutex_);
   if (static_cast<int64_t>(pool_.size()) < options_.max_pooled_connections) {
     pool_.push_back(std::move(connection));
@@ -33,7 +37,7 @@ void Client::CloseConnections() {
   pool_.clear();
 }
 
-Result<Frame> Client::Call(MessageType type, std::string payload,
+Result<Frame> Client::Call(MessageType type, std::string_view payload,
                            const RequestOptions& request,
                            MessageType expected_response) {
   FrameHeader header;
@@ -46,24 +50,25 @@ Result<Frame> Client::Call(MessageType type, std::string payload,
   const int64_t wait_ms =
       request.deadline_ms > 0 ? request.deadline_ms : options_.call_timeout_ms;
 
-  const auto exchange = [&](const Socket& connection) -> Result<Frame> {
-    DPJL_RETURN_IF_ERROR(SetRecvTimeout(connection, wait_ms));
-    DPJL_RETURN_IF_ERROR(SendFrame(connection, header, payload));
-    return RecvFrame(connection);
+  const auto exchange = [&](Connection* connection) -> Result<Frame> {
+    if (connection->recv_timeout_ms != wait_ms) {
+      DPJL_RETURN_IF_ERROR(SetRecvTimeout(connection->socket, wait_ms));
+      connection->recv_timeout_ms = wait_ms;
+    }
+    DPJL_RETURN_IF_ERROR(SendFrame(connection->socket, header, payload));
+    return RecvFrame(connection->socket);
   };
 
   // A pooled connection can be stale (server restarted, idle reset): one
   // transparent retry on a fresh connection keeps that from surfacing as a
-  // spurious kUnavailable. A fresh connection gets no retry — its failure
-  // is the real signal replica failover keys on.
+  // spurious kUnavailable. The retry never takes from the pool, which may
+  // hold more stale connections. A fresh connection gets no retry — its
+  // failure is the real signal replica failover keys on.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    bool reused;
-    {
-      MutexLock lock(mutex_);
-      reused = !pool_.empty();
-    }
-    DPJL_ASSIGN_OR_RETURN(Socket connection, BorrowConnection());
-    Result<Frame> response = exchange(connection);
+    bool reused = false;
+    DPJL_ASSIGN_OR_RETURN(Connection connection,
+                          BorrowConnection(attempt == 0, &reused));
+    Result<Frame> response = exchange(&connection);
     if (!response.ok()) {
       // Discard: after any failure the stream position is unknowable.
       if (response.status().code() == StatusCode::kUnavailable && reused &&

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/annotated_mutex.h"
@@ -87,24 +88,38 @@ class Client {
   /// connections and discard them on return).
   void CloseConnections();
 
- private:
-  /// One exchange: borrow/establish a connection, send `type` + `payload`
-  /// with the request metadata in the header, read one response frame,
-  /// return the connection to the pool. kErrorResponse frames decode into
-  /// their carried Status; an unexpected response type is kDataLoss.
-  Result<Frame> Call(MessageType type, std::string payload,
+  /// One exchange, the path every typed call above takes: borrow/establish
+  /// a connection, send `type` + the already-encoded `payload` with the
+  /// request metadata in the header, read one response frame, return the
+  /// connection to the pool. kErrorResponse frames decode into their
+  /// carried Status; an unexpected response type is kDataLoss. A fan-out
+  /// encodes its payload once and hands the same bytes to every endpoint.
+  Result<Frame> Call(MessageType type, std::string_view payload,
                      const RequestOptions& request,
                      MessageType expected_response);
 
-  Result<Socket> BorrowConnection();
-  void ReturnConnection(Socket connection);
+ private:
+  /// A pooled socket plus the SO_RCVTIMEO it already carries (0, the
+  /// kernel default, means none), so a call sets the option only when its
+  /// wait differs.
+  struct Connection {
+    Socket socket;
+    int64_t recv_timeout_ms = 0;
+  };
+
+  /// Pops a pooled connection when `may_reuse` and the pool holds one,
+  /// else connects a fresh one. `*reused` says which, decided under the
+  /// same lock that pops the pool: only a pooled connection may be stale,
+  /// so only its failure earns a retry.
+  Result<Connection> BorrowConnection(bool may_reuse, bool* reused);
+  void ReturnConnection(Connection connection);
 
   const std::string host_;
   const int port_;
   const ClientOptions options_;
 
   Mutex mutex_;
-  std::vector<Socket> pool_ GUARDED_BY(mutex_);
+  std::vector<Connection> pool_ GUARDED_BY(mutex_);
 };
 
 }  // namespace net

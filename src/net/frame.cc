@@ -1,10 +1,10 @@
 #include "src/net/frame.h"
 
 #include <cstring>
+#include <initializer_list>
 #include <type_traits>
 #include <utility>
 
-#include "src/core/snapshot.h"
 #include "src/net/socket.h"
 
 namespace dpjl {
@@ -20,6 +20,70 @@ constexpr char kWireMagic[8] = {'D', 'P', 'J', 'L', 'W', 'I', 'R', 'E'};
 /// header (everything between the magic and the checksum itself) plus the
 /// tenant and payload bytes.
 constexpr size_t kChecksumOffset = 40;
+
+// XXH64 (frame.h spells it out).
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+/// Little-endian word load; the frame's integers assume a little-endian
+/// host throughout (AppendPod below).
+template <typename T>
+T LoadWord(const char* p) {
+  T word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+uint64_t Round(uint64_t acc, uint64_t word) {
+  return Rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
+uint64_t Xxh64(std::string_view bytes, uint64_t seed) {
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  uint64_t h;
+  if (bytes.size() >= 32) {
+    // Four independent lanes, so the multiplies of one stripe overlap.
+    uint64_t v1 = seed + kPrime1 + kPrime2;
+    uint64_t v2 = seed + kPrime2;
+    uint64_t v3 = seed;
+    uint64_t v4 = seed - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, LoadWord<uint64_t>(p));
+      v2 = Round(v2, LoadWord<uint64_t>(p + 8));
+      v3 = Round(v3, LoadWord<uint64_t>(p + 16));
+      v4 = Round(v4, LoadWord<uint64_t>(p + 24));
+    }
+    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
+    for (const uint64_t lane : {v1, v2, v3, v4}) {
+      h = (h ^ Round(0, lane)) * kPrime1 + kPrime4;
+    }
+  } else {
+    h = seed + kPrime5;
+  }
+  h += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    h = Rotl(h ^ Round(0, LoadWord<uint64_t>(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = Rotl(h ^ (LoadWord<uint32_t>(p) * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = Rotl(h ^ (static_cast<uint8_t>(*p) * kPrime5), 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
+}
 
 template <typename T>
 void AppendPod(std::string* out, T value) {
@@ -138,7 +202,12 @@ Result<MessageType> MessageTypeFromInt(uint32_t value) {
                           std::to_string(value));
 }
 
-std::string EncodeFrame(const FrameHeader& header, std::string payload) {
+uint64_t FrameChecksum(std::string_view header_span, std::string_view tenant,
+                       std::string_view payload) {
+  return Xxh64(payload, Xxh64(tenant, Xxh64(header_span, 0)));
+}
+
+std::string EncodeFrame(const FrameHeader& header, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + header.tenant.size() + payload.size());
   out.append(kWireMagic, sizeof(kWireMagic));
@@ -151,19 +220,10 @@ std::string EncodeFrame(const FrameHeader& header, std::string payload) {
   // Checksum everything after the magic: the covered header span, then the
   // tenant and payload. Appended last in the header but computed over
   // bytes [8, 40) first, so decoders can verify before trusting any field.
-  uint64_t checksum = SnapshotChecksum(
-      std::string_view(out.data() + sizeof(kWireMagic),
-                       kChecksumOffset - sizeof(kWireMagic)));
-  // Continue the same FNV-1a stream over tenant + payload.
-  const auto extend = [&checksum](std::string_view bytes) {
-    for (const char c : bytes) {
-      checksum ^= static_cast<uint8_t>(c);
-      checksum *= 0x100000001b3ULL;
-    }
-  };
-  extend(header.tenant);
-  extend(payload);
-  AppendPod(&out, checksum);
+  AppendPod(&out, FrameChecksum(std::string_view(out).substr(
+                                    sizeof(kWireMagic),
+                                    kChecksumOffset - sizeof(kWireMagic)),
+                                header.tenant, payload));
   out.append(header.tenant);
   out.append(payload);
   return out;
@@ -235,12 +295,11 @@ Result<Frame> DecodeFrame(const std::string& bytes) {
   uint64_t declared_checksum = 0;
   size_t checksum_offset = kChecksumOffset;
   ReadPod(bytes, &checksum_offset, &declared_checksum);
-  uint64_t checksum = SnapshotChecksum(std::string_view(
-      bytes.data() + sizeof(kWireMagic), kChecksumOffset - sizeof(kWireMagic)));
-  for (size_t i = kFrameHeaderBytes; i < bytes.size(); ++i) {
-    checksum ^= static_cast<uint8_t>(bytes[i]);
-    checksum *= 0x100000001b3ULL;
-  }
+  const std::string_view view(bytes);
+  const uint64_t checksum = FrameChecksum(
+      view.substr(sizeof(kWireMagic), kChecksumOffset - sizeof(kWireMagic)),
+      view.substr(kFrameHeaderBytes, sizes.tenant_size),
+      view.substr(kFrameHeaderBytes + sizes.tenant_size));
   if (checksum != declared_checksum) {
     return Status::DataLoss(
         "wire frame checksum mismatch (corrupted in transit)");
@@ -484,20 +543,19 @@ Result<WireStatus> DecodeErrorStatus(const std::string& payload) {
 }
 
 Status SendFrame(const Socket& socket, const FrameHeader& header,
-                 std::string payload) {
-  return SendAll(socket, EncodeFrame(header, std::move(payload)));
+                 std::string_view payload) {
+  return SendAll(socket, EncodeFrame(header, payload));
 }
 
 Result<Frame> RecvFrame(const Socket& socket) {
-  std::string fixed;
-  DPJL_RETURN_IF_ERROR(RecvExact(socket, kFrameHeaderBytes, &fixed));
-  DPJL_ASSIGN_OR_RETURN(const FrameSizes sizes, DecodeFrameSizes(fixed));
-  std::string body;
+  std::string bytes;
+  DPJL_RETURN_IF_ERROR(RecvExact(socket, kFrameHeaderBytes, &bytes));
+  DPJL_ASSIGN_OR_RETURN(const FrameSizes sizes, DecodeFrameSizes(bytes));
+  // The body lands behind the fixed header in the same buffer.
   DPJL_RETURN_IF_ERROR(RecvExact(
       socket, static_cast<size_t>(sizes.tenant_size + sizes.payload_size),
-      &body));
-  fixed.append(body);
-  return DecodeFrame(fixed);
+      &bytes));
+  return DecodeFrame(bytes);
 }
 
 }  // namespace net

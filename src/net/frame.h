@@ -14,7 +14,7 @@ namespace dpjl {
 namespace net {
 
 /// The serving tier's wire protocol: length-prefixed binary frames with the
-/// same magic/version/FNV-1a-checksum discipline as the snapshot envelope
+/// same magic/version/checksum discipline as the snapshot envelope
 /// (src/core/snapshot.h) — one integrity-and-evolution header shared by
 /// every RPC, so the per-message payload formats stay simple little-endian
 /// record streams.
@@ -28,11 +28,11 @@ namespace net {
 ///   tenant size    u32      byte count of the tenant field
 ///   deadline_ms    i64      RequestOptions deadline budget semantics
 ///   payload size   u64      exact byte count of the payload
-///   checksum       u64      FNV-1a 64 over header bytes [8, 40) + tenant
-///                           + payload — every field after the magic is
-///                           covered, so any single corrupted byte in a
-///                           frame decodes to a clean error, never to a
-///                           silently different request
+///   checksum       u64      FrameChecksum (below) over header bytes
+///                           [8, 40), the tenant and the payload — every
+///                           field after the magic is covered, so a
+///                           corrupted byte in a frame decodes to a clean
+///                           error, never to a silently different request
 ///   tenant         tenant-size bytes
 ///   payload        payload-size bytes
 ///
@@ -41,9 +41,33 @@ namespace net {
 /// response frames the three fields are conventionally zero/empty.
 /// Doubles cross the wire as their IEEE-754 bytes, which is what makes
 /// routed query results byte-identical to in-process ones.
+///
+/// Checksum (version 2). H(bytes, seed) is XXH64, the 64-bit xxHash, so any
+/// xxHash library reproduces it. With the primes
+///   P1 = 0x9E3779B185EBCA87  P2 = 0xC2B2AE3D27D4EB4F
+///   P3 = 0x165667B19E3779F9  P4 = 0x85EBCA77C2B2AE63
+///   P5 = 0x27D4EB2F165667C5
+/// all arithmetic mod 2^64, rotl a 64-bit left rotation and words read
+/// little-endian:
+///   round(a, w) = rotl(a + w * P2, 31) * P1
+///   n >= 32: four lanes v1 = seed + P1 + P2, v2 = seed + P2, v3 = seed,
+///            v4 = seed - P1; each 32-byte stripe feeds its four 8-byte
+///            words to vi = round(vi, wi); then
+///            h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18)
+///            and for each lane in order h = (h ^ round(0, vi)) * P1 + P4
+///   n < 32:  h = seed + P5
+///   h += n; then over the < 32 bytes the stripes left:
+///     each 8-byte word w:  h = rotl(h ^ round(0, w), 27) * P1 + P4
+///     one 4-byte word u:   h = rotl(h ^ (u * P1), 23) * P2 + P3
+///     each byte b:         h = rotl(h ^ (b * P5), 11) * P1
+///   avalanche: h ^= h >> 33; h *= P2; h ^= h >> 29; h *= P3; h ^= h >> 32
+/// The frame checksum chains H over the three covered spans:
+///   H(payload, H(tenant, H(header bytes [8, 40), 0)))
+/// Version-1 frames carried byte-at-a-time FNV-1a here; v1 and v2 peers
+/// refuse each other's frames with kDataLoss at the version check.
 
 /// Current writer version of the wire frame.
-inline constexpr uint32_t kWireVersion = 1;
+inline constexpr uint32_t kWireVersion = 2;
 
 /// Byte count of the fixed-width frame header (magic through checksum).
 inline constexpr size_t kFrameHeaderBytes = 48;
@@ -118,8 +142,14 @@ struct FrameSizes {
   uint64_t payload_size = 0;
 };
 
+/// The frame checksum defined above: chained XXH64 over the covered header
+/// span, the tenant and the payload.
+uint64_t FrameChecksum(std::string_view header_span, std::string_view tenant,
+                       std::string_view payload);
+
 /// Encodes a complete frame.
-[[nodiscard]] std::string EncodeFrame(const FrameHeader& header, std::string payload);
+[[nodiscard]] std::string EncodeFrame(const FrameHeader& header,
+                                      std::string_view payload);
 
 /// Stage-1 decode for streaming readers: validates magic, version and the
 /// sanity caps over exactly the first kFrameHeaderBytes bytes, returning
@@ -129,7 +159,8 @@ Result<FrameSizes> DecodeFrameSizes(std::string_view fixed_header);
 /// Full decode of a complete frame buffer: stage-1 checks, exact total
 /// length, checksum over everything after the magic, then field domain
 /// checks (known type, known priority lane). Every failure is a clean
-/// kDataLoss; a frame that decodes is byte-authentic modulo FNV collisions.
+/// kDataLoss; a frame that decodes is byte-authentic modulo checksum
+/// collisions (a chance of about 2^-64 for random corruption).
 Result<Frame> DecodeFrame(const std::string& bytes);
 
 // --- typed payload encodings, one pair per RPC ---
@@ -219,7 +250,7 @@ class Socket;
 /// Writes one complete frame to the socket; kUnavailable if the peer went
 /// away mid-write.
 Status SendFrame(const Socket& socket, const FrameHeader& header,
-                 std::string payload);
+                 std::string_view payload);
 
 /// Reads one complete frame: the fixed header, stage-1 validation
 /// (DecodeFrameSizes), the body, then the full checksum decode. Transport

@@ -8,6 +8,29 @@
 namespace dpjl {
 namespace net {
 
+namespace {
+
+using Neighbors = std::vector<SketchIndex::Neighbor>;
+
+/// One hop of a fan-out: the caller encodes the request payload once and
+/// every endpoint is sent the same bytes; only the answer is decoded per
+/// hop.
+template <typename T>
+std::function<Result<T>(Client*)> Hop(MessageType type,
+                                      const std::string& payload,
+                                      const RequestOptions& request,
+                                      MessageType expected,
+                                      Result<T> (*decode)(const std::string&)) {
+  return [type, &payload, &request, expected,
+          decode](Client* client) -> Result<T> {
+    DPJL_ASSIGN_OR_RETURN(const Frame response,
+                          client->Call(type, payload, request, expected));
+    return decode(response.payload);
+  };
+}
+
+}  // namespace
+
 Result<Endpoint> ParseEndpoint(const std::string& text) {
   const size_t colon = text.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == text.size()) {
@@ -178,38 +201,48 @@ Result<std::vector<T>> Router::FanOut(
 
 Result<std::vector<SketchIndex::Neighbor>> Router::NearestNeighbors(
     const PrivateSketch& query, int64_t top_n, const RequestOptions& request) {
+  const std::string payload =
+      EncodeNearestNeighborsRequest({query.Serialize(), top_n});
   DPJL_ASSIGN_OR_RETURN(
-      std::vector<std::vector<SketchIndex::Neighbor>> parts,
-      FanOut<std::vector<SketchIndex::Neighbor>>(
-          [&](Client* client) {
-            return client->NearestNeighbors(query, top_n, request);
-          }));
+      std::vector<Neighbors> parts,
+      FanOut(Hop<Neighbors>(MessageType::kNearestNeighborsRequest, payload,
+                            request, MessageType::kNeighborsResponse,
+                            &DecodeNeighbors)));
   return SketchIndex::MergeNeighbors(std::move(parts), top_n);
 }
 
 Result<std::vector<SketchIndex::Neighbor>> Router::RangeQuery(
     const PrivateSketch& query, double radius_sq,
     const RequestOptions& request) {
+  const std::string payload =
+      EncodeRangeQueryRequest({query.Serialize(), radius_sq});
   DPJL_ASSIGN_OR_RETURN(
-      std::vector<std::vector<SketchIndex::Neighbor>> parts,
-      FanOut<std::vector<SketchIndex::Neighbor>>(
-          [&](Client* client) {
-            return client->RangeQuery(query, radius_sq, request);
-          }));
+      std::vector<Neighbors> parts,
+      FanOut(Hop<Neighbors>(MessageType::kRangeQueryRequest, payload, request,
+                            MessageType::kNeighborsResponse,
+                            &DecodeNeighbors)));
   return SketchIndex::MergeNeighbors(std::move(parts), -1);
 }
 
 Result<std::vector<std::vector<SketchIndex::Neighbor>>> Router::BatchQuery(
     const std::vector<PrivateSketch>& queries, int64_t top_n,
     const RequestOptions& request) {
-  using Lists = std::vector<std::vector<SketchIndex::Neighbor>>;
-  DPJL_ASSIGN_OR_RETURN(std::vector<Lists> parts,
-                        FanOut<Lists>([&](Client* client) {
-                          return client->BatchQuery(queries, top_n, request);
-                        }));
+  using Lists = std::vector<Neighbors>;
+  BatchQueryRequest req;
+  req.sketches.reserve(queries.size());
+  for (const PrivateSketch& query : queries) {
+    req.sketches.push_back(query.Serialize());
+  }
+  req.top_n = top_n;
+  const std::string payload = EncodeBatchQueryRequest(req);
+  DPJL_ASSIGN_OR_RETURN(
+      std::vector<Lists> parts,
+      FanOut(Hop<Lists>(MessageType::kBatchQueryRequest, payload, request,
+                        MessageType::kBatchNeighborsResponse,
+                        &DecodeBatchNeighbors)));
   Lists merged(queries.size());
   for (size_t probe = 0; probe < queries.size(); ++probe) {
-    std::vector<std::vector<SketchIndex::Neighbor>> per_probe;
+    std::vector<Neighbors> per_probe;
     per_probe.reserve(parts.size());
     for (Lists& part : parts) {
       if (part.size() != queries.size()) {

@@ -132,7 +132,7 @@ void Server::ServeConnection(Socket* connection) {
       // Best-effort courtesy reply on a connection we are about to drop;
       // a send failure here changes nothing, so the drop is logged, not
       // propagated.
-      LogIfError(SendFrame(*connection, header, std::move(payload)),
+      LogIfError(SendFrame(*connection, header, payload),
                  "server: error-reply send during connection teardown");
       connection->ShutdownBoth();
       return;
@@ -140,7 +140,7 @@ void Server::ServeConnection(Socket* connection) {
     auto [type, payload] = Dispatch(*received);
     FrameHeader header;
     header.type = type;
-    if (!SendFrame(*connection, header, std::move(payload)).ok()) {
+    if (!SendFrame(*connection, header, payload).ok()) {
       return;
     }
   }

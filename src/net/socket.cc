@@ -182,12 +182,12 @@ Status SendAll(const Socket& socket, std::string_view bytes) {
 
 Status RecvExact(const Socket& socket, size_t n, std::string* out) {
   if (!socket.valid()) return Status::InvalidArgument("invalid socket");
-  out->clear();
-  out->resize(n);
+  const size_t start = out->size();
+  out->resize(start + n);
   size_t received = 0;
   while (received < n) {
     const ssize_t got =
-        ::recv(socket.fd(), out->data() + received, n - received, 0);
+        ::recv(socket.fd(), out->data() + start + received, n - received, 0);
     if (got == 0) {
       return Status::Unavailable("connection closed by peer");
     }

@@ -84,8 +84,8 @@ Status SetRecvTimeout(const Socket& socket, int64_t timeout_ms);
 /// Writes all of `bytes`; kUnavailable if the peer went away mid-write.
 Status SendAll(const Socket& socket, std::string_view bytes);
 
-/// Reads exactly `n` bytes into `*out` (replacing its contents);
-/// kUnavailable on EOF, timeout or reset before `n` bytes arrived.
+/// Reads exactly `n` bytes and appends them to `*out`; kUnavailable on
+/// EOF, timeout or reset before `n` bytes arrived.
 Status RecvExact(const Socket& socket, size_t n, std::string* out);
 
 }  // namespace net

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "src/core/sketch.h"
 #include "tests/test_util.h"
 
 namespace dpjl {
 namespace {
 
+using testing::HexBytes;
 using testing::kTestSeed;
 
 SketchMetadata MakeMeta() {
@@ -70,6 +77,79 @@ TEST(SketchTest, DeserializeRejectsTrailingGarbage) {
   std::string bytes = PrivateSketch({1.0, 2.0, 3.0, 4.0}, MakeMeta()).Serialize();
   bytes += "extra";
   EXPECT_FALSE(PrivateSketch::Deserialize(bytes).ok());
+}
+
+double FromBits(uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+uint64_t ToBits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(SketchTest, SerializeBytesAreGoldenIncludingNonFiniteValues) {
+  // The sketch blob is also the index snapshot's per-row record, so these
+  // bytes are a persisted format: -0.0, a subnormal, both infinities and a
+  // NaN with a payload must cross Serialize/Deserialize bit for bit.
+  SketchMetadata meta = MakeMeta();
+  meta.output_dim = 6;
+  const std::vector<double> values = {
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      FromBits(0x7ff80000deadbeefULL),
+      0.1};
+  const PrivateSketch sketch(values, meta);
+  const std::string bytes = sketch.Serialize();
+  EXPECT_EQ(HexBytes(bytes),
+      "44504a4c534b3031"  // magic DPJLSK01
+      "02000000"  // transform
+      "6400000000000000"  // input_dim
+      "0600000000000000"  // output_dim
+      "0200000000000000"  // sparsity
+      "00eeffc0117ae5d9"  // projection_seed
+      "00000000"  // placement
+      "01000000"  // noise_kind
+      "000000000000f83f"  // noise_scale
+      "0000000000003240"  // noise_center
+      "000000000000f03f"  // epsilon
+      "0000000000000000"  // delta
+      "0600000000000000"  // value count
+      "0000000000000080"  // -0.0
+      "0100000000000000"  // denorm_min
+      "000000000000f07f"  // +inf
+      "000000000000f0ff"  // -inf
+      "efbeadde0000f87f"  // NaN payload
+      "9a9999999999b93f");  // 0.1
+
+  const Result<PrivateSketch> back = PrivateSketch::Deserialize(bytes);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->values().size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(ToBits(back->values()[i]), ToBits(values[i])) << "value " << i;
+  }
+  EXPECT_EQ(back->Serialize(), bytes);
+}
+
+TEST(SketchTest, DeserializeRejectsAValueCountWhoseByteSizeWraps) {
+  // output_dim and the value count both read 2^61 + 4: 8 * (2^61 + 4)
+  // wraps to 32, which matches the 32 value bytes that follow. The blob
+  // must be refused before anything is allocated for it.
+  constexpr int64_t kWrapping = (int64_t{1} << 61) + 4;
+  SketchMetadata meta = MakeMeta();
+  std::string bytes = PrivateSketch({1.0, 2.0, 3.0, 4.0}, meta).Serialize();
+  constexpr size_t kOutputDimOffset = 8 + 4 + 8;
+  const size_t count_offset = bytes.size() - 4 * sizeof(double) - 8;
+  std::memcpy(bytes.data() + kOutputDimOffset, &kWrapping, sizeof(kWrapping));
+  std::memcpy(bytes.data() + count_offset, &kWrapping, sizeof(kWrapping));
+  const Result<PrivateSketch> result = PrivateSketch::Deserialize(bytes);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << result.status();
 }
 
 TEST(SketchMetadataTest, CompatibilityIgnoresNoiseFields) {

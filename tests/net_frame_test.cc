@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/core/sketch.h"
 #include "src/core/snapshot.h"
 #include "src/net/frame.h"
+#include "tests/test_util.h"
 
 namespace dpjl {
 namespace net {
@@ -36,12 +41,51 @@ std::string TestPayload() {
 }
 
 // Recomputes a frame's checksum after the test patched header bytes —
-// the frame checksum is FNV-1a over bytes [8, 40) + tenant + payload,
-// which equals SnapshotChecksum over that concatenation.
+// FrameChecksum over bytes [8, 40), the tenant and the payload. A patched
+// tenant size that overruns the buffer is clamped: such a frame must fail
+// on its length fields, whatever its checksum.
 void FixChecksum(std::string* bytes) {
+  uint32_t tenant_size = 0;
+  std::memcpy(&tenant_size, bytes->data() + 20, sizeof(tenant_size));
+  const std::string_view frame(*bytes);
+  const size_t tenant = std::min<size_t>(tenant_size, frame.size() - 48);
   const uint64_t checksum =
-      SnapshotChecksum(bytes->substr(8, 32) + bytes->substr(48));
+      FrameChecksum(frame.substr(8, 32), frame.substr(48, tenant),
+                    frame.substr(48 + tenant));
   std::memcpy(bytes->data() + 40, &checksum, sizeof(checksum));
+}
+
+// PrivateSketch::Serialize bytes of a k = 370 sketch, the size a perfbench
+// probe carries: the body spans many 32-byte stripes plus a tail.
+std::string SketchBytes(uint64_t salt) {
+  SketchMetadata meta;
+  meta.transform = TransformKind::kSjltBlock;
+  meta.input_dim = 1024;
+  meta.output_dim = 370;
+  meta.sparsity = 8;
+  meta.projection_seed = 0x5eed + salt;
+  std::vector<double> values(370);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i * 7 + salt) / 3.0 - 60.0;
+  }
+  return PrivateSketch(std::move(values), meta).Serialize();
+}
+
+// Flips every bit of every byte, one at a time; each corrupted frame must
+// be a clean kDataLoss.
+void ExpectEveryBitFlipRejected(const std::string& frame) {
+  std::string corrupted = frame;
+  for (size_t i = 0; i < corrupted.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      corrupted[i] = static_cast<char>(corrupted[i] ^ (1 << bit));
+      const auto decoded = DecodeFrame(corrupted);
+      corrupted[i] = frame[i];
+      ASSERT_FALSE(decoded.ok())
+          << "flip of bit " << bit << " at byte " << i << " decoded";
+      ASSERT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+          << "byte " << i << " bit " << bit;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -136,14 +180,39 @@ TEST(FrameTest, RejectsEveryByteFlip) {
   // body, so no single corrupted byte may decode — not even the ones in
   // scheduling metadata (priority, deadline) a payload-only checksum
   // would miss.
-  const std::string bytes = EncodeFrame(TestHeader(), TestPayload());
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string corrupted = bytes;
-    corrupted[i] = static_cast<char>(corrupted[i] ^ 0x01);
-    const auto decoded = DecodeFrame(corrupted);
-    ASSERT_FALSE(decoded.ok()) << "flip at byte " << i << " decoded";
-    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << i;
+  ExpectEveryBitFlipRejected(EncodeFrame(TestHeader(), TestPayload()));
+}
+
+TEST(FrameTest, RejectsEveryByteFlipAtRealFrameSizes) {
+  // A 15-byte payload never reaches the checksum's 32-byte stripe loop;
+  // a k = 370 NN request and an 8-probe batch do, in every span.
+  ExpectEveryBitFlipRejected(EncodeFrame(
+      TestHeader(), EncodeNearestNeighborsRequest({SketchBytes(0), 10})));
+  BatchQueryRequest batch;
+  for (uint64_t probe = 0; probe < 8; ++probe) {
+    batch.sketches.push_back(SketchBytes(probe));
   }
+  batch.top_n = 10;
+  FrameHeader header = TestHeader();
+  header.type = MessageType::kBatchQueryRequest;
+  ExpectEveryBitFlipRejected(EncodeFrame(header, EncodeBatchQueryRequest(batch)));
+}
+
+TEST(FrameTest, FrameBytesAreGolden) {
+  // Pins wire version 2 byte for byte, checksum included (XXH64 chained
+  // over header bytes [8, 40), tenant and payload; see frame.h).
+  EXPECT_EQ(testing::HexBytes(EncodeFrame(TestHeader(), TestPayload())),
+            "44504a4c57495245"                // magic "DPJLWIRE"
+            "02000000"                        // version 2
+            "01000000"                        // nearest-neighbors-request
+            "01000000"                        // priority lane: batch
+            "08000000"                        // tenant size
+            "e204000000000000"                // deadline_ms 1250
+            "0f00000000000000"                // payload size
+            "dbd5b2941bd8f050"                // checksum
+            "74656e616e742d37"                // tenant "tenant-7"
+            "7061796c6f616420627974657300ff"  // payload
+  );
 }
 
 TEST(FrameTest, RejectsTrailingBytes) {
@@ -173,6 +242,25 @@ TEST(FrameTest, RejectsUnknownVersion) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+}
+
+TEST(FrameTest, RejectsVersionOneFramesNamingBothVersions) {
+  // A version-1 frame as a v1 peer wrote it: FNV-1a 64 over header bytes
+  // [8, 40), tenant and payload in one stream.
+  std::string v1 = EncodeFrame(TestHeader(), TestPayload());
+  const uint32_t version = 1;
+  std::memcpy(v1.data() + 8, &version, sizeof(version));
+  const uint64_t fnv = SnapshotChecksum(v1.substr(8, 32) + v1.substr(48));
+  std::memcpy(v1.data() + 40, &fnv, sizeof(fnv));
+  const auto decoded = DecodeFrame(v1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("version 1"), std::string::npos)
+      << decoded.status();
+  EXPECT_NE(decoded.status().message().find("version 2"), std::string::npos)
+      << decoded.status();
+  EXPECT_EQ(DecodeFrameSizes(v1.substr(0, kFrameHeaderBytes)).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(FrameTest, RejectsUnknownTypeAndPriorityEvenWithValidChecksum) {

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -273,6 +274,80 @@ TEST(ServerTest, StalePooledConnectionRetriesTransparently) {
   auto replacement = Server::Start(second.engine.get(), reuse);
   ASSERT_TRUE(replacement.ok()) << replacement.status();
   EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST(ServerTest, SharedClientSurvivesRestartUnderConcurrentCalls) {
+  // The router shares one Client per endpoint across its callers. After
+  // the server behind the port is replaced, every pooled connection is
+  // stale; concurrent callers that borrow one must each retry it
+  // transparently, so no call of the second round may fail.
+  ServedEngine first = StartServedEngine(7);
+  const int port = first.server->port();
+  Client client(first.server->host(), port);
+  constexpr int kCallers = 6;
+  constexpr int kCallsPerCaller = 20;
+  const auto run_round = [&](const ServedEngine& served) {
+    const auto expected = served.engine->NearestNeighbors(served.probe, 3);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    std::atomic<int> ready{0};
+    std::vector<Status> results(kCallers, Status::OK());
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i) {
+      callers.emplace_back([&, i] {
+        // Start together, so the callers contend on the pool.
+        ready.fetch_add(1);
+        while (ready.load() < kCallers) std::this_thread::yield();
+        for (int call = 0; call < kCallsPerCaller && results[i].ok(); ++call) {
+          const auto got = client.NearestNeighbors(served.probe, 3);
+          if (!got.ok()) {
+            results[i] = got.status();
+          } else if (got->size() != expected->size() ||
+                     got->front().id != expected->front().id) {
+            results[i] = Status::Internal("results diverged");
+          }
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (const Status& result : results) EXPECT_TRUE(result.ok()) << result;
+  };
+  run_round(first);  // leaves up to four pooled connections behind
+
+  first.server->Stop();
+  ServedEngine second = StartServedEngine(7);
+  ServerOptions reuse;
+  reuse.port = port;
+  auto replacement = Server::Start(second.engine.get(), reuse);
+  ASSERT_TRUE(replacement.ok()) << replacement.status();
+  run_round(second);
+}
+
+TEST(ServerTest, WrappingSketchCountGetsDataLossThenServesTheNextRequest) {
+  // A sketch blob whose output_dim and value count read 2^61 + 4: the
+  // byte count 8 * (2^61 + 4) wraps to the 32 value bytes that follow. A
+  // valid frame carrying it must come back as a kDataLoss error frame,
+  // and the server must keep serving.
+  ServedEngine served = StartServedEngine(9);
+  Client client(served.server->host(), served.server->port());
+  constexpr int64_t kWrapping = (int64_t{1} << 61) + 4;
+  const std::string whole = served.probe.Serialize();
+  const size_t header_bytes =
+      whole.size() - served.probe.values().size() * sizeof(double);
+  std::string blob = whole.substr(0, header_bytes + 4 * sizeof(double));
+  std::memcpy(blob.data() + 20, &kWrapping, sizeof(kWrapping));  // output_dim
+  std::memcpy(blob.data() + header_bytes - sizeof(int64_t), &kWrapping,
+              sizeof(kWrapping));  // value count
+  const Result<Frame> refused = client.Call(
+      MessageType::kNearestNeighborsRequest,
+      EncodeNearestNeighborsRequest({blob, 3}), RequestOptions(),
+      MessageType::kNeighborsResponse);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss) << refused.status();
+
+  const auto wire_nn = client.NearestNeighbors(served.probe, 3);
+  ASSERT_TRUE(wire_nn.ok()) << wire_nn.status();
+  ExpectSameNeighbors(*wire_nn,
+                      served.engine->NearestNeighbors(served.probe, 3).value());
 }
 
 TEST(ServerTest, MalformedFrameGetsDataLossErrorThenDisconnect) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/core/sketcher.h"
@@ -30,6 +31,18 @@ inline OnlineMoments MonteCarlo(int64_t trials,
 inline bool NearRel(double a, double b, double tol, double floor = 1e-12) {
   const double scale = std::max({std::fabs(a), std::fabs(b), floor});
   return std::fabs(a - b) <= tol * scale;
+}
+
+/// Lowercase hex of a byte string, two digits per byte — how golden byte
+/// tests spell the bytes they pin.
+inline std::string HexBytes(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
 }
 
 /// A small helper producing a sketcher or aborting the test setup.
