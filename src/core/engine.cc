@@ -564,7 +564,8 @@ std::string EngineStats::ToString() const {
   }
   out << "index_size\t" << index_size << "\n";
   out << "scan.rows_scanned\t" << scans.rows_scanned << "\n"
-      << "scan.rows_reranked\t" << scans.rows_reranked << "\n";
+      << "scan.rows_reranked\t" << scans.rows_reranked << "\n"
+      << "scan.rows_bounded\t" << scans.rows_bounded << "\n";
   return out.str();
 }
 
@@ -585,6 +586,7 @@ EngineStats EngineStats::Delta(const EngineStats& prev) const {
   delta.queue.deadline_misses -= prev.queue.deadline_misses;
   delta.scans.rows_scanned -= prev.scans.rows_scanned;
   delta.scans.rows_reranked -= prev.scans.rows_reranked;
+  delta.scans.rows_bounded -= prev.scans.rows_bounded;
   return delta;
 }
 

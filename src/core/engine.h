@@ -209,9 +209,10 @@ class [[nodiscard]] EngineFuture {
 struct EngineStats {
   RequestQueue::Stats queue;
   int64_t index_size = 0;
-  /// (probe, row) pairs the query scans' int8 filter scored, and those it
-  /// re-ranked exactly (SketchIndex::scan_counts): their ratio is the
-  /// filter's selectivity.
+  /// (probe, row) pairs the query scans' int8 filter scored, those it
+  /// re-ranked exactly (their ratio is the filter's selectivity), and
+  /// those whose bound it evaluated (advisory: under a pool it depends on
+  /// the chunks' timing). See SketchIndex::scan_counts.
   SketchIndex::ScanCounts scans;
 
   const RequestQueue::LaneStats& lane(Priority priority) const {
@@ -220,12 +221,12 @@ struct EngineStats {
 
   /// Stable multi-line `key<TAB>value` rendering (the dpjl_tool stats
   /// dump): one line per lane counter, deadline misses, per-tenant usage,
-  /// index size, scanned and re-ranked rows.
+  /// index size, scanned, re-ranked and bounded rows.
   std::string ToString() const;
 
   /// Counter movement since `prev` (an earlier snapshot of the same
   /// engine): the monotonic counters (served, expired, refused, cancelled,
-  /// promoted, deadline misses, scanned and re-ranked rows) are
+  /// promoted, deadline misses, scanned, re-ranked and bounded rows) are
   /// subtracted, while the point-in-time gauges (lane depth, tenant usage,
   /// index size) keep their current values. Scrapers divide the deltas by the scrape interval to obtain
   /// rates instead of re-deriving them from cumulative totals.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -341,11 +342,14 @@ double RejectFrom(const FilterBound& bound, double threshold,
 /// bounds lo <= exact estimate <= hi; a row is kept unless lo exceeds the
 /// running threshold. With top_n > 0 (nearest neighbors) that is the
 /// top_n-th smallest upper bound offered so far, +inf until there are
-/// top_n: that many rows have estimates at or below it, so no row above
-/// it can reach the top_n. A rejected row's hi is at least its lo, so it
-/// could not have lowered the threshold, and the kept upper bounds are
-/// the chunk's top_n smallest. With top_n == 0 (range) the threshold is
-/// the radius.
+/// top_n, or the scan-wide bound Tighten passes in when that is smaller:
+/// either is the top_n-th smallest hi of some top_n rows, so at least the
+/// final global threshold T (the top_n-th smallest hi of the whole scan).
+/// A rejected row's hi is at least its lo, so above T: it is no survivor
+/// and none of the scan's top_n smallest upper bounds, so every chunk
+/// keeps all of its rows with hi <= T, and the union of the chunks' top_n
+/// smallest kept upper bounds still has T as its top_n-th smallest. With
+/// top_n == 0 (range) the threshold is the radius.
 template <typename Row>
 class ChunkFilter {
  public:
@@ -359,14 +363,20 @@ class ChunkFilter {
     kept_.emplace_back(row, bounds.lo);
     if (nearest_) {
       uppers_.Push(bounds.hi);
-      if (uppers_.Full()) threshold_ = uppers_.Worst();
+      if (uppers_.Full()) threshold_ = std::min(threshold_, uppers_.Worst());
     }
   }
+
+  /// Lowers the threshold to `bound` when that is smaller. For nearest
+  /// neighbors `bound` must be at least the final global threshold; for a
+  /// range scan, at least the radius.
+  void Tighten(double bound) { threshold_ = std::min(threshold_, bound); }
 
   /// Rows whose lo exceeds this are rejected; it only ever decreases.
   double threshold() const { return threshold_; }
 
-  /// The chunk's top_n smallest upper bounds; leaves the selector empty.
+  /// The chunk's top_n smallest kept upper bounds; leaves the selector
+  /// empty.
   std::vector<double> TakeUppers() { return uppers_.TakeSorted(); }
 
   /// The kept rows, in offer order, whose lo is within `threshold`, which
@@ -386,6 +396,15 @@ class ChunkFilter {
   BoundedTopK<double, std::less<double>> uppers_;  // unused for range
   std::vector<std::pair<Row, double>> kept_;
 };
+
+/// Lowers `bound` to `value` when that is smaller: a relaxed
+/// compare-and-swap minimum.
+void LowerTo(std::atomic<double>& bound, double value) {
+  double seen = bound.load(std::memory_order_relaxed);
+  while (value < seen && !bound.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+}
 
 /// Scores `nq` probes against one fp64 column block: for each probe p and
 /// live lane t < width,
@@ -668,6 +687,15 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
     rows_reranked_.Add(reranked);
   };
   const std::vector<double> radii(static_cast<size_t>(num_queries), radius);
+  // Per probe, the smallest threshold any chunk has reached so far, which
+  // every chunk tightens its own to (see ChunkFilter): for nearest
+  // neighbors the top_n-th smallest hi of some top_n rows, so at least the
+  // final global threshold; for a range scan the radius, which changes
+  // nothing. Relaxed: a stale read only filters less.
+  std::vector<std::atomic<double>> shared(static_cast<size_t>(num_queries));
+  for (std::atomic<double>& best : shared) {
+    best.store(kInf, std::memory_order_relaxed);
+  }
   // Phase 1, per chunk: score every row against every probe and keep the
   // rows whose lo is within the chunk's running threshold. A range scan
   // knows its final threshold and re-ranks right away.
@@ -679,6 +707,7 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
                               kFilterGroupBlocks * kI8BlockLanes);
     std::array<int32_t, kFilterGroupBlocks * kI8BlockLanes> candidates;
     int64_t scanned = 0;
+    int64_t bounded = 0;
     int64_t first = 0;  // global number of the segment's first block
     for (const Segment& segment : segments_) {
       const int64_t last = std::min(end, first + segment.num_blocks());
@@ -696,6 +725,9 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
         for (int64_t i = b - first; i < b - first + group; ++i) {
           limits.Merge(segment.block_limits[static_cast<size_t>(i)]);
         }
+        const double* scales = segment.filter_scales.data() + base;
+        const double* norms = segment.filter_norms.data() + base;
+        const int64_t* sums = segment.filter_sums.data() + base;
         for (int64_t p = 0; p < num_queries; ++p) {
           Filter& filter = chunk_filters[p];
           const CodedProbe& probe = coded[static_cast<size_t>(p)];
@@ -703,26 +735,24 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
           const double probe_center = queries[p].metadata().noise_center;
           // Most rows are dropped by one comparison: a finite distance at
           // or above the cut proves lo > threshold without evaluating the
-          // bound, and Offer would reject such a row anyway. A call-free
-          // pass collects the rest; the cut is refreshed among them every
-          // kCutRefresh rows while Offer keeps lowering the threshold (the
-          // first group starts with none).
+          // bound, and Offer would reject such a row anyway. The kernel
+          // collects the rest; the cut is refreshed among them every
+          // kCutRefresh rows while the threshold falls (the first groups of
+          // a scan start with none).
+          std::atomic<double>& best = shared[static_cast<size_t>(p)];
+          filter.Tighten(best.load(std::memory_order_relaxed));
           double cut_for = filter.threshold();
           double cut = RejectFrom(bound, cut_for, probe, probe_center, limits);
-          const double* scales = segment.filter_scales.data() + base;
-          const double* norms = segment.filter_norms.data() + base;
-          const int64_t* sums = segment.filter_sums.data() + base;
-          int64_t count = 0;
-          for (int64_t t = 0; t < width; ++t) {
-            const double squared =
-                Filtered(probe, scales[t], norms[t], sums[t], raw[t]).squared;
-            candidates[static_cast<size_t>(count)] = static_cast<int32_t>(t);
-            count += !(squared >= cut && squared <= DBL_MAX);
-          }
+          const int64_t count = ops.filter_candidates(
+              raw, sums, scales, norms, width, probe.norm, probe.cross, cut,
+              candidates.data());
           for (int64_t i = 0; i < count; ++i) {
-            if (i % kCutRefresh == 0 && filter.threshold() < cut_for) {
-              cut_for = filter.threshold();
-              cut = RejectFrom(bound, cut_for, probe, probe_center, limits);
+            if (i > 0 && i % kCutRefresh == 0) {
+              filter.Tighten(best.load(std::memory_order_relaxed));
+              if (filter.threshold() < cut_for) {
+                cut_for = filter.threshold();
+                cut = RejectFrom(bound, cut_for, probe, probe_center, limits);
+              }
             }
             const int64_t t = candidates[static_cast<size_t>(i)];
             const FilterDistance filtered =
@@ -731,16 +761,19 @@ std::vector<std::vector<Sink>> SketchIndex::ScanChunks(
               continue;
             }
             const auto row = static_cast<size_t>(base + t);
+            ++bounded;
             filter.Offer({&segment, base + t},
                          BoundEstimate(bound, filtered, probe.error,
                                        probe_center, segment.filter_errors[row],
                                        segment.noise_centers[row]));
           }
+          LowerTo(best, filter.threshold());
         }
         scanned += width;
       }
       first += segment.num_blocks();
     }
+    rows_bounded_.Add(bounded);
     rows_scanned_.Add(scanned * num_queries);
     if (top_n == 0) rerank(chunk, radii);
   });

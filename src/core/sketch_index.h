@@ -48,14 +48,20 @@ namespace dpjl {
 /// per-row bound that scales with the distance (D's own rounding, the
 /// probe's and the row's measured rounding errors by the triangle
 /// inequality, and the fp64 re-rank's own rounding) turns D into
-/// lo <= estimate <= hi. The scan is split into chunks of consecutive
-/// blocks that a ThreadPool runs concurrently. For nearest neighbors it
-/// has two phases: each chunk keeps the rows whose lo does not exceed its
-/// running top_n-th smallest hi, the probe's one threshold is the top_n-th
-/// smallest hi of the whole scan, and the rows whose lo is within it are
-/// re-scored exactly from the fp64 rows with the per-pair estimator's
-/// operation sequence; a range scan keeps and re-scores the rows within
-/// its radius in one phase. Each chunk keeps its own (distance, row)
+/// lo <= estimate <= hi; a vectorized per-row cut (the filter_candidates
+/// kernel) drops most rows before their bound is evaluated. The scan is
+/// split into chunks of consecutive blocks that a ThreadPool runs
+/// concurrently. For nearest neighbors it has two phases: each chunk keeps
+/// the rows whose lo does not exceed its running threshold — its own
+/// top_n-th smallest hi, or the smallest such value any chunk has
+/// published to the probe's one shared atomic bound, when lower — the
+/// probe's one final threshold T is the top_n-th smallest hi of the whole
+/// scan, and the rows whose lo is within it are re-scored exactly from the
+/// fp64 rows with the per-pair estimator's operation sequence. Every
+/// running threshold is at least T, so a row rejected early has hi > T and
+/// the re-scored set is exactly {lo <= T} whatever the chunks' timing; a
+/// range scan keeps and re-scores the rows within its radius in one
+/// phase. Each chunk keeps its own (distance, row)
 /// selection per probe; ids are materialized only for the rows a chunk
 /// returns, and MergeNeighbors imposes the deterministic (distance, id)
 /// order. The filter's integer sums are exact, the re-rank kernel never
@@ -245,15 +251,20 @@ class SketchIndex {
 
   /// Cumulative work of the filtered query scans (NearestNeighbors,
   /// NearestNeighborsBatch, RangeQuery) run on this index: (probe, row)
-  /// pairs the int8 filter scored, and those it passed to the exact fp64
-  /// re-rank. Both only grow; each scan chunk adds its totals with one
-  /// relaxed atomic add, so concurrent readers see advisory values.
+  /// pairs the int8 filter scored, those it passed to the exact fp64
+  /// re-rank, and those that passed the per-row cut and had their bound
+  /// evaluated. All only grow; each scan chunk adds its totals with one
+  /// relaxed atomic add, so concurrent readers see advisory values. The
+  /// first two do not depend on the pool; rows_bounded does, and under a
+  /// pool on timing too: it falls as the chunks' shared threshold reaches
+  /// them sooner.
   struct ScanCounts {
     int64_t rows_scanned = 0;
     int64_t rows_reranked = 0;
+    int64_t rows_bounded = 0;
   };
   ScanCounts scan_counts() const {
-    return {rows_scanned_.Get(), rows_reranked_.Get()};
+    return {rows_scanned_.Get(), rows_reranked_.Get(), rows_bounded_.Get()};
   }
 
  private:
@@ -354,9 +365,15 @@ class SketchIndex {
   /// coded to bytes once, and each int8 block is loaded once and scored
   /// against every probe by the filter kernel. With top_n > 0, each chunk
   /// first keeps the rows whose lower bound is within its running
-  /// `top_n`-th smallest upper bound; then each probe's threshold is the
+  /// threshold: the smaller of its own `top_n`-th smallest upper bound and
+  /// a per-probe bound the chunks share through a relaxed atomic, which
+  /// each reads at every group start and cut refresh and lowers with a
+  /// CAS-min after each group. Then each probe's threshold T is the
   /// `top_n`-th smallest upper bound across all chunks, and exactly the
-  /// rows whose lower bound is within it are re-scored. With top_n == 0
+  /// rows whose lower bound is within it are re-scored: every running
+  /// threshold is some top_n rows' largest upper bound, so at least T, and
+  /// a row it rejects has an upper bound above T, so it is neither a
+  /// survivor nor among the top_n upper bounds that decide T. With top_n == 0
   /// the threshold is `radius` and each chunk re-scores its rows within it
   /// at once. Returns sinks[probe][chunk]: `visit(sink, segment, row,
   /// distance)` sees each re-scored row of a chunk with its exact
@@ -388,6 +405,7 @@ class SketchIndex {
   int64_t next_handle_ = 1;
   Counter rows_scanned_;
   Counter rows_reranked_;
+  Counter rows_bounded_;
 };
 
 }  // namespace dpjl

@@ -1,6 +1,7 @@
 #include "src/linalg/kernels.h"
 
 #include <atomic>
+#include <cfloat>
 #include <cstdlib>
 #include <cstring>
 
@@ -149,6 +150,23 @@ void DotU8S8BlocksScalar(const uint8_t* const* q, int64_t nq,
   }
 }
 
+int64_t FilterCandidatesScalar(const int64_t* raw, const int64_t* sums,
+                               const double* scales, const double* norms,
+                               int64_t width, double probe_norm,
+                               double probe_cross, double cut, int32_t* out) {
+  // Call-free: every row writes its offset, and only a kept one advances.
+  int64_t count = 0;
+  for (int64_t t = 0; t < width; ++t) {
+    const double row_norms = probe_norm + norms[t];
+    const double squared =
+        row_norms -
+        (probe_cross * scales[t]) * static_cast<double>(raw[t] - 128 * sums[t]);
+    out[count] = static_cast<int32_t>(t);
+    count += !(squared >= cut && squared <= DBL_MAX);
+  }
+  return count;
+}
+
 }  // namespace internal
 
 namespace {
@@ -165,6 +183,7 @@ const KernelOps kScalarOps = {
     internal::SquaredDistanceBlockScalar,
     internal::SquaredDistanceTileScalar,
     internal::DotU8S8BlocksScalar,
+    internal::FilterCandidatesScalar,
 };
 
 bool CpuHasAvx2() {
@@ -177,10 +196,12 @@ bool CpuHasAvx2() {
 
 bool CpuHasAvx512() {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  // The table's int8 filter kernel needs vpdpbusd (AVX512-VNNI) and the
-  // table is compiled for AVX512-BW, separate CPUID bits from AVX512-F.
+  // The table's int8 filter kernel needs vpdpbusd (AVX512-VNNI), its cut
+  // vcvtqq2pd (AVX512-DQ), and the table is compiled for AVX512-BW:
+  // separate CPUID bits from AVX512-F.
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512dq") &&
          __builtin_cpu_supports("avx512vnni");
 #else
   return false;

@@ -19,6 +19,11 @@ inline constexpr int64_t kI8QuadWidth = 4;
 /// many quads, combined in int64.
 inline constexpr int64_t kI8SpanQuads = 16577;
 
+/// Exclusive bound on the magnitude of each cross term raw - 128 * sums
+/// that filter_candidates converts to double: 2^51, below which the avx2
+/// table's magic-number conversion is exact.
+inline constexpr int64_t kFilterMaxCross = int64_t{1} << 51;
+
 /// Rows per slice of the sliced-ELLPACK layout the sparse row kernels
 /// read: one AVX-512 register of doubles.
 inline constexpr int64_t kEllSliceRows = 8;
@@ -65,7 +70,9 @@ struct EllMatrixView {
 /// compiler may order the operands either way, so NaN payloads are
 /// pinned only where one payload reaches an output. The integer entry
 /// (dot_u8s8_blocks) gets there by arithmetic: its sums are exact, so each
-/// table may order them freely.
+/// table may order them freely. filter_candidates outputs row offsets,
+/// not values, and keeps the same ones in every table by computing each
+/// row's distance with the scalar operation sequence.
 ///
 /// Layout convention for the *_block kernels: a "column block" packs
 /// `width` input vectors lane-interleaved, element j of lane t at
@@ -148,6 +155,26 @@ struct KernelOps {
   void (*dot_u8s8_blocks)(const uint8_t* const* q, int64_t nq,
                           const int8_t* c, int64_t quads, int64_t blocks,
                           int64_t* out);
+
+  /// The index scan's per-row cut for one probe over `width` rows: writes
+  /// to out[0, count), in ascending order, every row offset t < width
+  /// whose filter distance
+  ///   D = (probe_norm + norms[t])
+  ///       - (probe_cross * scales[t]) * double(raw[t] - 128 * sums[t])
+  /// is not a finite value at or above `cut`, i.e. !(D >= cut && D <=
+  /// DBL_MAX) (a NaN D is kept), and returns count. Each D is that exact
+  /// sequence of fp64 roundings, as in the scalar table, so every table
+  /// keeps the same rows for any inputs, non-finite ones included. `out`
+  /// holds width entries; out[count, width) is left unspecified.
+  /// Precondition, for the avx2 table's int64-to-double conversion through
+  /// the 2^52 magic number: |raw[t] - 128 * sums[t]| < kFilterMaxCross for
+  /// every t (the index's cross terms are at most 127^2 per coordinate).
+  /// This is the scan's per-row cut; the rows it keeps still go through
+  /// the scalar bound.
+  int64_t (*filter_candidates)(const int64_t* raw, const int64_t* sums,
+                               const double* scales, const double* norms,
+                               int64_t width, double probe_norm,
+                               double probe_cross, double cut, int32_t* out);
 };
 
 /// The table every hot path dispatches through, selected once on first use:
@@ -155,7 +182,8 @@ struct KernelOps {
 ///   2. DPJL_KERNELS=scalar|avx2|avx512 -> that table when this build and
 ///      CPU support it (silently falls through to auto-detection otherwise);
 ///   3. otherwise the best set CPUID reports: avx512 > avx2 > scalar
-///      (avx512 also needs AVX512-BW and AVX512-VNNI, whose vpdpbusd
+///      (avx512 also needs AVX512-BW, AVX512-DQ, whose vcvtqq2pd converts
+///      the filter's int64 cross terms, and AVX512-VNNI, whose vpdpbusd
 ///      scores the int8 filter).
 /// The selection is immutable afterwards (concurrent readers are safe).
 const KernelOps& Kernels();

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cfloat>
 #include <cstring>
 #include <utility>
 
@@ -492,6 +493,80 @@ void DotU8S8BlocksAvx2(const uint8_t* const* q, int64_t nq, const int8_t* c,
   }
 }
 
+/// The set lanes of a 4-bit mask in ascending order (the rest 0), and
+/// their count.
+struct KeptLanes {
+  int32_t lanes[4];
+  int32_t count;
+};
+
+constexpr std::array<KeptLanes, 16> MakeKeptLanes() {
+  std::array<KeptLanes, 16> table{};
+  for (size_t mask = 0; mask < table.size(); ++mask) {
+    KeptLanes& kept = table[mask];
+    for (int32_t lane = 0; lane < 4; ++lane) {
+      if ((mask >> lane) & 1) kept.lanes[kept.count++] = lane;
+    }
+  }
+  return table;
+}
+
+constexpr std::array<KeptLanes, 16> kKeptLanes = MakeKeptLanes();
+
+/// 4 rows per step: each filter distance by the scalar sequence, the kept
+/// offsets written by one 4-lane store from a lookup table (the store
+/// stays within out[0, width), since count never passes t). AVX2 has no
+/// int64-to-double conversion: a cross term c with |c| < 2^51 added to the
+/// bits of 1.5 * 2^52 gives the double 1.5 * 2^52 + c exactly, and
+/// subtracting 1.5 * 2^52 leaves exactly double(c). The tail runs the
+/// scalar spec.
+int64_t FilterCandidatesAvx2(const int64_t* raw, const int64_t* sums,
+                             const double* scales, const double* norms,
+                             int64_t width, double probe_norm,
+                             double probe_cross, double cut, int32_t* out) {
+  static_assert(kFilterMaxCross == int64_t{1} << 51,
+                "the magic-number conversion is exact below 2^51");
+  const __m256d vnorm = _mm256_set1_pd(probe_norm);
+  const __m256d vcross = _mm256_set1_pd(probe_cross);
+  const __m256d vcut = _mm256_set1_pd(cut);
+  const __m256d vmax = _mm256_set1_pd(DBL_MAX);
+  const __m256i magic = _mm256_set1_epi64x(0x4338000000000000);
+  int64_t count = 0;
+  int64_t t = 0;
+  for (; t + 4 <= width; t += 4) {
+    const __m256i cross = _mm256_sub_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + t)),
+        _mm256_slli_epi64(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sums + t)),
+            7));
+    const __m256d converted =
+        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_add_epi64(cross, magic)),
+                      _mm256_castsi256_pd(magic));
+    const __m256d d = _mm256_sub_pd(
+        _mm256_add_pd(vnorm, _mm256_loadu_pd(norms + t)),
+        _mm256_mul_pd(_mm256_mul_pd(vcross, _mm256_loadu_pd(scales + t)),
+                      converted));
+    const int far = _mm256_movemask_pd(
+        _mm256_and_pd(_mm256_cmp_pd(d, vcut, _CMP_GE_OQ),
+                      _mm256_cmp_pd(d, vmax, _CMP_LE_OQ)));
+    const KeptLanes& kept = kKeptLanes[static_cast<size_t>(~far & 0xF)];
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(out + count),
+        _mm_add_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(kept.lanes)),
+            _mm_set1_epi32(static_cast<int32_t>(t))));
+    count += kept.count;
+  }
+  const int64_t tail =
+      FilterCandidatesScalar(raw + t, sums + t, scales + t, norms + t,
+                             width - t, probe_norm, probe_cross, cut,
+                             out + count);
+  for (int64_t i = count; i < count + tail; ++i) {
+    out[i] += static_cast<int32_t>(t);
+  }
+  return count + tail;
+}
+
 }  // namespace
 
 void SquaredDistanceBlockAvx2(const double* q, const double* c, int64_t k,
@@ -527,6 +602,7 @@ const KernelOps& Avx2Kernels() {
       SquaredDistanceBlockAvx2,
       SquaredDistanceTileAvx2,
       DotU8S8BlocksAvx2,
+      FilterCandidatesAvx2,
   };
   return kOps;
 }

@@ -1,14 +1,15 @@
-// AVX-512 kernel table. Compiled with -mavx512f -mavx512bw -mavx512vnni
-// -ffp-contract=off; same bit-exactness discipline as kernels_avx2.cc (no
-// FMA, no reassociation of floating-point sums, masked stores leave
-// untouched lanes bit-identical).
+// AVX-512 kernel table. Compiled with -mavx512f -mavx512bw -mavx512dq
+// -mavx512vnni -ffp-contract=off; same bit-exactness discipline as
+// kernels_avx2.cc (no FMA, no reassociation of floating-point sums, masked
+// stores leave untouched lanes bit-identical).
 //
 // Only the kernels where 512-bit vectors actually pay are widened here:
 // the FWHT stages with len >= 8, the sparse row gather, where one zmm
 // holds a slice's 8 row sums and one gather feeds them, the width==8 block
 // kernels, where one zmm register holds a full batch micro-block row, and
 // the int8 filter pass, where one zmm holds a quad of a 16-lane block and
-// one vpdpbusd scores it. Everything else delegates to the AVX2
+// one vpdpbusd scores it, and the scan's per-row cut, where one zmm holds
+// 8 rows' filter distances. Everything else delegates to the AVX2
 // implementations (which this build also compiles, since avx512f-capable
 // hardware always has avx2).
 
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cfloat>
 #include <cstring>
 #include <utility>
 
@@ -421,6 +423,51 @@ void DotU8S8BlocksAvx512(const uint8_t* const* q, int64_t nq,
   }
 }
 
+/// 16 rows per step, one int8 filter block: each half's 8 filter
+/// distances are computed in one zmm by the scalar sequence (vcvtqq2pd
+/// converts the int64 cross terms exactly as a scalar cast does), and one
+/// compress-store writes the kept offsets. Masked loads zero the lanes
+/// past `width`, whose results the live mask drops.
+int64_t FilterCandidatesAvx512(const int64_t* raw, const int64_t* sums,
+                               const double* scales, const double* norms,
+                               int64_t width, double probe_norm,
+                               double probe_cross, double cut, int32_t* out) {
+  const __m512d vnorm = _mm512_set1_pd(probe_norm);
+  const __m512d vcross = _mm512_set1_pd(probe_cross);
+  const __m512d vcut = _mm512_set1_pd(cut);
+  const __m512d vmax = _mm512_set1_pd(DBL_MAX);
+  const __m512i lanes =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  int64_t count = 0;
+  for (int64_t t = 0; t < width; t += 16) {
+    const auto live = static_cast<__mmask16>(
+        (1u << std::min<int64_t>(16, width - t)) - 1);
+    __mmask16 rejected = 0;
+    for (int64_t h = 0; h < 2; ++h) {
+      const int64_t row = t + 8 * h;
+      const auto m = static_cast<__mmask8>(live >> (8 * h));
+      const __m512i cross =
+          _mm512_sub_epi64(_mm512_maskz_loadu_epi64(m, raw + row),
+                           _mm512_slli_epi64(
+                               _mm512_maskz_loadu_epi64(m, sums + row), 7));
+      const __m512d d = _mm512_sub_pd(
+          _mm512_add_pd(vnorm, _mm512_maskz_loadu_pd(m, norms + row)),
+          _mm512_mul_pd(
+              _mm512_mul_pd(vcross, _mm512_maskz_loadu_pd(m, scales + row)),
+              _mm512_cvtepi64_pd(cross)));
+      const __mmask8 far = _mm512_mask_cmp_pd_mask(
+          _mm512_cmp_pd_mask(d, vcut, _CMP_GE_OQ), d, vmax, _CMP_LE_OQ);
+      rejected = static_cast<__mmask16>(rejected | (far << (8 * h)));
+    }
+    const auto kept = static_cast<__mmask16>(live & ~rejected);
+    _mm512_mask_compressstoreu_epi32(
+        out + count, kept,
+        _mm512_add_epi32(lanes, _mm512_set1_epi32(static_cast<int32_t>(t))));
+    count += __builtin_popcount(kept);
+  }
+  return count;
+}
+
 void ScaleAvx512(double* v, int64_t n, double a) {
   const __m512d va = _mm512_set1_pd(a);
   int64_t i = 0;
@@ -446,6 +493,7 @@ const KernelOps& Avx512Kernels() {
       SquaredDistanceBlockAvx512,
       SquaredDistanceTileAvx512,
       DotU8S8BlocksAvx512,
+      FilterCandidatesAvx512,
   };
   return kOps;
 }

@@ -32,6 +32,10 @@ void SquaredDistanceTileScalar(const double* const* q, int64_t nq,
 void DotU8S8BlocksScalar(const uint8_t* const* q, int64_t nq,
                          const int8_t* c, int64_t quads, int64_t blocks,
                          int64_t* out);
+int64_t FilterCandidatesScalar(const int64_t* raw, const int64_t* sums,
+                               const double* scales, const double* norms,
+                               int64_t width, double probe_norm,
+                               double probe_cross, double cut, int32_t* out);
 
 #ifdef DPJL_HAVE_AVX2_KERNELS
 const KernelOps& Avx2Kernels();

@@ -1428,18 +1428,24 @@ TEST(EngineTest, StatsDeltaSubtractsCountersAndKeepsGauges) {
   // ...while gauges keep their current values.
   EXPECT_EQ(delta.index_size, 9);
   EXPECT_EQ(delta.lane(Priority::kInteractive).depth, 0);
+  // Every bounded row passed the cut; every re-ranked one was bounded.
+  EXPECT_GE(delta.scans.rows_bounded, delta.scans.rows_reranked);
+  EXPECT_LE(delta.scans.rows_bounded, delta.scans.rows_scanned);
   // The rendering ends with the index size and the scan counters.
   const std::string full = after.ToString();
   EXPECT_NE(full.find("index_size\t9\nscan.rows_scanned\t45\n"
                       "scan.rows_reranked\t" +
-                      std::to_string(after.scans.rows_reranked) + "\n"),
+                      std::to_string(after.scans.rows_reranked) +
+                      "\nscan.rows_bounded\t" +
+                      std::to_string(after.scans.rows_bounded) + "\n"),
             std::string::npos)
       << full;
   // Delta against itself zeroes every counter but still renders cleanly.
   const std::string rendered = after.Delta(after).ToString();
   EXPECT_NE(rendered.find("lane.interactive.served\t0"), std::string::npos);
   EXPECT_NE(rendered.find("lane.batch.promoted\t0"), std::string::npos);
-  EXPECT_NE(rendered.find("scan.rows_scanned\t0\nscan.rows_reranked\t0\n"),
+  EXPECT_NE(rendered.find("scan.rows_scanned\t0\nscan.rows_reranked\t0\n"
+                          "scan.rows_bounded\t0\n"),
             std::string::npos)
       << rendered;
 }

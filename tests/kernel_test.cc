@@ -107,12 +107,16 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   EXPECT_NE(active.squared_distance_block, nullptr);
   EXPECT_NE(active.squared_distance_tile, nullptr);
   EXPECT_NE(active.dot_u8s8_blocks, nullptr);
-  // Every table this build + CPU can run carries the int8 filter kernel,
-  // and the avx512 one, whose vpdpbusd needs AVX512-VNNI and which is
-  // compiled for AVX512-BW, is offered only where CPUID reports both.
+  EXPECT_NE(active.filter_candidates, nullptr);
+  // Every table this build + CPU can run carries the int8 filter kernel
+  // and the per-row cut, and the avx512 one, whose vpdpbusd needs
+  // AVX512-VNNI, whose vcvtqq2pd needs AVX512-DQ and which is compiled for
+  // AVX512-BW, is offered only where CPUID reports all three.
   EXPECT_NE(scalar.dot_u8s8_blocks, nullptr);
+  EXPECT_NE(scalar.filter_candidates, nullptr);
   for (const KernelOps* table : VectorTables()) {
     EXPECT_NE(table->dot_u8s8_blocks, nullptr) << table->name;
+    EXPECT_NE(table->filter_candidates, nullptr) << table->name;
   }
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (KernelsByName("avx2") != nullptr) {
@@ -121,6 +125,7 @@ TEST(KernelDispatchTest, TablesAreWellFormed) {
   if (KernelsByName("avx512") != nullptr) {
     EXPECT_TRUE(__builtin_cpu_supports("avx512f"));
     EXPECT_TRUE(__builtin_cpu_supports("avx512bw"));
+    EXPECT_TRUE(__builtin_cpu_supports("avx512dq"));
     EXPECT_TRUE(__builtin_cpu_supports("avx512vnni"));
   }
 #endif
@@ -644,6 +649,178 @@ TEST(KernelBitExactnessTest, DotU8S8BlocksSumPastTheInt32Span) {
   for (const KernelOps* table : tables) {
     EXPECT_EQ(DotU8S8(*table, probes, packed, quads, blocks), expect)
         << table->name;
+  }
+}
+
+/// One filter_candidates call into an output buffer of exactly `width`
+/// entries (so a table writing past it trips ASan): the kept offsets.
+std::vector<int32_t> FilterCandidates(const KernelOps& table,
+                                      const std::vector<int64_t>& raw,
+                                      const std::vector<int64_t>& sums,
+                                      const std::vector<double>& scales,
+                                      const std::vector<double>& norms,
+                                      int64_t width, double probe_norm,
+                                      double probe_cross, double cut) {
+  std::vector<int32_t> out(static_cast<size_t>(width), -1);
+  const int64_t count =
+      table.filter_candidates(raw.data(), sums.data(), scales.data(),
+                              norms.data(), width, probe_norm, probe_cross,
+                              cut, out.data());
+  EXPECT_GE(count, 0);
+  EXPECT_LE(count, width);
+  out.resize(static_cast<size_t>(std::clamp<int64_t>(count, 0, width)));
+  return out;
+}
+
+/// The spec's filter distance of row t, in its operation order.
+double FilterDistanceOf(const std::vector<int64_t>& raw,
+                        const std::vector<int64_t>& sums,
+                        const std::vector<double>& scales,
+                        const std::vector<double>& norms, size_t t,
+                        double probe_norm, double probe_cross) {
+  const double row_norms = probe_norm + norms[t];
+  return row_norms - (probe_cross * scales[t]) *
+                         static_cast<double>(raw[t] - 128 * sums[t]);
+}
+
+TEST(KernelBitExactnessTest, FilterCandidatesMatchScalarSpec) {
+  // Every table against the scalar spec over widths 1..256 (every tail of
+  // a 16-row block and of a 4-row step, up to one scan group), for cuts of
+  // +-inf, NaN, and each side of chosen rows' own distances, with
+  // non-finite scales and norms among the rows and probe terms, and cross
+  // terms at the avx2 table's conversion bound; then the spec's own
+  // semantics, and exact conversion at that bound in every table.
+  constexpr int64_t kMaxWidth = 256;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr int64_t kEdge = kFilterMaxCross - 1;
+  Rng rng(DeriveSeed(kTestSeed, 2525));
+  std::vector<int64_t> raw(kMaxWidth), sums(kMaxWidth);
+  std::vector<double> scales(kMaxWidth), norms(kMaxWidth);
+  for (size_t t = 0; t < static_cast<size_t>(kMaxWidth); ++t) {
+    sums[t] = static_cast<int64_t>(rng.UniformInt(2 * 127 * 370 + 1)) -
+              127 * 370;
+    // Cross terms I = raw - 128 sums of a k = 370 index, with a few at
+    // +-(2^51 - 1), the largest the avx2 conversion takes.
+    int64_t cross =
+        static_cast<int64_t>(rng.UniformInt(2 * 16129 * 370 + 1)) -
+        16129 * 370;
+    switch (t % 37) {
+      case 5: cross = kEdge; break;
+      case 6: cross = -kEdge; break;
+      case 7:
+        cross = kEdge - 1 - static_cast<int64_t>(rng.UniformInt(1024));
+        break;
+      case 8: cross = 0; break;
+      default: break;
+    }
+    raw[t] = cross + 128 * sums[t];
+    // Full significands, so a table that reordered the roundings would
+    // move some D by an ulp.
+    scales[t] = std::ldexp(1.0 + rng.NextDouble(),
+                           static_cast<int>(rng.UniformInt(24)) - 16);
+    norms[t] = std::ldexp(1.0 + rng.NextDouble(),
+                          static_cast<int>(rng.UniformInt(24)));
+    switch (t % 29) {
+      case 3: scales[t] = kInf; break;
+      case 4: scales[t] = kNaN; break;
+      case 5: norms[t] = kInf; break;
+      case 6: norms[t] = kNaN; break;
+      case 7: scales[t] = 0.0; break;
+      case 8: norms[t] = -kInf; break;
+      case 9: scales[t] = std::numeric_limits<double>::max(); break;
+      default: break;
+    }
+  }
+  struct Probe {
+    double norm;
+    double cross;
+  };
+  const Probe probes[] = {{1234.567890123, 0.0123456789012345},
+                          {0.0, 1.0},
+                          {kInf, 0.5},
+                          {3.0, kNaN},
+                          {-7.25, -kInf}};
+  std::vector<const KernelOps*> tables = VectorTables();
+  tables.insert(tables.begin(), &ScalarKernels());
+  for (const Probe& probe : probes) {
+    std::vector<double> cuts = {kInf, -kInf, kNaN, 0.0, -0.0,
+                                std::numeric_limits<double>::max()};
+    for (const size_t t : {0, 1, 5, 6, 7, 17, 100, 200, 255}) {
+      const double d = FilterDistanceOf(raw, sums, scales, norms, t,
+                                        probe.norm, probe.cross);
+      cuts.push_back(d);
+      cuts.push_back(std::nextafter(d, kInf));
+      cuts.push_back(std::nextafter(d, -kInf));
+    }
+    for (const double cut : cuts) {
+      for (int64_t width = 1; width <= kMaxWidth; ++width) {
+        const std::vector<int32_t> expect =
+            FilterCandidates(ScalarKernels(), raw, sums, scales, norms, width,
+                             probe.norm, probe.cross, cut);
+        for (const KernelOps* table : tables) {
+          ASSERT_EQ(FilterCandidates(*table, raw, sums, scales, norms, width,
+                                     probe.norm, probe.cross, cut),
+                    expect)
+              << table->name << " width=" << width << " cut=" << cut
+              << " probe=(" << probe.norm << ", " << probe.cross << ")";
+        }
+      }
+    }
+  }
+  // The spec itself, row by row: kept iff not a finite D at or above the
+  // cut, in ascending order.
+  for (const double cut : {-1.0e6, 0.0, 1.0e6, kInf, kNaN}) {
+    std::vector<int32_t> kept;
+    for (size_t t = 0; t < static_cast<size_t>(kMaxWidth); ++t) {
+      const double d = FilterDistanceOf(raw, sums, scales, norms, t,
+                                        1234.567890123, 0.0123456789012345);
+      if (!(d >= cut && d <= std::numeric_limits<double>::max())) {
+        kept.push_back(static_cast<int32_t>(t));
+      }
+    }
+    EXPECT_EQ(FilterCandidates(ScalarKernels(), raw, sums, scales, norms,
+                               kMaxWidth, 1234.567890123, 0.0123456789012345,
+                               cut),
+              kept)
+        << cut;
+  }
+  // Exact conversion up to the bound, in every table: with unit probe and
+  // row terms D = -double(I), so a cut at exactly -I drops the row only if
+  // I converted exactly, and a cut one ulp above keeps it.
+  const std::vector<int64_t> crosses = {kEdge,
+                                        -kEdge,
+                                        kEdge - 1,
+                                        -(kEdge - 1),
+                                        int64_t{1} << 50,
+                                        -(int64_t{1} << 50) - 1,
+                                        (int64_t{1} << 50) + 12345,
+                                        1,
+                                        -1,
+                                        0};
+  const auto count = static_cast<int64_t>(crosses.size());
+  std::vector<int64_t> exact_raw, exact_sums;
+  for (int64_t t = 0; t < count; ++t) {
+    exact_sums.push_back(t * 1000 - 4000);
+    exact_raw.push_back(crosses[static_cast<size_t>(t)] +
+                        128 * exact_sums.back());
+  }
+  const std::vector<double> ones(crosses.size(), 1.0);
+  const std::vector<double> zeros(crosses.size(), 0.0);
+  for (const KernelOps* table : tables) {
+    for (int64_t t = 0; t < count; ++t) {
+      const double d = -static_cast<double>(crosses[static_cast<size_t>(t)]);
+      const std::vector<int32_t> at = FilterCandidates(
+          *table, exact_raw, exact_sums, ones, zeros, count, 0.0, 1.0, d);
+      EXPECT_EQ(std::count(at.begin(), at.end(), static_cast<int32_t>(t)), 0)
+          << table->name << " I=" << crosses[static_cast<size_t>(t)];
+      const std::vector<int32_t> above =
+          FilterCandidates(*table, exact_raw, exact_sums, ones, zeros, count,
+                           0.0, 1.0, std::nextafter(d, kInf));
+      EXPECT_EQ(std::count(above.begin(), above.end(), static_cast<int32_t>(t)),
+                1)
+          << table->name << " I=" << crosses[static_cast<size_t>(t)];
+    }
   }
 }
 

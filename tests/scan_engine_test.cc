@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -896,6 +897,85 @@ TEST(ScanEngineTest, FilterStaysSelectiveAcrossChunks) {
     after = corpus.index.scan_counts();
     EXPECT_EQ(after.rows_reranked - before.rows_reranked, expected);
   }
+}
+
+TEST(ScanEngineTest, ConcurrentPooledScansMatchSerialScans) {
+  // Several threads share one ThreadPool(7) and scan at once, single
+  // probes and batches of 8, so the chunks of one scan share their
+  // per-probe bounds while other scans' chunks run beside them (the tsan
+  // preset runs this suite). Each answer, and the rows each scan
+  // re-ranks, must equal the serial scan's. Every thread scans its own
+  // copy of the index, so its counters move with its own scans only.
+  const int64_t n = 2048;
+  const int64_t kBatch = 8;
+  const int64_t num_probes = 2 * kBatch;
+  const int64_t kTopN = 10;
+  const ClusteredCorpus corpus = MakeClusteredCorpus(n, num_probes);
+  const std::vector<std::vector<PrivateSketch>> batches = {
+      {corpus.probes.begin(), corpus.probes.begin() + kBatch},
+      {corpus.probes.begin() + kBatch, corpus.probes.end()}};
+  // The serial scans: one chunk each.
+  SketchIndex serial = corpus.index;
+  std::vector<std::string> nn_bytes;
+  std::vector<int64_t> nn_reranked;
+  for (const PrivateSketch& probe : corpus.probes) {
+    const int64_t before = serial.scan_counts().rows_reranked;
+    nn_bytes.push_back(
+        NeighborBytes(serial.NearestNeighbors(probe, kTopN).value()));
+    nn_reranked.push_back(serial.scan_counts().rows_reranked - before);
+  }
+  std::vector<std::vector<std::string>> batch_bytes;
+  std::vector<int64_t> batch_reranked;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const int64_t before = serial.scan_counts().rows_reranked;
+    const std::vector<std::vector<SketchIndex::Neighbor>> results =
+        serial.NearestNeighborsBatch(batches[b], kTopN).value();
+    std::vector<std::string> bytes;
+    for (const auto& result : results) bytes.push_back(NeighborBytes(result));
+    batch_bytes.push_back(std::move(bytes));
+    batch_reranked.push_back(serial.scan_counts().rows_reranked - before);
+    // A batch re-ranks per probe what that probe's own scan does.
+    int64_t own = 0;
+    for (size_t i = 0; i < static_cast<size_t>(kBatch); ++i) {
+      const size_t p = b * static_cast<size_t>(kBatch) + i;
+      own += nn_reranked[p];
+      EXPECT_EQ(batch_bytes[b][i], nn_bytes[p]);
+    }
+    EXPECT_EQ(batch_reranked[b], own);
+  }
+
+  ThreadPool pool(7);
+  constexpr int kThreads = 3;
+  std::vector<std::thread> threads;
+  for (int thread = 0; thread < kThreads; ++thread) {
+    threads.emplace_back([&, thread] {
+      SketchIndex mine = corpus.index;
+      for (int64_t step = 0; step < num_probes; ++step) {
+        // Each thread starts at its own probe, and every fourth step is a
+        // batch, so single scans and batches overlap across threads.
+        const auto p = static_cast<size_t>((step + 5 * thread) % num_probes);
+        int64_t before = mine.scan_counts().rows_reranked;
+        const auto nn = mine.NearestNeighbors(corpus.probes[p], kTopN, &pool);
+        ASSERT_TRUE(nn.ok());
+        EXPECT_EQ(NeighborBytes(nn.value()), nn_bytes[p]) << "probe " << p;
+        EXPECT_EQ(mine.scan_counts().rows_reranked - before, nn_reranked[p])
+            << "probe " << p;
+        if (step % 4 != 3) continue;
+        const size_t b = p % batches.size();
+        before = mine.scan_counts().rows_reranked;
+        const auto batch = mine.NearestNeighborsBatch(batches[b], kTopN, &pool);
+        ASSERT_TRUE(batch.ok());
+        for (size_t i = 0; i < static_cast<size_t>(kBatch); ++i) {
+          EXPECT_EQ(NeighborBytes(batch.value()[i]), batch_bytes[b][i])
+              << "batch " << b << " probe " << i;
+        }
+        EXPECT_EQ(mine.scan_counts().rows_reranked - before,
+                  batch_reranked[b])
+            << "batch " << b;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
 }
 
 TEST(ScanEngineTest, ScanCountsTrackFilterWork) {
